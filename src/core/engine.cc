@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -184,6 +185,15 @@ bool PassesFilters(const std::vector<AttributePredicate>& filters,
   return true;
 }
 
+/// Folds every group of `from` into `into` under `metrics`.
+void MergeInto(const EpochAggregate& from,
+               const std::vector<MetricSpec>& metrics, EpochAggregate* into) {
+  for (const auto& [key, state] : from) {
+    auto [it, inserted] = into->try_emplace(key, state);
+    if (!inserted) it->second.Merge(state, metrics);
+  }
+}
+
 }  // namespace
 
 StreamAggEngine::StreamAggEngine(const Schema& schema,
@@ -230,8 +240,17 @@ Status StreamAggEngine::PlanFromSample() {
   last_optimize_millis_ = plan.optimize_millis;
   plan_ = std::make_unique<OptimizedPlan>(std::move(plan));
   STREAMAGG_RETURN_NOT_OK(InstallRuntime());
-  // Replay the buffered sample — its records were never processed.
-  for (const Record& r : sample_->records()) RuntimeProcess(r);
+  // Replay the buffered sample — its records were never processed. The
+  // serial runtime takes it as one batch; the sharded runtime one record at
+  // a time, since a striped multi-producer replay would make the counters
+  // depend on thread interleaving.
+  if (sharded_runtime_ != nullptr) {
+    for (const Record& r : sample_->records()) {
+      sharded_runtime_->ProcessRecord(r);
+    }
+  } else {
+    runtime_->ProcessBatch(sample_->records());
+  }
   return Status::OK();
 }
 
@@ -251,6 +270,9 @@ Status StreamAggEngine::InstallRuntime() {
   // The incoming runtime's counters start at zero; reset the accumulation
   // baseline with them (see AccumulateCounters).
   live_counter_baseline_ = RuntimeCounters{};
+  // The retired runtime's part of any split epoch is in accumulated_hfta_
+  // now, and dense slots may have been renumbered.
+  split_epochs_.clear();
   // A fresh runtime starts every table in hash mode; the adaptive boundary
   // re-decides from the new plan's own telemetry (trend runs restart at a
   // swap anyway — SnapshotsContinuous breaks there).
@@ -312,39 +334,6 @@ Status StreamAggEngine::InstallRuntime() {
   return Status::OK();
 }
 
-void StreamAggEngine::RuntimeProcess(const Record& record) {
-  if (sharded_runtime_ != nullptr) {
-    sharded_runtime_->ProcessRecord(record);
-  } else {
-    runtime_->ProcessRecord(record);
-  }
-}
-
-void StreamAggEngine::RuntimeProcessBatch(std::span<const Record> records) {
-  if (records.empty()) return;
-  // Non-adaptive epoch bookkeeping only needs the latest epoch; the runtime
-  // performs its own boundary flushes at timestamp changes inside the batch.
-  if (options_.epoch_seconds > 0.0) {
-    const uint64_t epoch = static_cast<uint64_t>(
-        std::floor(records.back().timestamp / options_.epoch_seconds));
-    if (saw_record_ && epoch != current_epoch_) {
-      STREAMAGG_TRACE(FlightRecorder::Instance().RecordInstant(
-          TraceEventType::kEpochBoundary, current_epoch_,
-          static_cast<uint32_t>(epoch)));
-      // The epoch history sees the completed epoch's pre-flush tables; the
-      // boundary-straddling batch itself lands in the next snapshot.
-      CaptureEpochSnapshot(current_epoch_);
-    }
-    current_epoch_ = epoch;
-  }
-  saw_record_ = true;
-  if (sharded_runtime_ != nullptr) {
-    sharded_runtime_->ProcessBatch(records);
-  } else {
-    runtime_->ProcessBatch(records);
-  }
-}
-
 void StreamAggEngine::AccumulateCounters() {
   // Fold in only the growth since the last call: repeated calls (or calls
   // at unexpected points, e.g. a failed re-plan mid-swap) can never
@@ -361,7 +350,7 @@ void StreamAggEngine::AccumulateCounters() {
   live_counter_baseline_ = *live;
 }
 
-Status StreamAggEngine::HandleEpochBoundary(uint64_t next_epoch) {
+Status StreamAggEngine::HandleEpochBoundary() {
   // Judge the epoch-snapshot history for a sustained drift trend. The
   // completed epoch's snapshot was just appended by CaptureEpochSnapshot
   // (capture is forced on under adaptive), so the trend window ends at the
@@ -541,7 +530,6 @@ Status StreamAggEngine::HandleEpochBoundary(uint64_t next_epoch) {
         static_cast<uint32_t>(replan_events_.back().replanned_nodes),
         static_cast<uint32_t>(replan_events_.back().pinned_nodes));
   });
-  (void)next_epoch;
   return Status::OK();
 }
 
@@ -584,68 +572,129 @@ Status StreamAggEngine::HandleOverloadBoundary() {
   return Status::OK();
 }
 
+Status StreamAggEngine::CheckTimestamps(std::span<const Record> records) {
+  // One compare per record against the running maximum. NaN fails every
+  // compare and a negative time fails against the initial 0, so only those
+  // and genuine decreases reach the epoch arithmetic. +inf (and a time
+  // whose epoch would overflow the uint64 cast) passes the compare; it is
+  // caught once, from the maximum, after the loop.
+  const double limit = options_.epoch_seconds > 0.0
+                           ? options_.epoch_seconds * 0x1p63
+                           : std::numeric_limits<double>::infinity();
+  double latest = latest_timestamp_;
+  size_t bad = records.size();
+  for (size_t i = 0; i < records.size(); ++i) {
+    const double ts = records[i].timestamp;
+    if (ts >= latest) {
+      latest = ts;
+      continue;
+    }
+    if (!(latest < limit)) break;
+    if (!(ts >= 0.0) || (options_.epoch_seconds > 0.0 &&
+                         EpochOf(ts) < EpochOf(latest))) {
+      bad = i;
+      break;
+    }
+  }
+  if (!(latest < limit)) {
+    bad = static_cast<size_t>(
+        std::find_if(records.begin(), records.end(),
+                     [&](const Record& r) { return !(r.timestamp < limit); }) -
+        records.begin());
+  }
+  if (bad == records.size()) {
+    latest_timestamp_ = latest;
+    return Status::OK();
+  }
+  double before = latest_timestamp_;
+  for (size_t i = 0; i < bad; ++i) {
+    before = std::max(before, records[i].timestamp);
+  }
+  char message[192];
+  std::snprintf(message, sizeof(message),
+                "record %zu has timestamp %g; timestamps must be finite, "
+                "non-negative, in an epoch below 2^63 and must not go back "
+                "an epoch (current epoch %llu)",
+                bad, records[bad].timestamp,
+                static_cast<unsigned long long>(
+                    options_.epoch_seconds > 0.0 ? EpochOf(before) : 0));
+  return Status::InvalidArgument(message);
+}
+
+Status StreamAggEngine::Sample(const Record& record) {
+  sample_->Append(record);
+  // Track epochs during sampling too, so boundaries line up later.
+  if (options_.epoch_seconds > 0.0) current_epoch_ = EpochOf(record.timestamp);
+  saw_record_ = true;
+  if (sample_->size() < options_.sample_size) return Status::OK();
+  return PlanFromSample();
+}
+
+Status StreamAggEngine::Ingest(std::span<const Record> records) {
+  size_t i = 0;
+  while (i < records.size()) {
+    size_t end = records.size();
+    if (options_.epoch_seconds > 0.0) {
+      const uint64_t epoch = EpochOf(records[i].timestamp);
+      if (saw_record_ && epoch != current_epoch_) {
+        STREAMAGG_TRACE(FlightRecorder::Instance().RecordInstant(
+            TraceEventType::kEpochBoundary, current_epoch_,
+            static_cast<uint32_t>(epoch)));
+        // The boundary step. The history sees the completed epoch's tables
+        // as the stream left them (the runtime flushes when the next run
+        // starts); the overload controller then judges against whatever
+        // runtime an adaptive re-plan left in place.
+        CaptureEpochSnapshot(current_epoch_);
+        if (options_.adaptive) {
+          STREAMAGG_RETURN_NOT_OK(HandleEpochBoundary());
+        }
+        STREAMAGG_RETURN_NOT_OK(HandleOverloadBoundary());
+      }
+      current_epoch_ = epoch;
+      // Epochs never decrease (CheckTimestamps), so the run is a prefix.
+      if (EpochOf(records.back().timestamp) != epoch) {
+        end = static_cast<size_t>(
+            std::partition_point(records.begin() + static_cast<long>(i),
+                                 records.end(),
+                                 [&](const Record& r) {
+                                   return EpochOf(r.timestamp) == epoch;
+                                 }) -
+            records.begin());
+      }
+    }
+    saw_record_ = true;
+    const std::span<const Record> run = records.subspan(i, end - i);
+    if (sharded_runtime_ != nullptr) {
+      sharded_runtime_->ProcessBatch(run);
+    } else {
+      runtime_->ProcessBatch(run);
+    }
+    i = end;
+  }
+  return Status::OK();
+}
+
 Status StreamAggEngine::Process(const Record& record) {
+  const std::span<const Record> one(&record, 1);
+  STREAMAGG_RETURN_NOT_OK(CheckTimestamps(one));
   // The shared where clause filters records before any table sees them
   // (the F of the LFTA's Filter-Transform-Aggregate); filtered records are
   // also excluded from statistics.
   if (!PassesFilters(shared_filters_, record)) return Status::OK();
-  if (!planned()) {
-    sample_->Append(record);
-    if (sample_->size() >= options_.sample_size) {
-      STREAMAGG_RETURN_NOT_OK(PlanFromSample());
-    }
-    // Track epochs during sampling too, so boundaries line up later.
-    if (options_.epoch_seconds > 0.0) {
-      current_epoch_ = static_cast<uint64_t>(
-          std::floor(record.timestamp / options_.epoch_seconds));
-    }
-    saw_record_ = true;
-    return Status::OK();
-  }
-  if (options_.epoch_seconds > 0.0) {
-    const uint64_t epoch = static_cast<uint64_t>(
-        std::floor(record.timestamp / options_.epoch_seconds));
-    if (saw_record_ && epoch != current_epoch_) {
-      STREAMAGG_TRACE(FlightRecorder::Instance().RecordInstant(
-          TraceEventType::kEpochBoundary, current_epoch_,
-          static_cast<uint32_t>(epoch)));
-      // Capture before any adaptive swap/flush: the history entry shows the
-      // completed epoch's tables as the stream left them.
-      CaptureEpochSnapshot(current_epoch_);
-      if (options_.adaptive) {
-        STREAMAGG_RETURN_NOT_OK(HandleEpochBoundary(epoch));
-      }
-      // After any re-plan: the overload controller re-judges against the
-      // runtime that will actually run the next epoch.
-      STREAMAGG_RETURN_NOT_OK(HandleOverloadBoundary());
-      current_epoch_ = epoch;
-    } else if (!saw_record_) {
-      current_epoch_ = epoch;
-    }
-  }
-  saw_record_ = true;
-  // The runtime flushes its own epoch when it sees the boundary timestamp
-  // (unless the adaptive path already swapped it above). Sharded runtimes
-  // flush per shard the same way.
-  RuntimeProcess(record);
-  return Status::OK();
+  return planned() ? Ingest(one) : Sample(record);
 }
 
 Status StreamAggEngine::ProcessBatch(std::span<const Record> records) {
+  STREAMAGG_RETURN_NOT_OK(CheckTimestamps(records));
+  // Sampling buffers record by record; planning may land mid-batch.
   size_t i = 0;
-  // Sampling (buffer fill, possible mid-batch planning) and the adaptive /
-  // overload epoch-boundary checks keep the per-record logic.
-  while (i < records.size() &&
-         (!planned() || options_.adaptive || options_.overload.enabled)) {
-    STREAMAGG_RETURN_NOT_OK(Process(records[i]));
-    ++i;
+  for (; i < records.size() && !planned(); ++i) {
+    if (PassesFilters(shared_filters_, records[i])) {
+      STREAMAGG_RETURN_NOT_OK(Sample(records[i]));
+    }
   }
-  if (i == records.size()) return Status::OK();
   const std::span<const Record> rest = records.subspan(i);
-  if (shared_filters_.empty()) {
-    RuntimeProcessBatch(rest);
-    return Status::OK();
-  }
+  if (shared_filters_.empty()) return Ingest(rest);
   // Shared where clause: filter chunk-wise through a stack buffer so the
   // batched path below stays allocation-free.
   std::array<Record, 256> buffer;
@@ -654,12 +703,12 @@ Status StreamAggEngine::ProcessBatch(std::span<const Record> records) {
     if (!PassesFilters(shared_filters_, record)) continue;
     buffer[n++] = record;
     if (n == buffer.size()) {
-      RuntimeProcessBatch(std::span<const Record>(buffer.data(), n));
+      STREAMAGG_RETURN_NOT_OK(
+          Ingest(std::span<const Record>(buffer.data(), n)));
       n = 0;
     }
   }
-  if (n > 0) RuntimeProcessBatch(std::span<const Record>(buffer.data(), n));
-  return Status::OK();
+  return Ingest(std::span<const Record>(buffer.data(), n));
 }
 
 Status StreamAggEngine::Finish() {
@@ -667,6 +716,7 @@ Status StreamAggEngine::Finish() {
     // Short stream: plan from whatever was collected.
     STREAMAGG_RETURN_NOT_OK(PlanFromSample());
   }
+  split_epochs_.clear();
   if (runtime_ != nullptr) {
     runtime_->FlushEpoch();
     accumulated_hfta_->MergeFrom(runtime_->hfta());
@@ -954,22 +1004,11 @@ void StreamAggEngine::ArchiveQuery(int query_id, int dense,
   for (uint64_t e : accumulated_hfta_->Epochs(dense)) {
     archive[e] = accumulated_hfta_->Result(dense, e);
   }
-  if (include_live) {
-    const Hfta* live = runtime_ != nullptr ? &runtime_->hfta()
-                       : sharded_runtime_ != nullptr
-                           ? &sharded_runtime_->hfta()
-                           : nullptr;
-    if (live != nullptr) {
-      for (uint64_t e : live->Epochs(dense)) {
-        EpochAggregate& into = archive[e];
-        for (const auto& [key, state] : live->Result(dense, e)) {
-          auto [it, inserted] = into.try_emplace(key, state);
-          if (!inserted) {
-            it->second.Merge(state, queries_[static_cast<size_t>(dense)]
-                                        .metrics);
-          }
-        }
-      }
+  const Hfta* live = include_live ? LiveHfta() : nullptr;
+  if (live != nullptr) {
+    for (uint64_t e : live->Epochs(dense)) {
+      MergeInto(live->Result(dense, e),
+                queries_[static_cast<size_t>(dense)].metrics, &archive[e]);
     }
   }
   retired_[query_id] = std::move(archive);
@@ -1001,6 +1040,14 @@ void StreamAggEngine::RecordChurnEvent(QueryChurnEvent event) {
   churn_events_.push_back(std::move(event));
 }
 
+const Hfta* StreamAggEngine::LiveHfta() const {
+  // The sharded HFTA is the merged snapshot from the last barrier;
+  // mid-stream results become visible at Finish() (see docs/runtime.md).
+  return runtime_ != nullptr           ? &runtime_->hfta()
+         : sharded_runtime_ != nullptr ? &sharded_runtime_->hfta()
+                                       : nullptr;
+}
+
 std::string StreamAggEngine::ConfigurationText() const {
   return plan_ != nullptr ? plan_->config.ToString() : std::string();
 }
@@ -1019,18 +1066,22 @@ const EpochAggregate& StreamAggEngine::EpochResult(int query_index,
     auto it = rid->second.find(epoch);
     return it == rid->second.end() ? empty_aggregate_ : it->second;
   }
-  if (runtime_ != nullptr) {
-    const EpochAggregate& live = runtime_->hfta().Result(dense, epoch);
-    if (!live.empty()) return live;
+  const EpochAggregate& accumulated = accumulated_hfta_->Result(dense, epoch);
+  const Hfta* live = LiveHfta();
+  if (live == nullptr) return accumulated;
+  const EpochAggregate& current = live->Result(dense, epoch);
+  if (current.empty()) return accumulated;
+  if (accumulated.empty()) return current;
+  // A mid-epoch churn swap split this epoch between the retired runtimes
+  // and the live one: serve the union, rebuilt once the live part moves.
+  SplitEpoch& split = split_epochs_[{dense, epoch}];
+  if (split.live_transfers != live->transfers()) {
+    split.merged = accumulated;
+    MergeInto(current, queries_[static_cast<size_t>(dense)].metrics,
+              &split.merged);
+    split.live_transfers = live->transfers();
   }
-  if (sharded_runtime_ != nullptr) {
-    // The merged snapshot from the last epoch barrier; mid-stream results
-    // become visible at Finish() (see docs/runtime.md).
-    const EpochAggregate& live =
-        sharded_runtime_->hfta().Result(dense, epoch);
-    if (!live.empty()) return live;
-  }
-  return accumulated_hfta_->Result(dense, epoch);
+  return split.merged;
 }
 
 std::vector<uint64_t> StreamAggEngine::Epochs(int query_index) const {
@@ -1044,13 +1095,8 @@ std::vector<uint64_t> StreamAggEngine::Epochs(int query_index) const {
     }
     return std::vector<uint64_t>(epochs.begin(), epochs.end());
   }
-  if (runtime_ != nullptr) {
-    for (uint64_t e : runtime_->hfta().Epochs(dense)) epochs.insert(e);
-  }
-  if (sharded_runtime_ != nullptr) {
-    for (uint64_t e : sharded_runtime_->hfta().Epochs(dense)) {
-      epochs.insert(e);
-    }
+  if (const Hfta* live = LiveHfta()) {
+    for (uint64_t e : live->Epochs(dense)) epochs.insert(e);
   }
   for (uint64_t e : accumulated_hfta_->Epochs(dense)) epochs.insert(e);
   return std::vector<uint64_t>(epochs.begin(), epochs.end());

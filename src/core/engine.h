@@ -1,6 +1,7 @@
 #ifndef STREAMAGG_CORE_ENGINE_H_
 #define STREAMAGG_CORE_ENGINE_H_
 
+#include <cmath>
 #include <map>
 #include <memory>
 #include <span>
@@ -134,18 +135,18 @@ class StreamAggEngine {
       const Schema& schema, OptimizedPlan plan,
       std::map<uint32_t, uint64_t> catalog_counts, Options options);
 
-  /// Feeds one record. Records must arrive in non-decreasing timestamp
-  /// order. Returns an error only for internal planning failures (e.g. the
-  /// memory budget cannot host the query tables).
+  /// Feeds one record: a batch of one (see ProcessBatch).
   Status Process(const Record& record);
 
-  /// Feeds a batch of records (non-decreasing timestamps). Produces results
-  /// and counters bit-identical to feeding the records one Process call at
-  /// a time, but runs the allocation-free batched runtime path
-  /// (ConfigurationRuntime::ProcessBatch / ShardedRuntime::ProcessBatch)
-  /// once planning is done. Sampling and adaptive epoch-boundary logic fall
-  /// back to the per-record path, so any mix of Process and ProcessBatch
-  /// calls is valid.
+  /// Feeds a batch of records. Timestamps must be finite, non-negative and
+  /// never go back an epoch; a batch that breaks this is rejected whole
+  /// with InvalidArgument before any state changes. Once planned, the batch
+  /// is cut at epoch boundaries, the boundary step (snapshot capture,
+  /// adaptive re-plan, overload controller) runs between the runs, and each
+  /// run goes to the live runtime's batched path. With num_producers 1 any
+  /// batch split gives the results, counters and events of per-record
+  /// feeding; with more producers only the results. Other errors are
+  /// internal planning failures (e.g. the budget cannot host the tables).
   Status ProcessBatch(std::span<const Record> records);
 
   /// Completes the current epoch (call at end of stream).
@@ -209,8 +210,10 @@ class StreamAggEngine {
 
   /// Final aggregate of query `query_index` for `epoch` (empty if none).
   /// Results survive adaptive runtime swaps and query churn: the index is
-  /// a stable query id (initial queries are 0..n-1) and dropped queries
-  /// keep serving their archived results.
+  /// a stable query id (initial queries are 0..n-1), dropped queries keep
+  /// serving their archived results, and an epoch a mid-epoch churn swap
+  /// split serves both parts merged. The reference stays valid until the
+  /// next call that feeds records, changes queries or finishes.
   const EpochAggregate& EpochResult(int query_index, uint64_t epoch) const;
   /// Epochs with results for `query_index`, ascending.
   std::vector<uint64_t> Epochs(int query_index) const;
@@ -272,7 +275,7 @@ class StreamAggEngine {
   /// When adaptive_options.auto_tune_trend is set, trend_epochs and
   /// widening_slack are first re-derived from the observed epoch-gap spread
   /// (AdaptiveController::AutoTuneTrend).
-  Status HandleEpochBoundary(uint64_t next_epoch);
+  Status HandleEpochBoundary();
 
   /// Epoch boundary (overload controller only): re-judges the shed plan
   /// against the freshly captured snapshot history and installs it into the
@@ -327,12 +330,26 @@ class StreamAggEngine {
                         : budget;
   }
 
-  /// Routes a record into whichever runtime is live.
-  void RuntimeProcess(const Record& record);
+  /// Enforces the timestamp contract of ProcessBatch over the whole span
+  /// and, when it holds, advances latest_timestamp_. The message names the
+  /// offending record's index, its timestamp and the current epoch.
+  Status CheckTimestamps(std::span<const Record> records);
 
-  /// Routes a planned, filtered batch into whichever runtime is live,
-  /// updating the engine's epoch bookkeeping from the batch's last record.
-  void RuntimeProcessBatch(std::span<const Record> records);
+  /// Buffers one filtered record for the sampling pass; plans when full.
+  Status Sample(const Record& record);
+
+  /// Feeds filtered records to the live plan: one runtime ProcessBatch per
+  /// epoch run, with the boundary step between runs.
+  Status Ingest(std::span<const Record> records);
+
+  /// Defined for every timestamp CheckTimestamps accepts.
+  uint64_t EpochOf(double timestamp) const {
+    return static_cast<uint64_t>(
+        std::floor(timestamp / options_.epoch_seconds));
+  }
+
+  /// The live runtime's HFTA (nullptr while sampling and after Finish).
+  const Hfta* LiveHfta() const;
 
   /// Folds the live runtime's counter growth since the last call into
   /// total_counters_. Idempotent: calling it any number of times, at any
@@ -382,6 +399,8 @@ class StreamAggEngine {
   std::unique_ptr<Hfta> accumulated_hfta_;  // Results across runtime swaps.
   uint64_t current_epoch_ = 0;
   bool saw_record_ = false;
+  /// Largest timestamp accepted so far (0 before the first record).
+  double latest_timestamp_ = 0.0;
   RuntimeCounters total_counters_;
   /// Live runtime's counters as of the last AccumulateCounters (reset at
   /// every InstallRuntime); makes accumulation idempotent by construction.
@@ -403,6 +422,15 @@ class StreamAggEngine {
   std::vector<QueryChurnEvent> churn_events_;
   /// What EpochResult returns for a dropped id with no archived epoch.
   EpochAggregate empty_aggregate_;
+  /// An epoch a mid-epoch churn swap split between accumulated_hfta_ and
+  /// the live runtime, merged at read time and keyed by (dense slot,
+  /// epoch). Rebuilt when the live HFTA's transfer count moves; cleared
+  /// whenever a runtime retires.
+  struct SplitEpoch {
+    uint64_t live_transfers = 0;
+    EpochAggregate merged;
+  };
+  mutable std::map<std::pair<int, uint64_t>, SplitEpoch> split_epochs_;
   /// Present iff Options::overload.enabled; survives runtime swaps (it is
   /// re-priced, not rebuilt, at InstallRuntime).
   std::unique_ptr<OverloadController> overload_controller_;

@@ -147,10 +147,12 @@ struct RelationTelemetry {
 
 /// Telemetry of one ConfigurationRuntime: per-relation tallies plus the
 /// batch/flush latency histograms (kFull only; one steady_clock read pair
-/// per ProcessBatch or FlushEpoch call, never per record).
+/// per FlushEpoch call and per sampled ProcessBatch call, never per record).
 struct RuntimeTelemetry {
-  LogHistogram batch_records;  ///< Records per ProcessBatch call.
-  LogHistogram batch_ns;       ///< Wall nanoseconds per ProcessBatch call.
+  // The batch histograms sample 1 ProcessBatch call in
+  // ConfigurationRuntime::kBatchSampleInterval, starting with the first.
+  LogHistogram batch_records;  ///< Records per sampled ProcessBatch call.
+  LogHistogram batch_ns;       ///< Wall nanoseconds per sampled call.
   LogHistogram flush_ns;       ///< Wall nanoseconds per FlushEpoch call.
   LogHistogram epoch_gap_ns;   ///< Wall nanoseconds between epoch flushes.
   /// Distinct groups emitted per sort-mode run drain (docs/probe_kernel.md
@@ -186,6 +188,10 @@ class ConfigurationRuntime {
   static Result<std::unique_ptr<ConfigurationRuntime>> Make(
       const Schema& schema, std::vector<RuntimeRelationSpec> specs,
       double epoch_seconds, uint64_t seed = 0x1f7a);
+
+  /// At kFull, the batch_records/batch_ns histograms sample the first
+  /// ProcessBatch call and every kBatchSampleInterval-th call after it.
+  static constexpr uint64_t kBatchSampleInterval = 64;
 
   /// Feeds one record (timestamp drives epoch switching; records must arrive
   /// in non-decreasing timestamp order). A batch of one: semantics are those
@@ -373,6 +379,9 @@ class ConfigurationRuntime {
   /// Relaxed atomic so the engine can toggle levels while a sharded worker
   /// runs; one relaxed load per batch/flush/eviction, never per record.
   std::atomic<TelemetryLevel> telemetry_level_{TelemetryLevel::kFull};
+  /// ProcessBatch calls seen at kFull; picks the calls whose wall time and
+  /// size the batch histograms sample.
+  uint64_t batch_calls_ = 0;
   /// steady_clock stamp of the last FlushEpoch (0 = none yet); feeds the
   /// epoch_gap_ns histogram.
   uint64_t last_flush_nanos_ = 0;

@@ -377,9 +377,11 @@ std::string TelemetryToOpenMetrics(const TelemetrySnapshot& snapshot) {
 
   // Latency histograms (JSON: histograms.*; empty below the kFull tier).
   EmitHistogram(&out, "streamagg_batch_records",
-                "Records per ProcessBatch call.", snapshot.batch_records);
+                "Records per ProcessBatch call, sampled on 1 call in 64.",
+                snapshot.batch_records);
   EmitHistogram(&out, "streamagg_batch_ns",
-                "Wall-clock nanoseconds per ProcessBatch call.",
+                "Wall-clock nanoseconds per ProcessBatch call, sampled on 1 "
+                "call in 64.",
                 snapshot.batch_ns);
   EmitHistogram(&out, "streamagg_flush_ns",
                 "Wall-clock nanoseconds per epoch flush.", snapshot.flush_ns);

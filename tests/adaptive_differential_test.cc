@@ -5,6 +5,10 @@
 // bit-identical to the reference aggregator across re-plan boundaries —
 // configurations (and re-configurations) change cost, never answers.
 //
+// Every schedule also runs at several batch sizes so epoch boundaries land
+// mid-batch: answers stay exact on every split, and with one producer the
+// counters, re-plan events and epoch snapshots equal per-record feeding.
+//
 // Seeds are fixed and logged on failure; CI re-runs the binary under
 // several seeds via STREAMAGG_DIFF_SEED (see .github/workflows/ci.yml).
 
@@ -17,6 +21,7 @@
 
 #include "core/engine.h"
 #include "dsms/reference_aggregator.h"
+#include "engine_parity.h"
 #include "obs/telemetry.h"
 #include "stream/uniform_generator.h"
 
@@ -91,21 +96,20 @@ struct Split {
 };
 constexpr Split kSplits[] = {{1, 1}, {1, 4}, {2, 1}, {2, 4}};
 
-/// Runs `trace` through an adaptive engine with the given split and asserts
-/// every epoch of every query is bit-identical to the reference aggregate.
-/// Returns the finished engine for scenario-specific assertions.
+/// Runs `trace` through an adaptive engine with the given split, fed in
+/// calls of `batch` records, and asserts every epoch of every query is
+/// bit-identical to the reference aggregate. Returns the finished engine
+/// for scenario-specific assertions.
 std::unique_ptr<StreamAggEngine> RunAndCheck(
     const Trace& trace, const std::vector<QueryDef>& queries,
-    const StreamAggEngine::Options& options) {
+    const StreamAggEngine::Options& options, size_t batch) {
   auto engine =
       StreamAggEngine::FromQueryDefs(trace.schema(), queries, options);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   if (!engine.ok()) return nullptr;
-  for (const Record& r : trace.records()) {
-    const Status status = (*engine)->Process(r);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    if (!status.ok()) return nullptr;
-  }
+  const Status status = FeedInCalls(&**engine, trace.records(), batch);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  if (!status.ok()) return nullptr;
   EXPECT_TRUE((*engine)->Finish().ok());
 
   for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -134,6 +138,27 @@ std::unique_ptr<StreamAggEngine> RunAndCheck(
   }
   EXPECT_EQ((*engine)->counters().records, trace.size());
   return std::move(*engine);
+}
+
+/// RunAndCheck at every batch size. Returns the per-record engine for the
+/// scenario's own assertions; with one producer, every batched engine must
+/// also keep its exact record (counters, re-plans, epoch snapshots).
+std::unique_ptr<StreamAggEngine> RunAllBatches(
+    const Trace& trace, const std::vector<QueryDef>& queries,
+    const StreamAggEngine::Options& options) {
+  std::unique_ptr<StreamAggEngine> per_record =
+      RunAndCheck(trace, queries, options, 1);
+  if (per_record == nullptr) return nullptr;
+  for (size_t batch : kBatchSizes) {
+    if (batch == 1) continue;
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    auto batched = RunAndCheck(trace, queries, options, batch);
+    if (batched == nullptr) return nullptr;
+    if (options.num_producers == 1) {
+      ExpectSameEngineRecord(*batched, *per_record, "vs per-record");
+    }
+  }
+  return per_record;
 }
 
 std::vector<QueryDef> TwoQueries(const Schema& schema) {
@@ -170,7 +195,7 @@ TEST(AdaptiveDifferentialTest, RandomizedShiftsMatchReferenceOnAllSplits) {
                    workload.name + " producers=" +
                    std::to_string(split.producers) + " shards=" +
                    std::to_string(split.shards));
-      auto engine = RunAndCheck(
+      auto engine = RunAllBatches(
           trace, queries, AdaptiveOptions(split.producers, split.shards));
       ASSERT_NE(engine, nullptr);
       // Re-plans (however many fired) are all on the record.
@@ -200,7 +225,7 @@ TEST(AdaptiveDifferentialTest, UniformToClusteredTriggersExactlyOneReplan) {
     SCOPED_TRACE("seed=" + std::to_string(seed) + " producers=" +
                  std::to_string(split.producers) + " shards=" +
                  std::to_string(split.shards));
-    auto engine = RunAndCheck(
+    auto engine = RunAllBatches(
         trace, queries, AdaptiveOptions(split.producers, split.shards));
     ASSERT_NE(engine, nullptr);
     EXPECT_EQ(engine->reoptimizations(), 1);
@@ -240,7 +265,7 @@ TEST(AdaptiveDifferentialTest, SingleEpochSpikeTriggersNoReplan) {
     SCOPED_TRACE("seed=" + std::to_string(seed) + " producers=" +
                  std::to_string(split.producers) + " shards=" +
                  std::to_string(split.shards));
-    auto engine = RunAndCheck(
+    auto engine = RunAllBatches(
         trace, queries, AdaptiveOptions(split.producers, split.shards));
     ASSERT_NE(engine, nullptr);
     EXPECT_EQ(engine->reoptimizations(), 0);
@@ -277,7 +302,7 @@ TEST(AdaptiveDifferentialTest, SortModeFlipRoundTripStaysExact) {
     options.adaptive_options.deviation_threshold = 1e12;
     options.adaptive_options.sort_enter_collision_rate = 0.5;
     options.adaptive_options.sort_exit_unique_fraction = 0.9;
-    auto engine = RunAndCheck(trace, queries, options);
+    auto engine = RunAllBatches(trace, queries, options);
     ASSERT_NE(engine, nullptr);
     EXPECT_EQ(engine->reoptimizations(), 0);
 

@@ -16,6 +16,7 @@
 #include "core/engine.h"
 #include "dsms/configuration_runtime.h"
 #include "dsms/sharded_runtime.h"
+#include "engine_parity.h"
 #include "stream/flow_generator.h"
 #include "stream/zipf_generator.h"
 #include "util/random.h"
@@ -223,7 +224,9 @@ TEST(BatchedIngestTest, ShardedBatchedMatchesShardedPerRecord) {
 
 TEST(BatchedIngestTest, EngineBatchedMatchesPerRecord) {
   // End to end through StreamAggEngine, including the sampling-phase
-  // crossover landing mid-batch.
+  // crossover landing mid-batch. Epoch snapshots are on: a batch that
+  // straddles a boundary must still capture the completed epoch exactly as
+  // per-record feeding does.
   const Trace trace = ZipfTrace(0xe6);
   const Schema& schema = trace.schema();
   std::vector<QueryDef> queries = {QueryDef(*schema.ParseAttributeSet("AB")),
@@ -234,6 +237,7 @@ TEST(BatchedIngestTest, EngineBatchedMatchesPerRecord) {
   options.sample_size = 5000;
   options.epoch_seconds = 3.0;
   options.clustered = false;
+  options.telemetry_epoch_snapshots = true;
 
   auto per_record =
       std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
@@ -257,6 +261,8 @@ TEST(BatchedIngestTest, EngineBatchedMatchesPerRecord) {
 
     const std::string label = "engine batch=" + std::to_string(batch);
     ExpectCountersEqual(engine->counters(), per_record->counters(), label);
+    ASSERT_FALSE(per_record->telemetry_history().empty());
+    ExpectSameEngineRecord(*engine, *per_record, label);
     for (size_t q = 0; q < queries.size(); ++q) {
       const std::vector<uint64_t> epochs =
           engine->Epochs(static_cast<int>(q));

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "dsms/reference_aggregator.h"
 #include "stream/uniform_generator.h"
@@ -454,6 +457,127 @@ TEST(StreamAggEngineTest, ShardedTelemetryMergesToEngineCounters) {
   uint64_t routed = 0;
   for (const ShardTelemetry& s : snap.shards) routed += s.records;
   EXPECT_EQ(routed, trace.size());
+}
+
+// --- Timestamp contract: finite, non-negative, never back an epoch ---------
+
+/// Every query's results, epoch by epoch: what a rejected call must leave
+/// untouched.
+std::vector<std::vector<EpochAggregate>> AllResults(
+    const StreamAggEngine& engine) {
+  std::vector<std::vector<EpochAggregate>> results;
+  for (int q = 0; q < engine.num_query_ids(); ++q) {
+    results.emplace_back();
+    for (uint64_t e : engine.Epochs(q)) {
+      results.back().push_back(engine.EpochResult(q, e));
+    }
+  }
+  return results;
+}
+
+TEST(StreamAggEngineTest, RejectsTimestampsThatBreakTheContract) {
+  // 400 records over epochs 0-3 at 1 s per epoch. One epoch-3 record gets a
+  // bad timestamp; the call carrying it is rejected whole with the engine
+  // untouched, and the same call without that record then goes through.
+  const Schema schema = *Schema::Default(4);
+  auto gen = std::move(UniformGenerator::Make(schema, 300, 91)).value();
+  std::vector<Record> records(400);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i] = gen->Next();
+    records[i].timestamp = static_cast<double>(i) / 100.0;
+  }
+  const size_t bad = 350;
+  std::vector<Record> clean = records;
+  clean.erase(clean.begin() + bad);
+  const std::vector<QueryDef> queries = {
+      QueryDef(*schema.ParseAttributeSet("AB")),
+      QueryDef(*schema.ParseAttributeSet("CD"))};
+  StreamAggEngine::Options options = BaseOptions();
+  options.sample_size = 50;
+  options.epoch_seconds = 1.0;
+
+  auto reference =
+      std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
+          .value();
+  for (const Record& r : clean) ASSERT_TRUE(reference->Process(r).ok());
+  ASSERT_TRUE(reference->Finish().ok());
+
+  struct Case {
+    const char* name;
+    double timestamp;
+    const char* printed;
+  };
+  const Case cases[] = {
+      {"nan", std::numeric_limits<double>::quiet_NaN(), "timestamp nan"},
+      {"negative", -1.0, "timestamp -1"},
+      {"infinite", std::numeric_limits<double>::infinity(), "timestamp inf"},
+      {"epoch overflows", 1e300, "timestamp 1e+300"},
+      {"back an epoch", 1.5, "timestamp 1.5"},
+  };
+  for (const Case& c : cases) {
+    for (size_t batch : {size_t{1}, size_t{64}}) {
+      SCOPED_TRACE(std::string(c.name) + " batch=" + std::to_string(batch));
+      auto engine =
+          std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
+              .value();
+      std::vector<Record> input = records;
+      input[bad].timestamp = c.timestamp;
+      const size_t call = bad - bad % batch;
+      const std::span<const Record> all(input);
+      for (size_t i = 0; i < call; i += batch) {
+        ASSERT_TRUE(engine->ProcessBatch(all.subspan(i, batch)).ok());
+      }
+      const RuntimeCounters counters = engine->counters();
+      const auto results = AllResults(*engine);
+
+      const std::span<const Record> rejected =
+          all.subspan(call, std::min(batch, all.size() - call));
+      const Status status = batch == 1 ? engine->Process(rejected[0])
+                                       : engine->ProcessBatch(rejected);
+      ASSERT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      const std::string message = status.ToString();
+      EXPECT_NE(message.find("record " + std::to_string(bad - call) + " "),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find(c.printed), std::string::npos) << message;
+      EXPECT_NE(message.find("current epoch 3"), std::string::npos)
+          << message;
+      EXPECT_TRUE(engine->counters() == counters);
+      EXPECT_TRUE(AllResults(*engine) == results);
+
+      // Valid records are still accepted: the same call minus the bad one,
+      // then the rest of the stream.
+      std::vector<Record> retry(rejected.begin(), rejected.end());
+      retry.erase(retry.begin() + static_cast<long>(bad - call));
+      ASSERT_TRUE(engine->ProcessBatch(retry).ok());
+      ASSERT_TRUE(
+          engine->ProcessBatch(all.subspan(call + rejected.size())).ok());
+      ASSERT_TRUE(engine->Finish().ok());
+      EXPECT_TRUE(engine->counters() == reference->counters());
+      EXPECT_TRUE(AllResults(*engine) == AllResults(*reference));
+    }
+  }
+}
+
+TEST(StreamAggEngineTest, AcceptsBackwardTimestampsWithinTheEpoch) {
+  // Only going back an epoch breaks the contract: a record a little behind
+  // its predecessor but in the same epoch is counted there.
+  const Trace trace = UniformTrace(300, 30000, 17);
+  std::vector<Record> records = trace.records();
+  std::swap(records[25000].timestamp, records[25001].timestamp);
+  const std::vector<QueryDef> queries = {
+      QueryDef(*trace.schema().ParseAttributeSet("AB"))};
+  auto engine = std::move(StreamAggEngine::FromQueryDefs(
+                              trace.schema(), queries, BaseOptions()))
+                    .value();
+  ASSERT_TRUE(engine->ProcessBatch(records).ok());
+  ASSERT_TRUE(engine->Finish().ok());
+  const auto expected =
+      ComputeReferenceAggregate(trace, queries[0].group_by, 2.0);
+  for (const auto& [epoch, groups] : expected) {
+    EXPECT_TRUE(engine->EpochResult(0, epoch) == groups) << epoch;
+  }
 }
 
 // --- Online query churn (docs/query_frontend.md §4) ----------------------

@@ -300,8 +300,8 @@ TEST(MultiProducerTest, ShardedTelemetryHistoryCapturesEpochBarriers) {
   auto engine =
       std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
           .value();
-  // Chunked feed: epoch-crossing detection is batch-granular, so captures
-  // happen at the boundary-straddling chunks.
+  // Chunked feed: the engine cuts each chunk at its epoch boundaries and
+  // captures between the runs, so every boundary is captured.
   const std::span<const Record> records = trace.records();
   for (size_t i = 0; i < records.size(); i += 1024) {
     EXPECT_TRUE(

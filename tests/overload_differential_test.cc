@@ -4,7 +4,9 @@
 // every producer x shard split of the acceptance matrix. With a forced shed
 // floor the drop counts must be exact (error diffusion, no RNG), the
 // reported shed fraction must equal the actual dropped-record count, and a
-// mid-run ingest-layout swap must never change answers.
+// mid-run ingest-layout swap must never change answers. Engine scenarios
+// run at several batch sizes; with one producer a batched engine keeps the
+// per-record engine's exact record.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include "dsms/overload_controller.h"
 #include "dsms/reference_aggregator.h"
 #include "dsms/sharded_runtime.h"
+#include "engine_parity.h"
 #include "obs/telemetry.h"
 #include "stream/zipf_generator.h"
 
@@ -64,19 +67,18 @@ struct Split {
 };
 constexpr Split kSplits[] = {{1, 1}, {1, 4}, {2, 1}, {2, 4}};
 
-/// Feeds `trace` through a fresh engine and returns it finished.
+/// Feeds `trace` through a fresh engine in calls of `batch` records and
+/// returns it finished.
 std::unique_ptr<StreamAggEngine> RunEngine(
     const Trace& trace, const std::vector<QueryDef>& queries,
-    const StreamAggEngine::Options& options) {
+    const StreamAggEngine::Options& options, size_t batch) {
   auto engine =
       StreamAggEngine::FromQueryDefs(trace.schema(), queries, options);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   if (!engine.ok()) return nullptr;
-  for (const Record& r : trace.records()) {
-    const Status status = (*engine)->Process(r);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    if (!status.ok()) return nullptr;
-  }
+  const Status status = FeedInCalls(&**engine, trace.records(), batch);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  if (!status.ok()) return nullptr;
   EXPECT_TRUE((*engine)->Finish().ok());
   return std::move(*engine);
 }
@@ -130,23 +132,35 @@ TEST(OverloadDifferentialTest, IdleControllerIsBitIdenticalOnAllSplits) {
     overload.overload.min_shed_fraction = 0.0;
     overload.overload.rebalance = false;
 
-    auto a = RunEngine(trace, queries, baseline);
-    auto b = RunEngine(trace, queries, overload);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
+    std::unique_ptr<StreamAggEngine> per_record;
+    for (size_t batch : kBatchSizes) {
+      SCOPED_TRACE("batch=" + std::to_string(batch));
+      auto a = RunEngine(trace, queries, baseline, batch);
+      auto b = RunEngine(trace, queries, overload, batch);
+      ASSERT_NE(a, nullptr);
+      ASSERT_NE(b, nullptr);
 
-    ExpectMatchesReference(*a, trace, queries, 2.0);
-    ExpectMatchesReference(*b, trace, queries, 2.0);
-    EXPECT_TRUE(a->counters() == b->counters());
-    EXPECT_EQ(b->counters().shed_probes, 0u);
-
-    // The controller is on the record even when idle: the telemetry section
-    // is present (enabled) with a zero realized fraction.
-    const TelemetrySnapshot snapshot = b->telemetry();
-    EXPECT_TRUE(snapshot.shedding.enabled);
-    EXPECT_EQ(snapshot.shedding.shed_probes, 0u);
-    EXPECT_DOUBLE_EQ(snapshot.shedding.shed_fraction, 0.0);
-    EXPECT_FALSE(a->telemetry().shedding.enabled);
+      ExpectMatchesReference(*a, trace, queries, 2.0);
+      ExpectMatchesReference(*b, trace, queries, 2.0);
+      EXPECT_EQ(b->counters().shed_probes, 0u);
+      // Striped multi-producer batches reorder records within an epoch, so
+      // only per-record feeding pins counters there.
+      if (split.producers == 1 || batch == 1) {
+        EXPECT_TRUE(a->counters() == b->counters());
+      }
+      if (batch == 1) {
+        per_record = std::move(b);
+        // The controller is on the record even when idle: the telemetry
+        // section is present (enabled) with a zero realized fraction.
+        const TelemetrySnapshot snapshot = per_record->telemetry();
+        EXPECT_TRUE(snapshot.shedding.enabled);
+        EXPECT_EQ(snapshot.shedding.shed_probes, 0u);
+        EXPECT_DOUBLE_EQ(snapshot.shedding.shed_fraction, 0.0);
+        EXPECT_FALSE(a->telemetry().shedding.enabled);
+      } else if (split.producers == 1) {
+        ExpectSameEngineRecord(*b, *per_record, "idle controller");
+      }
+    }
   }
 }
 
@@ -161,49 +175,58 @@ TEST(OverloadDifferentialTest, ShedFloorDropsExactlyOnSerialEngine) {
 
   for (const TelemetryLevel level :
        {TelemetryLevel::kCounters, TelemetryLevel::kFull}) {
-    SCOPED_TRACE("level=" + std::to_string(static_cast<int>(level)));
-    StreamAggEngine::Options options = BaseOptions(1, 1);
-    options.telemetry_level = level;
-    options.overload.enabled = true;
-    options.overload.min_shed_fraction = 0.5;
-    auto engine = RunEngine(trace, queries, options);
-    ASSERT_NE(engine, nullptr);
+    std::unique_ptr<StreamAggEngine> per_record;
+    for (size_t batch : kBatchSizes) {
+      SCOPED_TRACE("level=" + std::to_string(static_cast<int>(level)) +
+                   " batch=" + std::to_string(batch));
+      StreamAggEngine::Options options = BaseOptions(1, 1);
+      options.telemetry_level = level;
+      options.overload.enabled = true;
+      options.overload.min_shed_fraction = 0.5;
+      auto engine = RunEngine(trace, queries, options, batch);
+      ASSERT_NE(engine, nullptr);
 
-    const TelemetrySnapshot snapshot = engine->telemetry();
-    const SheddingTelemetry& shedding = snapshot.shedding;
-    ASSERT_TRUE(shedding.enabled);
-    EXPECT_DOUBLE_EQ(shedding.target_fraction, 0.5);
-    const uint64_t offered = shedding.offered_records;
-    EXPECT_EQ(offered, trace.size());
-    ASSERT_FALSE(shedding.relations.empty());
+      const TelemetrySnapshot snapshot = engine->telemetry();
+      const SheddingTelemetry& shedding = snapshot.shedding;
+      ASSERT_TRUE(shedding.enabled);
+      EXPECT_DOUBLE_EQ(shedding.target_fraction, 0.5);
+      const uint64_t offered = shedding.offered_records;
+      EXPECT_EQ(offered, trace.size());
+      ASSERT_FALSE(shedding.relations.empty());
 
-    uint64_t total_shed = 0;
-    for (const SheddingRelationTelemetry& rel : shedding.relations) {
-      // Numerator 512/1024 diffuses to exactly every second record.
-      EXPECT_EQ(rel.shed_records, offered / 2) << rel.relation;
-      EXPECT_DOUBLE_EQ(rel.shed_fraction, 0.5) << rel.relation;
-      total_shed += rel.shed_records;
-      // The books close at the raw table: offered = probed + shed.
-      bool found = false;
-      for (const TableTelemetry& table : snapshot.tables) {
-        if (table.relation != rel.relation || table.parent >= 0) continue;
-        EXPECT_EQ(table.probes + rel.shed_records, offered) << rel.relation;
-        found = true;
+      uint64_t total_shed = 0;
+      for (const SheddingRelationTelemetry& rel : shedding.relations) {
+        // Numerator 512/1024 diffuses to exactly every second record.
+        EXPECT_EQ(rel.shed_records, offered / 2) << rel.relation;
+        EXPECT_DOUBLE_EQ(rel.shed_fraction, 0.5) << rel.relation;
+        total_shed += rel.shed_records;
+        // The books close at the raw table: offered = probed + shed.
+        bool found = false;
+        for (const TableTelemetry& table : snapshot.tables) {
+          if (table.relation != rel.relation || table.parent >= 0) continue;
+          EXPECT_EQ(table.probes + rel.shed_records, offered) << rel.relation;
+          found = true;
+        }
+        EXPECT_TRUE(found) << "no raw table for " << rel.relation;
       }
-      EXPECT_TRUE(found) << "no raw table for " << rel.relation;
-    }
-    EXPECT_EQ(shedding.shed_probes, total_shed);
-    EXPECT_EQ(engine->counters().shed_probes, total_shed);
-    EXPECT_DOUBLE_EQ(
-        shedding.shed_fraction,
-        static_cast<double>(total_shed) /
-            (static_cast<double>(offered) *
-             static_cast<double>(shedding.relations.size())));
+      EXPECT_EQ(shedding.shed_probes, total_shed);
+      EXPECT_EQ(engine->counters().shed_probes, total_shed);
+      EXPECT_DOUBLE_EQ(
+          shedding.shed_fraction,
+          static_cast<double>(total_shed) /
+              (static_cast<double>(offered) *
+               static_cast<double>(shedding.relations.size())));
 
-    // The shedding section survives the JSON round trip at both tiers.
-    auto parsed = TelemetrySnapshot::FromJsonLine(snapshot.ToJsonLine());
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_TRUE(parsed->shedding == shedding);
+      // The shedding section survives the JSON round trip at both tiers.
+      auto parsed = TelemetrySnapshot::FromJsonLine(snapshot.ToJsonLine());
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      EXPECT_TRUE(parsed->shedding == shedding);
+      if (batch == 1) {
+        per_record = std::move(engine);
+      } else {
+        ExpectSameEngineRecord(*engine, *per_record, "shed floor");
+      }
+    }
   }
 }
 
@@ -222,30 +245,33 @@ TEST(OverloadDifferentialTest, SustainedOverloadShedsAndAccountsExactly) {
   options.overload.enabled = true;
   options.overload.min_shed_fraction = 0.5;  // --overload 2: 1 - 1/2.
   options.overload.queue_blocked_fraction = 0.02;
-  auto engine = RunEngine(trace, queries, options);
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->counters().records, trace.size());
+  for (size_t batch : kBatchSizes) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    auto engine = RunEngine(trace, queries, options, batch);
+    ASSERT_NE(engine, nullptr);
+    EXPECT_EQ(engine->counters().records, trace.size());
 
-  const SheddingTelemetry& shedding = engine->telemetry().shedding;
-  ASSERT_TRUE(shedding.enabled);
-  EXPECT_GT(shedding.shed_probes, 0u);
-  EXPECT_GT(shedding.shed_fraction, 0.0);
-  uint64_t total_shed = 0;
-  for (const SheddingRelationTelemetry& rel : shedding.relations) {
-    total_shed += rel.shed_records;
+    const SheddingTelemetry& shedding = engine->telemetry().shedding;
+    ASSERT_TRUE(shedding.enabled);
+    EXPECT_GT(shedding.shed_probes, 0u);
+    EXPECT_GT(shedding.shed_fraction, 0.0);
+    uint64_t total_shed = 0;
+    for (const SheddingRelationTelemetry& rel : shedding.relations) {
+      total_shed += rel.shed_records;
+    }
+    EXPECT_EQ(shedding.shed_probes, total_shed);
+    EXPECT_EQ(engine->counters().shed_probes, total_shed);
+    EXPECT_DOUBLE_EQ(
+        shedding.shed_fraction,
+        static_cast<double>(total_shed) /
+            (static_cast<double>(shedding.offered_records) *
+             static_cast<double>(shedding.relations.size())));
+    // At a sustained 2x floor essentially half of every relation's probes
+    // shed — each shard's accumulator floors independently, so the realized
+    // fraction sits within one record per shard of 0.5.
+    EXPECT_GT(shedding.shed_fraction, 0.499);
+    EXPECT_LE(shedding.shed_fraction, 0.5);
   }
-  EXPECT_EQ(shedding.shed_probes, total_shed);
-  EXPECT_EQ(engine->counters().shed_probes, total_shed);
-  EXPECT_DOUBLE_EQ(
-      shedding.shed_fraction,
-      static_cast<double>(total_shed) /
-          (static_cast<double>(shedding.offered_records) *
-           static_cast<double>(shedding.relations.size())));
-  // At a sustained 2x floor essentially half of every relation's probes
-  // shed — each shard's accumulator floors independently, so the realized
-  // fraction sits within one record per shard of 0.5.
-  EXPECT_GT(shedding.shed_fraction, 0.499);
-  EXPECT_LE(shedding.shed_fraction, 0.5);
 }
 
 TEST(OverloadDifferentialTest, MidRunIngestRemapKeepsResultsExact) {

@@ -5,7 +5,9 @@
 // the sub-trace from the record where it was added to the record where it
 // was dropped. Runs seeded random add/drop schedules over every producer x
 // shard split of the acceptance matrix, including schedules interleaved
-// with adaptive re-plans and an engaged overload controller.
+// with adaptive re-plans and an engaged overload controller, at several
+// batch sizes. Serial engines are also read at every epoch boundary, so a
+// closed epoch that a churn swap split must already serve both parts.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 
 #include "core/engine.h"
 #include "dsms/reference_aggregator.h"
+#include "engine_parity.h"
 #include "stream/zipf_generator.h"
 
 namespace streamagg {
@@ -59,6 +62,12 @@ struct Split {
   int shards;
 };
 constexpr Split kSplits[] = {{1, 1}, {1, 4}, {2, 1}, {2, 4}};
+
+/// Sharded engines serve results at barriers only; a serial engine's are
+/// live, so its closed epochs can be read mid-stream.
+bool Serial(const Split& split) {
+  return split.producers == 1 && split.shards == 1;
+}
 
 /// The records of `trace` in [begin, end), as a replayable trace (epoch
 /// boundaries stay aligned: references use absolute timestamps).
@@ -104,15 +113,51 @@ void ExpectWindowMatches(const StreamAggEngine& engine, const Trace& trace,
   }
 }
 
-/// Feeds `trace` through `engine` while executing a seeded random churn
-/// schedule: `churn_points` add/drop actions at sorted record indices in
-/// [first_churn_index, size - 1000), never dropping below two live queries
-/// and only adding group-bys not currently live (alias semantics get their
-/// own test). Fills `windows` with the lifetime window per query id.
+/// Asserts that every query id serves epoch `epoch` — closed once the
+/// first `fed` records went in — exactly: the reference over the records of
+/// that epoch inside the id's window so far.
+void ExpectClosedEpochMatches(const StreamAggEngine& engine,
+                              const Trace& trace,
+                              const std::map<int, Window>& windows,
+                              uint64_t epoch, size_t fed) {
+  const double seconds = engine.epoch_seconds();
+  const auto epoch_of = [&](size_t i) {
+    return static_cast<uint64_t>(trace.record(i).timestamp / seconds);
+  };
+  size_t first = 0;
+  while (first < fed && epoch_of(first) < epoch) ++first;
+  size_t last = first;
+  while (last < fed && epoch_of(last) == epoch) ++last;
+  for (const auto& [id, window] : windows) {
+    const size_t begin = std::max(first, window.begin);
+    const size_t end = std::min(last, window.end);
+    EpochAggregate expected;
+    if (begin < end) {
+      const auto reference =
+          ComputeReferenceAggregate(SubTrace(trace, begin, end),
+                                    window.def.group_by, seconds,
+                                    window.def.metrics);
+      auto it = reference.find(epoch);
+      if (it != reference.end()) expected = it->second;
+    }
+    EXPECT_TRUE(engine.EpochResult(id, epoch) == expected)
+        << "query id " << id << " read at the close of epoch " << epoch;
+  }
+}
+
+/// Feeds `trace` through `engine` in calls of at most `batch` records while
+/// executing a seeded random churn schedule: `churn_points` add/drop
+/// actions at sorted record indices in [first_churn_index, size - 1000),
+/// never dropping below two live queries and only adding group-bys not
+/// currently live (alias semantics get their own test). Fills `windows`
+/// with the lifetime window per query id. With `read_closed_epochs` (serial
+/// engines, whose results are live mid-stream) every epoch is checked as
+/// soon as the next one opens.
 void RunChurnSchedule(StreamAggEngine* engine, const Trace& trace,
                       const std::vector<QueryDef>& initial, uint64_t seed,
                       int churn_points, size_t first_churn_index,
-                      std::map<int, Window>* windows) {
+                      std::map<int, Window>* windows, size_t batch,
+                      bool read_closed_epochs) {
   const Schema& schema = trace.schema();
   std::mt19937_64 rng(seed);
   const std::vector<std::string> pool = {"A",   "B",   "C",   "D",   "AC",
@@ -136,7 +181,8 @@ void RunChurnSchedule(StreamAggEngine* engine, const Trace& trace,
   points.erase(std::unique(points.begin(), points.end()), points.end());
 
   size_t next_point = 0;
-  for (size_t i = 0; i < trace.size(); ++i) {
+  uint64_t open_epoch = 0;
+  for (size_t i = 0; i < trace.size();) {
     while (next_point < points.size() && points[next_point] == i) {
       ++next_point;
       std::vector<int> live;
@@ -170,8 +216,20 @@ void RunChurnSchedule(StreamAggEngine* engine, const Trace& trace,
         (*windows)[victim].end = i;
       }
     }
-    const Status status = engine->Process(trace.record(i));
+    // One call, cut short at the next churn point.
+    size_t end = std::min(trace.size(), i + batch);
+    if (next_point < points.size()) end = std::min(end, points[next_point]);
+    const Status status = FeedInCalls(
+        engine, std::span<const Record>(trace.records()).subspan(i, end - i),
+        batch);
     ASSERT_TRUE(status.ok()) << status.ToString();
+    i = end;
+    if (!read_closed_epochs || !engine->planned()) continue;
+    const uint64_t now = static_cast<uint64_t>(
+        trace.record(i - 1).timestamp / engine->epoch_seconds());
+    for (; open_epoch < now; ++open_epoch) {
+      ExpectClosedEpochMatches(*engine, trace, *windows, open_epoch, i);
+    }
   }
   const Status finished = engine->Finish();
   ASSERT_TRUE(finished.ok()) << finished.ToString();
@@ -185,28 +243,38 @@ TEST(QueryChurnDifferentialTest, RandomScheduleBitIdenticalOnAllSplits) {
       QueryDef(*schema.ParseAttributeSet("CD"))};
 
   for (const Split& split : kSplits) {
-    SCOPED_TRACE("producers=" + std::to_string(split.producers) +
-                 " shards=" + std::to_string(split.shards));
-    auto engine = StreamAggEngine::FromQueryDefs(
-        schema, initial, BaseOptions(split.producers, split.shards));
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    std::unique_ptr<StreamAggEngine> per_record;
+    for (size_t batch : kBatchSizes) {
+      SCOPED_TRACE("producers=" + std::to_string(split.producers) +
+                   " shards=" + std::to_string(split.shards) +
+                   " batch=" + std::to_string(batch));
+      auto engine = StreamAggEngine::FromQueryDefs(
+          schema, initial, BaseOptions(split.producers, split.shards));
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-    std::map<int, Window> windows;
-    RunChurnSchedule(&**engine, trace, initial,
-                     HarnessSeed() + 31 * split.producers + split.shards,
-                     /*churn_points=*/8, /*first_churn_index=*/12000, &windows);
-    if (::testing::Test::HasFatalFailure()) return;
+      std::map<int, Window> windows;
+      RunChurnSchedule(&**engine, trace, initial,
+                       HarnessSeed() + 31 * split.producers + split.shards,
+                       /*churn_points=*/8, /*first_churn_index=*/12000,
+                       &windows, batch, Serial(split));
+      if (::testing::Test::HasFatalFailure()) return;
 
-    for (const auto& [id, window] : windows) {
-      ExpectWindowMatches(**engine, trace, id, window, 2.0);
+      for (const auto& [id, window] : windows) {
+        ExpectWindowMatches(**engine, trace, id, window, 2.0);
+      }
+      // Every churn action is on the record, oldest first.
+      EXPECT_EQ((*engine)->churn_events().size(),
+                windows.size() - initial.size() +
+                    static_cast<size_t>(std::count_if(
+                        windows.begin(), windows.end(), [&](const auto& w) {
+                          return w.second.end != trace.size();
+                        })));
+      if (batch == 1) {
+        per_record = std::move(*engine);
+      } else if (split.producers == 1) {
+        ExpectSameEngineRecord(**engine, *per_record, "churn schedule");
+      }
     }
-    // Every churn action is on the record, oldest first.
-    EXPECT_EQ((*engine)->churn_events().size(),
-              windows.size() - initial.size() +
-                  static_cast<size_t>(std::count_if(
-                      windows.begin(), windows.end(), [&](const auto& w) {
-                        return w.second.end != trace.size();
-                      })));
   }
 }
 
@@ -221,8 +289,6 @@ TEST(QueryChurnDifferentialTest, ChurnInterleavedWithAdaptiveReplans) {
       QueryDef(*schema.ParseAttributeSet("CD"))};
 
   for (const Split& split : kSplits) {
-    SCOPED_TRACE("producers=" + std::to_string(split.producers) +
-                 " shards=" + std::to_string(split.shards));
     StreamAggEngine::Options options =
         BaseOptions(split.producers, split.shards);
     options.adaptive = true;
@@ -230,17 +296,28 @@ TEST(QueryChurnDifferentialTest, ChurnInterleavedWithAdaptiveReplans) {
     options.adaptive_options.deviation_threshold = 0.05;
     options.adaptive_options.absolute_floor = 0.01;
     options.adaptive_options.min_probes_per_table = 100;
-    auto engine = StreamAggEngine::FromQueryDefs(schema, initial, options);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    std::unique_ptr<StreamAggEngine> per_record;
+    for (size_t batch : kBatchSizes) {
+      SCOPED_TRACE("producers=" + std::to_string(split.producers) +
+                   " shards=" + std::to_string(split.shards) +
+                   " batch=" + std::to_string(batch));
+      auto engine = StreamAggEngine::FromQueryDefs(schema, initial, options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-    std::map<int, Window> windows;
-    RunChurnSchedule(&**engine, trace, initial, HarnessSeed() + 0x0c2a,
-                     /*churn_points=*/6, /*first_churn_index=*/12000,
-                     &windows);
-    if (::testing::Test::HasFatalFailure()) return;
+      std::map<int, Window> windows;
+      RunChurnSchedule(&**engine, trace, initial, HarnessSeed() + 0x0c2a,
+                       /*churn_points=*/6, /*first_churn_index=*/12000,
+                       &windows, batch, Serial(split));
+      if (::testing::Test::HasFatalFailure()) return;
 
-    for (const auto& [id, window] : windows) {
-      ExpectWindowMatches(**engine, trace, id, window, 2.0);
+      for (const auto& [id, window] : windows) {
+        ExpectWindowMatches(**engine, trace, id, window, 2.0);
+      }
+      if (batch == 1) {
+        per_record = std::move(*engine);
+      } else if (split.producers == 1) {
+        ExpectSameEngineRecord(**engine, *per_record, "churn with re-plans");
+      }
     }
   }
 }
@@ -261,18 +338,22 @@ TEST(QueryChurnDifferentialTest, ChurnWithIdleOverloadControllerIsExact) {
   options.overload.epoch_gap_watermark_ns = 0;    // Signal disabled.
   options.overload.min_shed_fraction = 0.0;
   options.overload.rebalance = false;
-  auto engine = StreamAggEngine::FromQueryDefs(schema, initial, options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  for (size_t batch : kBatchSizes) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    auto engine = StreamAggEngine::FromQueryDefs(schema, initial, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-  std::map<int, Window> windows;
-  RunChurnSchedule(&**engine, trace, initial, HarnessSeed() + 0x0c3a,
-                   /*churn_points=*/6, /*first_churn_index=*/12000, &windows);
-  if (::testing::Test::HasFatalFailure()) return;
+    std::map<int, Window> windows;
+    RunChurnSchedule(&**engine, trace, initial, HarnessSeed() + 0x0c3a,
+                     /*churn_points=*/6, /*first_churn_index=*/12000,
+                     &windows, batch, /*read_closed_epochs=*/false);
+    if (::testing::Test::HasFatalFailure()) return;
 
-  for (const auto& [id, window] : windows) {
-    ExpectWindowMatches(**engine, trace, id, window, 2.0);
+    for (const auto& [id, window] : windows) {
+      ExpectWindowMatches(**engine, trace, id, window, 2.0);
+    }
+    EXPECT_EQ((*engine)->counters().shed_probes, 0u);
   }
-  EXPECT_EQ((*engine)->counters().shed_probes, 0u);
 }
 
 TEST(QueryChurnDifferentialTest, ChurnUnderActiveShedPlanRunsToCompletion) {
@@ -290,33 +371,37 @@ TEST(QueryChurnDifferentialTest, ChurnUnderActiveShedPlanRunsToCompletion) {
   options.telemetry_level = TelemetryLevel::kCounters;
   options.overload.enabled = true;
   options.overload.min_shed_fraction = 0.5;
-  auto engine = StreamAggEngine::FromQueryDefs(schema, initial, options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  for (size_t batch : kBatchSizes) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    auto engine = StreamAggEngine::FromQueryDefs(schema, initial, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-  std::map<int, Window> windows;
-  RunChurnSchedule(&**engine, trace, initial, HarnessSeed() + 0x0c4a,
-                   /*churn_points=*/6, /*first_churn_index=*/12000, &windows);
-  if (::testing::Test::HasFatalFailure()) return;
+    std::map<int, Window> windows;
+    RunChurnSchedule(&**engine, trace, initial, HarnessSeed() + 0x0c4a,
+                     /*churn_points=*/6, /*first_churn_index=*/12000, &windows,
+                     batch, /*read_closed_epochs=*/false);
+    if (::testing::Test::HasFatalFailure()) return;
 
-  EXPECT_EQ((*engine)->counters().records, trace.size());
-  const SheddingTelemetry& shedding = (*engine)->telemetry().shedding;
-  ASSERT_TRUE(shedding.enabled);
-  // With a 0.5 shed floor the plan actually dropped probes, and the
-  // lifetime tallies agree between counters and telemetry. Per-relation
-  // counts are live-runtime-scoped (they reset at every churn swap), so
-  // their sum only bounds the lifetime total from below.
-  EXPECT_GT(shedding.shed_probes, 0u);
-  EXPECT_EQ(shedding.shed_probes, (*engine)->counters().shed_probes);
-  uint64_t live_runtime_shed = 0;
-  for (const SheddingRelationTelemetry& rel : shedding.relations) {
-    live_runtime_shed += rel.shed_records;
-  }
-  EXPECT_LE(live_runtime_shed, shedding.shed_probes);
-  for (const auto& [id, window] : windows) {
-    if (window.end == trace.size()) continue;
-    EXPECT_FALSE((*engine)->IsLive(id));
-    // The archive answers reads even though the slot is gone.
-    (void)(*engine)->Epochs(id);
+    EXPECT_EQ((*engine)->counters().records, trace.size());
+    const SheddingTelemetry& shedding = (*engine)->telemetry().shedding;
+    ASSERT_TRUE(shedding.enabled);
+    // With a 0.5 shed floor the plan actually dropped probes, and the
+    // lifetime tallies agree between counters and telemetry. Per-relation
+    // counts are live-runtime-scoped (they reset at every churn swap), so
+    // their sum only bounds the lifetime total from below.
+    EXPECT_GT(shedding.shed_probes, 0u);
+    EXPECT_EQ(shedding.shed_probes, (*engine)->counters().shed_probes);
+    uint64_t live_runtime_shed = 0;
+    for (const SheddingRelationTelemetry& rel : shedding.relations) {
+      live_runtime_shed += rel.shed_records;
+    }
+    EXPECT_LE(live_runtime_shed, shedding.shed_probes);
+    for (const auto& [id, window] : windows) {
+      if (window.end == trace.size()) continue;
+      EXPECT_FALSE((*engine)->IsLive(id));
+      // The archive answers reads even though the slot is gone.
+      (void)(*engine)->Epochs(id);
+    }
   }
 }
 
