@@ -10,7 +10,7 @@
 // two plans' per_record_cost is compared; the gap is the price of pinning
 // trees instead of re-deriving the global phantom choice. Planning
 // wall-clock per add is recorded per path (p50/p90/max), which is the
-// latency the Quiesce barrier holds the stream for.
+// latency a churn swap holds the stream for.
 //
 // Reported at churn rates of 1, 10 and 100 events per 1000 epochs (the
 // horizon fixes the event count; the paper's 2 s epochs make 1000 epochs

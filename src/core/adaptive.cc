@@ -315,22 +315,8 @@ double EstimateTableGroups(const LftaHashTable& table) {
 }  // namespace
 
 std::map<uint32_t, uint64_t> AdaptiveController::EstimateGroupCounts(
-    const ConfigurationRuntime& runtime) const {
-  std::map<uint32_t, uint64_t> estimates;
-  for (int i = 0; i < runtime.num_relations(); ++i) {
-    const LftaHashTable& table = runtime.table(i);
-    const double g = EstimateTableGroups(table);
-    if (g <= 0.0) continue;  // Cold table: no signal, keep prior statistics.
-    estimates[runtime.spec(i).attrs.mask()] =
-        std::max<uint64_t>(1, static_cast<uint64_t>(std::llround(g)));
-  }
-  return estimates;
-}
-
-std::map<uint32_t, uint64_t> AdaptiveController::EstimateGroupCounts(
     const ShardedRuntime& runtime) const {
   std::map<uint32_t, uint64_t> estimates;
-  if (runtime.num_shards() == 0) return estimates;
   const ConfigurationRuntime& first = runtime.shard(0);
   for (int i = 0; i < first.num_relations(); ++i) {
     // Each shard sees a disjoint slice of the root groups (hash
@@ -341,7 +327,7 @@ std::map<uint32_t, uint64_t> AdaptiveController::EstimateGroupCounts(
     for (int s = 0; s < runtime.num_shards(); ++s) {
       g += EstimateTableGroups(runtime.shard(s).table(i));
     }
-    if (g <= 0.0) continue;
+    if (g <= 0.0) continue;  // Cold table: no signal, keep prior statistics.
     estimates[first.spec(i).attrs.mask()] =
         std::max<uint64_t>(1, static_cast<uint64_t>(std::llround(g)));
   }

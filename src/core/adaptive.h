@@ -186,17 +186,10 @@ class AdaptiveController {
   /// carries no signal), from its average distinct-groups-per-drain via
   /// InvertUniqueCount. Keys are AttributeSet masks; merge with prior
   /// statistics to rebuild a catalog for re-optimization (no stream storage
-  /// required). Call mid-epoch: the end-of-epoch flush empties every table.
-  std::map<uint32_t, uint64_t> EstimateGroupCounts(
-      const ConfigurationRuntime& runtime) const;
-
-  /// Sharded variant: sums the per-shard inversions of each relation.
-  /// Root-relation groups are hash-partitioned (disjoint across shards) so
-  /// the sum is the natural estimate; child-table entries can straddle
-  /// shards, where the sum over-counts slightly — acceptable for planning
-  /// statistics. Caller must hold the quiescence contract (between
-  /// barriers), and the tables must be pre-flush (ShardedRuntime::Quiesce,
-  /// not FlushEpoch) for the occupancy to mean anything.
+  /// required). Per-shard inversions of a relation sum. Caller must hold
+  /// the quiescence contract (between barriers), and the tables must be
+  /// pre-flush (ShardedRuntime::Quiesce, not FlushEpoch): the end-of-epoch
+  /// flush empties every table.
   std::map<uint32_t, uint64_t> EstimateGroupCounts(
       const ShardedRuntime& runtime) const;
 

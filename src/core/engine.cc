@@ -72,10 +72,10 @@ Status StreamAggEngine::ValidateOptions(const Options& options) {
         "Options::churn_reserve_fraction must be in [0, 0.9] (got " +
         std::string(value) + ")");
   }
-  // adaptive composes with num_shards/num_producers: the drift check and
-  // plan swap run at the sharded runtime's quiescence barrier. Query churn
-  // composes with all of the above — AddQuery/DropQuery act at the same
-  // barrier — so no combination involving it is rejected here.
+  // adaptive composes with num_shards/num_producers: the drift check runs
+  // at the runtime's quiescence barrier and the swap at its epoch flush.
+  // Query churn composes with all of the above — AddQuery/DropQuery swap
+  // at the same flush — so no combination involving it is rejected here.
   return Status::OK();
 }
 
@@ -240,14 +240,11 @@ Status StreamAggEngine::PlanFromSample() {
   last_optimize_millis_ = plan.optimize_millis;
   plan_ = std::make_unique<OptimizedPlan>(std::move(plan));
   STREAMAGG_RETURN_NOT_OK(InstallRuntime());
-  // Replay the buffered sample — its records were never processed. The
-  // serial runtime takes it as one batch; the sharded runtime one record at
-  // a time, since a striped multi-producer replay would make the counters
-  // depend on thread interleaving.
-  if (sharded_runtime_ != nullptr) {
-    for (const Record& r : sample_->records()) {
-      sharded_runtime_->ProcessRecord(r);
-    }
+  // Replay the buffered sample — its records were never processed — as one
+  // batch; with several producers one record at a time, since a striped
+  // replay would make the counters depend on thread interleaving.
+  if (options_.num_producers > 1) {
+    for (const Record& r : sample_->records()) runtime_->ProcessRecord(r);
   } else {
     runtime_->ProcessBatch(sample_->records());
   }
@@ -268,11 +265,8 @@ Status StreamAggEngine::InstallRuntime() {
     planned_rates_ = cost_model.CollisionRates(plan_->config, plan_->buckets);
   }
   // The incoming runtime's counters start at zero; reset the accumulation
-  // baseline with them (see AccumulateCounters).
+  // baseline with them (see RetireRuntime).
   live_counter_baseline_ = RuntimeCounters{};
-  // The retired runtime's part of any split epoch is in accumulated_hfta_
-  // now, and dense slots may have been renumbered.
-  split_epochs_.clear();
   // A fresh runtime starts every table in hash mode; the adaptive boundary
   // re-decides from the new plan's own telemetry (trend runs restart at a
   // swap anyway — SnapshotsContinuous breaks there).
@@ -295,34 +289,19 @@ Status StreamAggEngine::InstallRuntime() {
       overload_controller_->PriceRelations(nullptr, *plan_, schema_);
     }
   }
-  if (options_.num_shards > 1 || options_.num_producers > 1) {
-    ShardedRuntime::Options sharded_options;
-    sharded_options.num_shards = options_.num_shards;
-    sharded_options.num_producers = options_.num_producers;
-    sharded_options.queue_capacity = options_.shard_queue_capacity;
-    sharded_options.pin_threads = options_.pin_threads;
-    if (options_.overload.enabled && options_.overload.rebalance) {
-      sharded_options.rebalance_slots_per_shard =
-          options_.overload.rebalance_slots_per_shard;
-    }
-    STREAMAGG_ASSIGN_OR_RETURN(
-        std::unique_ptr<ShardedRuntime> sharded,
-        ShardedRuntime::Make(schema_, std::move(specs), options_.epoch_seconds,
-                             sharded_options));
-    sharded_runtime_ = std::move(sharded);
-    sharded_runtime_->set_telemetry_level(options_.telemetry_level);
-    if (overload_controller_ != nullptr) {
-      STREAMAGG_RETURN_NOT_OK(
-          sharded_runtime_->SetShedPlan(overload_controller_->shed_plan()));
-      STREAMAGG_TRACE(
-          TraceShedPlanInstall(*overload_controller_, current_epoch_));
-    }
-    return Status::OK();
+  ShardedRuntime::Options runtime_options;
+  runtime_options.num_shards = options_.num_shards;
+  runtime_options.num_producers = options_.num_producers;
+  runtime_options.queue_capacity = options_.shard_queue_capacity;
+  runtime_options.pin_threads = options_.pin_threads;
+  if (options_.overload.enabled && options_.overload.rebalance) {
+    runtime_options.rebalance_slots_per_shard =
+        options_.overload.rebalance_slots_per_shard;
   }
   STREAMAGG_ASSIGN_OR_RETURN(
-      std::unique_ptr<ConfigurationRuntime> runtime,
-      ConfigurationRuntime::Make(schema_, std::move(specs),
-                                 options_.epoch_seconds));
+      std::unique_ptr<ShardedRuntime> runtime,
+      ShardedRuntime::Make(schema_, std::move(specs), options_.epoch_seconds,
+                           runtime_options));
   runtime_ = std::move(runtime);
   runtime_->set_telemetry_level(options_.telemetry_level);
   if (overload_controller_ != nullptr) {
@@ -334,20 +313,21 @@ Status StreamAggEngine::InstallRuntime() {
   return Status::OK();
 }
 
-void StreamAggEngine::AccumulateCounters() {
-  // Fold in only the growth since the last call: repeated calls (or calls
-  // at unexpected points, e.g. a failed re-plan mid-swap) can never
+double StreamAggEngine::RetireRuntime() {
+  Timer timer;
+  runtime_->FlushEpoch();
+  accumulated_hfta_->MergeFrom(runtime_->hfta());
+  // The retired runtime's part of any split epoch is in accumulated_hfta_
+  // now, and dense slots may be renumbered before the next install.
+  split_epochs_.clear();
+  // Fold in only the counter growth since the baseline: a retire repeated
+  // on the same runtime (e.g. after a failed re-plan mid-swap) can never
   // double-count. InstallRuntime zeroes the baseline alongside the fresh
   // runtime's counters.
-  const RuntimeCounters* live = nullptr;
-  if (runtime_ != nullptr) {
-    live = &runtime_->counters();
-  } else if (sharded_runtime_ != nullptr) {
-    live = &sharded_runtime_->counters();
-  }
-  if (live == nullptr) return;
-  total_counters_.Add(live->Since(live_counter_baseline_));
-  live_counter_baseline_ = *live;
+  const RuntimeCounters& live = runtime_->counters();
+  total_counters_.Add(live.Since(live_counter_baseline_));
+  live_counter_baseline_ = live;
+  return timer.ElapsedMillis();
 }
 
 Status StreamAggEngine::HandleEpochBoundary() {
@@ -370,18 +350,14 @@ Status StreamAggEngine::HandleEpochBoundary() {
   AdaptiveController controller(&cost_model, plan_.get(), adaptive_options);
 
   // Probe-mode policy (opt-in; docs/probe_kernel.md §3). Flips are
-  // flag-only: the serial runtime has not flushed this boundary yet and
-  // drains any pending sort run inside FlushEpoch regardless of the flag;
-  // the sharded runtime sits quiescent behind the capture's barrier, which
-  // is exactly where SetProbeModes is specified.
+  // flag-only: the runtime sits quiescent behind the capture's barrier,
+  // which is exactly where SetProbeModes is specified, and has not flushed
+  // this boundary yet — FlushEpoch drains any pending sort run regardless
+  // of the flag.
   if (adaptive_options.sort_enter_collision_rate <= 1.0) {
     std::vector<ProbeMode> modes = controller.DecideProbeModes(history);
     if (!modes.empty() && modes != probe_modes_) {
-      if (runtime_ != nullptr) {
-        STREAMAGG_RETURN_NOT_OK(runtime_->SetProbeModes(modes));
-      } else {
-        STREAMAGG_RETURN_NOT_OK(sharded_runtime_->SetProbeModes(modes));
-      }
+      STREAMAGG_RETURN_NOT_OK(runtime_->SetProbeModes(modes));
       probe_modes_ = std::move(modes);
       STREAMAGG_TRACE({
         uint32_t sort_tables = 0;
@@ -399,10 +375,8 @@ Status StreamAggEngine::HandleEpochBoundary() {
         // the re-derived plan into the runtime immediately.
         overload_controller_->PriceRelations(&cost_model, *plan_, schema_,
                                              probe_modes_);
-        const ShedPlan& shed = overload_controller_->shed_plan();
-        STREAMAGG_RETURN_NOT_OK(runtime_ != nullptr
-                                    ? runtime_->SetShedPlan(shed)
-                                    : sharded_runtime_->SetShedPlan(shed));
+        STREAMAGG_RETURN_NOT_OK(
+            runtime_->SetShedPlan(overload_controller_->shed_plan()));
         STREAMAGG_TRACE(
             TraceShedPlanInstall(*overload_controller_, current_epoch_));
       }
@@ -448,14 +422,12 @@ Status StreamAggEngine::HandleEpochBoundary() {
     }
   }
 
-  // Fresh statistics from live (pre-flush) table occupancy — the serial
-  // runtime has not flushed the boundary yet, and the sharded runtime was
-  // quiesced (not flushed) by the capture above. Only the drifted trees'
+  // Fresh statistics from live (pre-flush) table occupancy — the capture
+  // above quiesced the runtime without flushing it. Only the drifted trees'
   // relations take fresh estimates: the pinned trees must re-cost exactly
   // as before, and the rest of the catalog keeps its prior statistics.
   const std::map<uint32_t, uint64_t> estimates =
-      runtime_ != nullptr ? controller.EstimateGroupCounts(*runtime_)
-                          : controller.EstimateGroupCounts(*sharded_runtime_);
+      controller.EstimateGroupCounts(*runtime_);
   std::vector<AttributeSet> group_bys;
   for (const QueryDef& q : queries_) group_bys.push_back(q.group_by);
   STREAMAGG_ASSIGN_OR_RETURN(FeedingGraph graph,
@@ -477,22 +449,11 @@ Status StreamAggEngine::HandleEpochBoundary() {
       RelationCatalog next_catalog,
       RelationCatalog::Synthetic(schema_, std::move(counts), flow_length));
 
-  // Retire the current runtime at the boundary: flush its epoch, keep its
-  // results and counters, then swap in the re-planned configuration. The
-  // barrier work is timed into the event's merge_millis — the swap-latency
-  // companion to optimize_millis (docs/observability.md).
-  Timer merge_timer;
-  if (runtime_ != nullptr) {
-    runtime_->FlushEpoch();
-    accumulated_hfta_->MergeFrom(runtime_->hfta());
-  } else {
-    // The queues are already drained (Quiesce above); this barrier only
-    // flushes the completed epoch on every shard and re-merges.
-    sharded_runtime_->FlushEpoch();
-    accumulated_hfta_->MergeFrom(sharded_runtime_->hfta());
-  }
-  const double merge_millis = merge_timer.ElapsedMillis();
-  AccumulateCounters();
+  // Retire the current runtime at the boundary, then swap in the
+  // re-planned configuration. The retire is timed into the event's
+  // merge_millis — the swap-latency companion to optimize_millis
+  // (docs/observability.md).
+  const double merge_millis = RetireRuntime();
 
   catalog_ = std::make_unique<RelationCatalog>(std::move(next_catalog));
   std::vector<int> drifted_nodes(verdict.drifted_tables.begin(),
@@ -534,36 +495,29 @@ Status StreamAggEngine::HandleEpochBoundary() {
 }
 
 Status StreamAggEngine::HandleOverloadBoundary() {
-  if (overload_controller_ == nullptr ||
-      (runtime_ == nullptr && sharded_runtime_ == nullptr)) {
-    return Status::OK();
-  }
+  if (overload_controller_ == nullptr) return Status::OK();
   // CaptureEpochSnapshot already ran (overload forces capture on): the
-  // history ends at the epoch whose boundary this is, and a sharded runtime
-  // is quiescent behind the capture's Quiesce barrier — both SetShedPlan
-  // and ApplyIngestLayout are driver-only operations specified for exactly
+  // history ends at the epoch whose boundary this is, and the runtime is
+  // quiescent behind the capture's Quiesce barrier — both SetShedPlan and
+  // ApplyIngestLayout are driver-only operations specified for exactly
   // this point.
   if (overload_controller_->UpdateShedPlan(
           std::span<const TelemetrySnapshot>(telemetry_history_))) {
-    const ShedPlan& plan = overload_controller_->shed_plan();
-    if (runtime_ != nullptr) {
-      STREAMAGG_RETURN_NOT_OK(runtime_->SetShedPlan(plan));
-    } else {
-      STREAMAGG_RETURN_NOT_OK(sharded_runtime_->SetShedPlan(plan));
-    }
+    STREAMAGG_RETURN_NOT_OK(
+        runtime_->SetShedPlan(overload_controller_->shed_plan()));
     STREAMAGG_TRACE(
         TraceShedPlanInstall(*overload_controller_, current_epoch_));
   }
-  if (sharded_runtime_ != nullptr && sharded_runtime_->num_slots() > 0) {
+  if (runtime_->num_slots() > 0) {
     OverloadController::IngestLayout layout =
         overload_controller_->DecideRebalance(
             std::span<const TelemetrySnapshot>(telemetry_history_),
-            sharded_runtime_->SlotRecords(), sharded_runtime_->slot_shards(),
-            sharded_runtime_->num_shards(), sharded_runtime_->num_producers());
+            runtime_->SlotRecords(), runtime_->slot_shards(),
+            runtime_->num_shards(), runtime_->num_producers());
     if (layout.changed) {
       STREAMAGG_TRACE(const uint32_t slots =
                           static_cast<uint32_t>(layout.slot_shards.size()));
-      STREAMAGG_RETURN_NOT_OK(sharded_runtime_->ApplyIngestLayout(
+      STREAMAGG_RETURN_NOT_OK(runtime_->ApplyIngestLayout(
           std::move(layout.slot_shards), std::move(layout.stripe_weights)));
       STREAMAGG_TRACE(FlightRecorder::Instance().RecordInstant(
           TraceEventType::kRebalance, current_epoch_, slots));
@@ -663,18 +617,20 @@ Status StreamAggEngine::Ingest(std::span<const Record> records) {
       }
     }
     saw_record_ = true;
-    const std::span<const Record> run = records.subspan(i, end - i);
-    if (sharded_runtime_ != nullptr) {
-      sharded_runtime_->ProcessBatch(run);
-    } else {
-      runtime_->ProcessBatch(run);
-    }
+    runtime_->ProcessBatch(records.subspan(i, end - i));
     i = end;
   }
   return Status::OK();
 }
 
+Status StreamAggEngine::CheckNotFinished() const {
+  if (!finished_) return Status::OK();
+  return Status::FailedPrecondition(
+      "the engine has finished; it takes no more records or queries");
+}
+
 Status StreamAggEngine::Process(const Record& record) {
+  STREAMAGG_RETURN_NOT_OK(CheckNotFinished());
   const std::span<const Record> one(&record, 1);
   STREAMAGG_RETURN_NOT_OK(CheckTimestamps(one));
   // The shared where clause filters records before any table sees them
@@ -685,6 +641,7 @@ Status StreamAggEngine::Process(const Record& record) {
 }
 
 Status StreamAggEngine::ProcessBatch(std::span<const Record> records) {
+  STREAMAGG_RETURN_NOT_OK(CheckNotFinished());
   STREAMAGG_RETURN_NOT_OK(CheckTimestamps(records));
   // Sampling buffers record by record; planning may land mid-batch.
   size_t i = 0;
@@ -712,33 +669,25 @@ Status StreamAggEngine::ProcessBatch(std::span<const Record> records) {
 }
 
 Status StreamAggEngine::Finish() {
+  if (finished_) return Status::OK();
   if (!planned() && sample_ != nullptr && sample_->size() > 0) {
     // Short stream: plan from whatever was collected.
     STREAMAGG_RETURN_NOT_OK(PlanFromSample());
   }
-  split_epochs_.clear();
-  if (runtime_ != nullptr) {
-    runtime_->FlushEpoch();
-    accumulated_hfta_->MergeFrom(runtime_->hfta());
-    AccumulateCounters();
+  if (planned()) {
+    RetireRuntime();
     // Preserve the final state before teardown so telemetry() keeps
-    // answering after the stream ends (streamagg_cli --stats).
+    // answering after the stream ends (streamagg_cli --stats). Post-flush
+    // the runtime is quiescent, so snapshotting it is safe.
     final_snapshot_ = std::make_unique<TelemetrySnapshot>(telemetry());
     runtime_.reset();
-  } else if (sharded_runtime_ != nullptr) {
-    // Epoch barrier: drains every shard queue, flushes every shard and
-    // merges their HFTAs into one result set.
-    sharded_runtime_->FlushEpoch();
-    accumulated_hfta_->MergeFrom(sharded_runtime_->hfta());
-    AccumulateCounters();
-    // Post-barrier, the shards are quiescent: snapshotting them is safe.
-    final_snapshot_ = std::make_unique<TelemetrySnapshot>(telemetry());
-    sharded_runtime_.reset();
   }
+  finished_ = true;
   return Status::OK();
 }
 
 Result<int> StreamAggEngine::AddQuery(const std::string& text) {
+  STREAMAGG_RETURN_NOT_OK(CheckNotFinished());
   QueryParseContext context;
   if (!relation_name_.empty()) context.relations.push_back(relation_name_);
   STREAMAGG_ASSIGN_OR_RETURN(ParsedQuery parsed,
@@ -771,6 +720,7 @@ Result<int> StreamAggEngine::AddQuery(const std::string& text) {
 }
 
 Result<int> StreamAggEngine::AddQuery(QueryDef def) {
+  STREAMAGG_RETURN_NOT_OK(CheckNotFinished());
   if (def.group_by.empty() ||
       !def.group_by.IsSubsetOf(schema_.AllAttributes())) {
     return Status::InvalidArgument("query attributes invalid for schema");
@@ -864,10 +814,10 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
     replanned_nodes = next->config.num_nodes();
     pinned_nodes = 0;
   }
-  // Quiesce barrier: the epoch in flight is flushed and folded into the
-  // accumulated results for the pre-existing queries, then the re-planned
-  // runtime takes over. The newcomer accumulates from here on.
-  const double merge_millis = ChurnBarrier();
+  // Retire: the epoch in flight is flushed and folded into the accumulated
+  // results for the pre-existing queries, then the re-planned runtime takes
+  // over. The newcomer accumulates from here on.
+  const double merge_millis = RetireRuntime();
   const int id = num_query_ids();
   const int dense = static_cast<int>(queries_.size());
   queries_.push_back(def);
@@ -892,6 +842,7 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
 }
 
 Status StreamAggEngine::DropQuery(int query_id) {
+  STREAMAGG_RETURN_NOT_OK(CheckNotFinished());
   if (query_id < 0 || query_id >= num_query_ids()) {
     return Status::InvalidArgument("unknown query id " +
                                    std::to_string(query_id));
@@ -922,12 +873,7 @@ Status StreamAggEngine::DropQuery(int query_id) {
     // epoch in flight into the live HFTA, but do NOT fold it into the
     // accumulated results (that happens when the runtime retires).
     Timer timer;
-    if (sharded_runtime_ != nullptr) {
-      sharded_runtime_->Quiesce();
-      sharded_runtime_->FlushEpoch();
-    } else if (runtime_ != nullptr) {
-      runtime_->FlushEpoch();
-    }
+    if (planned()) runtime_->FlushEpoch();
     ArchiveQuery(query_id, dense, /*include_live=*/true);
     event.merge_millis = timer.ElapsedMillis();
     event.aliased = true;
@@ -966,7 +912,7 @@ Status StreamAggEngine::DropQuery(int query_id) {
     STREAMAGG_RETURN_NOT_OK(next.status());
     pinned_nodes = 0;
   }
-  event.merge_millis = ChurnBarrier();
+  event.merge_millis = RetireRuntime();
   // The accumulated HFTA now holds everything up to the drop; archive the
   // slot before RemoveDenseSlot remaps it away.
   ArchiveQuery(query_id, dense, /*include_live=*/false);
@@ -980,22 +926,6 @@ Status StreamAggEngine::DropQuery(int query_id) {
   STREAMAGG_RETURN_NOT_OK(InstallRuntime());
   RecordChurnEvent(std::move(event));
   return Status::OK();
-}
-
-double StreamAggEngine::ChurnBarrier() {
-  Timer timer;
-  if (sharded_runtime_ != nullptr) {
-    // Quiesce drains the P x S matrix and parks the workers; the flush
-    // then evicts every shard table and re-merges the shard HFTAs.
-    sharded_runtime_->Quiesce();
-    sharded_runtime_->FlushEpoch();
-    accumulated_hfta_->MergeFrom(sharded_runtime_->hfta());
-  } else if (runtime_ != nullptr) {
-    runtime_->FlushEpoch();
-    accumulated_hfta_->MergeFrom(runtime_->hfta());
-  }
-  AccumulateCounters();
-  return timer.ElapsedMillis();
 }
 
 void StreamAggEngine::ArchiveQuery(int query_id, int dense,
@@ -1041,11 +971,9 @@ void StreamAggEngine::RecordChurnEvent(QueryChurnEvent event) {
 }
 
 const Hfta* StreamAggEngine::LiveHfta() const {
-  // The sharded HFTA is the merged snapshot from the last barrier;
-  // mid-stream results become visible at Finish() (see docs/runtime.md).
-  return runtime_ != nullptr           ? &runtime_->hfta()
-         : sharded_runtime_ != nullptr ? &sharded_runtime_->hfta()
-                                       : nullptr;
+  // A P x S runtime's HFTA is the merged snapshot from its last barrier
+  // (see docs/runtime.md); an inline runtime's is live.
+  return runtime_ != nullptr ? &runtime_->hfta() : nullptr;
 }
 
 std::string StreamAggEngine::ConfigurationText() const {
@@ -1104,28 +1032,21 @@ std::vector<uint64_t> StreamAggEngine::Epochs(int query_index) const {
 
 RuntimeCounters StreamAggEngine::counters() const {
   // total_counters_ may already include part of the live runtime's history
-  // (any AccumulateCounters since its install); add only the remainder.
+  // (a retire whose swap then failed); add only the remainder. A P x S
+  // runtime's counters are its last barrier's snapshot.
   RuntimeCounters total = total_counters_;
   if (runtime_ != nullptr) {
     total.Add(runtime_->counters().Since(live_counter_baseline_));
-  } else if (sharded_runtime_ != nullptr) {
-    // Barrier snapshot: race-free, but only as fresh as the last flush.
-    total.Add(sharded_runtime_->counters().Since(live_counter_baseline_));
   }
   return total;
 }
 
 TelemetrySnapshot StreamAggEngine::telemetry() const {
-  TelemetrySnapshot snapshot;
-  if (runtime_ != nullptr) {
-    snapshot = BuildTelemetrySnapshot(*runtime_, schema_);
-  } else if (sharded_runtime_ != nullptr) {
-    snapshot = BuildTelemetrySnapshot(*sharded_runtime_, schema_);
-  } else if (final_snapshot_ != nullptr) {
-    return *final_snapshot_;
-  } else {
-    return snapshot;  // Still sampling: nothing to report yet.
+  if (runtime_ == nullptr) {
+    // Finished, or still sampling with nothing to report yet.
+    return final_snapshot_ != nullptr ? *final_snapshot_ : TelemetrySnapshot{};
   }
+  TelemetrySnapshot snapshot = BuildTelemetrySnapshot(*runtime_, schema_);
   AnnotateSnapshot(&snapshot);
   return snapshot;
 }
@@ -1151,13 +1072,8 @@ void StreamAggEngine::AnnotateSnapshot(TelemetrySnapshot* snapshot) const {
     const std::vector<OverloadController::RelationPrice>& prices =
         overload_controller_->prices();
     const ShedPlan& shed_plan = overload_controller_->shed_plan();
-    size_t live_raw = 0;
-    if (runtime_ != nullptr) {
-      live_raw = static_cast<size_t>(runtime_->num_raw_relations());
-    } else if (sharded_runtime_ != nullptr) {
-      live_raw = static_cast<size_t>(
-          sharded_runtime_->shard(0).num_raw_relations());
-    }
+    const size_t live_raw =
+        static_cast<size_t>(runtime_->shard(0).num_raw_relations());
     shed.relations.clear();
     shed.relations.reserve(prices.size());
     for (size_t i = 0; i < prices.size(); ++i) {
@@ -1172,10 +1088,7 @@ void StreamAggEngine::AnnotateSnapshot(TelemetrySnapshot* snapshot) const {
       // Per-relation drop counts are the live runtime's (they reset at a
       // swap; the lifetime total above never does).
       if (i < live_raw) {
-        relation.shed_records =
-            runtime_ != nullptr
-                ? runtime_->shed_count(static_cast<int>(i))
-                : sharded_runtime_->shed_count(static_cast<int>(i));
+        relation.shed_records = runtime_->shed_count(static_cast<int>(i));
       }
       shed.relations.push_back(std::move(relation));
     }
@@ -1196,21 +1109,20 @@ void StreamAggEngine::AnnotateSnapshot(TelemetrySnapshot* snapshot) const {
 void StreamAggEngine::CaptureEpochSnapshot(uint64_t completed_epoch) {
   // Adaptive and overload engines always capture: their epoch-boundary
   // judgments read the history.
-  if ((!options_.telemetry_epoch_snapshots && !options_.adaptive &&
-       !options_.overload.enabled) ||
-      (runtime_ == nullptr && sharded_runtime_ == nullptr)) {
+  if (!options_.telemetry_epoch_snapshots && !options_.adaptive &&
+      !options_.overload.enabled) {
     return;
   }
-  // A sharded snapshot mid-stream would race the workers, so quiesce first:
-  // the barrier drains every queue of the P x S matrix and leaves the
-  // workers parked — reading their tables (and the merged HFTA/counters) is
-  // then race-free. Quiesce, not FlushEpoch: the snapshot shows the
-  // completed epoch's tables as the stream left them (occupancy is the
-  // adaptive path's group-count signal), matching the serial engine's
-  // pre-flush capture. The epoch flush itself happens as usual — workers
-  // flush when they see the next epoch's timestamps, and the multi-producer
-  // driver inserts its boundary barrier on the next dispatch.
-  if (sharded_runtime_ != nullptr) sharded_runtime_->Quiesce();
+  // A P x S snapshot mid-stream would race the workers, so quiesce first:
+  // the barrier drains every queue of the matrix and leaves the workers
+  // parked — reading their tables (and the merged HFTA/counters) is then
+  // race-free; inline it is a no-op. Quiesce, not FlushEpoch: the snapshot
+  // shows the completed epoch's tables as the stream left them (occupancy
+  // is the adaptive path's group-count signal). The epoch flush itself
+  // happens as usual — each replica flushes when it sees the next epoch's
+  // timestamps, and the multi-producer driver inserts its boundary barrier
+  // on the next dispatch.
+  runtime_->Quiesce();
   TelemetrySnapshot snapshot = telemetry();
   snapshot.epoch = completed_epoch;
   telemetry_history_.push_back(std::move(snapshot));

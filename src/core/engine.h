@@ -56,25 +56,24 @@ class StreamAggEngine {
     /// Treat the stream as clustered (estimate flow lengths) during the
     /// sampling pass.
     bool clustered = true;
-    /// Parallel LFTA ingest shards (dsms/sharded_runtime.h). 1 (default)
-    /// runs the original single-threaded path unchanged. N > 1 partitions
-    /// records across N runtime replicas driven by worker threads and
-    /// merges their HFTA outputs at the Finish() epoch barrier; the LFTA
-    /// memory budget is split N ways so the total footprint (and the cost
-    /// model's per-table sizing) stays honest. Composes with `adaptive`:
-    /// drift checks and plan swaps happen at the quiescence barrier.
+    /// LFTA shards of the engine's runtime (dsms/sharded_runtime.h). With
+    /// 1 (default) and one producer the runtime runs inline on the caller's
+    /// thread, with no threads or queues. N > 1 partitions records across N
+    /// runtime replicas driven by worker threads and merges their HFTA
+    /// outputs at epoch barriers; the LFTA memory budget is split N ways so
+    /// the total footprint (and the cost model's per-table sizing) stays
+    /// honest. Composes with `adaptive`: drift checks and plan swaps happen
+    /// at the quiescence barrier.
     int num_shards = 1;
-    /// Parallel ingest producers feeding the shards. 1 (default) stages
-    /// records on the caller's thread. P > 1 turns the sharded runtime's
-    /// ingest front end into a P x S matrix of SPSC queues: each batch is
-    /// striped across P producer threads that hash/route in parallel, with
-    /// an epoch barrier quiescing the matrix at every epoch boundary so
-    /// results stay bit-identical to the serial engine. num_producers > 1
-    /// engages the sharded runtime even when num_shards == 1, and composes
-    /// with `adaptive` the same way num_shards does.
+    /// Ingest producers feeding the shards. 1 (default) routes records on
+    /// the caller's thread. P > 1 turns the runtime's ingest front end into
+    /// a P x S matrix of SPSC queues: each batch is striped across P
+    /// producer threads that hash/route in parallel, with an epoch barrier
+    /// quiescing the matrix at every epoch boundary so results stay
+    /// bit-identical to the 1 x 1 engine. Composes with `adaptive` the same
+    /// way num_shards does.
     int num_producers = 1;
-    /// Per-(producer, shard) record queue capacity when the sharded
-    /// runtime is engaged (num_shards > 1 or num_producers > 1).
+    /// Per-(producer, shard) record queue capacity; unused at 1 x 1.
     size_t shard_queue_capacity = 4096;
     /// Fraction of the LFTA budget held back from the initial plan (and
     /// from adaptive re-plans and full-Optimize churn fallbacks) so that
@@ -85,7 +84,7 @@ class StreamAggEngine {
     /// Pin shard workers and producer threads to CPUs chosen by the
     /// affinity planner (util/cpu_topology.h): producers spread across
     /// NUMA nodes, each shard consumer co-located with its dominant
-    /// producer. Best-effort; ignored on the serial path.
+    /// producer. Best-effort; ignored at 1 x 1, which starts no threads.
     bool pin_threads = false;
     /// Runtime telemetry tier (obs/metrics.h), within whatever the binary
     /// compiled in via STREAMAGG_TELEMETRY_LEVEL. kFull adds per-batch and
@@ -97,10 +96,11 @@ class StreamAggEngine {
     /// (telemetry_history()). Off by default: capture allocates, so it is
     /// opt-in for dashboards (examples/engine_monitor.cpp), never on the
     /// zero-allocation path — except under `adaptive`, which needs the
-    /// history for its trend check and forces capture on. Sharded engines
-    /// capture at a Quiesce barrier (queues drained, workers parked, tables
-    /// still holding the completed epoch's groups — race-free and merged
-    /// across shards); serial engines likewise capture pre-flush.
+    /// history for its trend check and forces capture on. Capture runs at a
+    /// Quiesce barrier, before the epoch flush: the tables still hold the
+    /// completed epoch's groups. For P x S engines the barrier drains the
+    /// queues and parks the workers, so the capture is race-free and merged
+    /// across shards; at 1 x 1 it costs nothing.
     bool telemetry_epoch_snapshots = false;
     /// Bound on telemetry_history(): oldest snapshots are dropped first.
     /// Adaptive engines keep at least trend_epochs + 1 snapshots.
@@ -149,7 +149,10 @@ class StreamAggEngine {
   /// internal planning failures (e.g. the budget cannot host the tables).
   Status ProcessBatch(std::span<const Record> records);
 
-  /// Completes the current epoch (call at end of stream).
+  /// Completes the current epoch (call at end of stream). A finished
+  /// engine serves results and telemetry but rejects Process, ProcessBatch,
+  /// AddQuery and DropQuery with FailedPrecondition; a second Finish() does
+  /// nothing.
   Status Finish();
 
   /// Registers a new standing query online (docs/query_frontend.md §4).
@@ -158,11 +161,12 @@ class StreamAggEngine {
   /// filter and its epoch (if it names one) must agree with the engine's.
   /// Returns a stable query id for EpochResult/Epochs/DropQuery — ids are
   /// never reused, so they stay valid across later churn. While the plan
-  /// is live, the new query is grafted into the feeding forest at a
-  /// non-flushing Quiesce barrier (Optimizer::GraftQueries), falling back
-  /// to a full re-optimize when grafting fails; a query whose (group-by,
-  /// metrics) exactly matches a live query becomes an alias — zero plan
-  /// change — while a group-by match with different metrics is rejected.
+  /// is live, the new query is grafted into the feeding forest
+  /// (Optimizer::GraftQueries) and swapped in at one epoch-flush barrier,
+  /// falling back to a full re-optimize when grafting fails; a query whose
+  /// (group-by, metrics) exactly matches a live query becomes an alias —
+  /// zero plan change — while a group-by match with different metrics is
+  /// rejected.
   /// Results accumulate from the swap onward (the epoch in flight is
   /// flushed for the pre-existing queries first).
   Result<int> AddQuery(const std::string& text);
@@ -170,13 +174,14 @@ class StreamAggEngine {
   /// Same, from an explicit definition (no text, no filter, engine epoch).
   Result<int> AddQuery(QueryDef def);
 
-  /// Unregisters query `query_id` at a Quiesce barrier. Its results up to
-  /// the drop are archived and stay readable through EpochResult/Epochs
-  /// under the same id; its groups stop accumulating immediately (the HFTA
-  /// slot is remapped away and the Add target cache invalidated). Dropping
-  /// the last live query is rejected — an engine cannot run queryless.
-  /// Non-aliased drops prune the plan (Optimizer::PruneQueries) and swap
-  /// the runtime; alias drops only release the reference.
+  /// Unregisters query `query_id` at one epoch-flush barrier. Its results
+  /// up to the drop are archived and stay readable through
+  /// EpochResult/Epochs under the same id; its groups stop accumulating
+  /// immediately (the HFTA slot is remapped away and the Add target cache
+  /// invalidated). Dropping the last live query is rejected — an engine
+  /// cannot run queryless. Non-aliased drops prune the plan
+  /// (Optimizer::PruneQueries) and swap the runtime; alias drops only
+  /// release the reference.
   Status DropQuery(int query_id);
 
   /// Query ids handed out so far (initial queries get 0..n-1). Ids of
@@ -198,10 +203,9 @@ class StreamAggEngine {
   /// epoch numbers into record timestamps.
   double epoch_seconds() const { return options_.epoch_seconds; }
 
-  /// True once the sampling phase is over and a plan is live.
-  bool planned() const {
-    return runtime_ != nullptr || sharded_runtime_ != nullptr;
-  }
+  /// True once the sampling phase is over and a plan is live (false again
+  /// after Finish()).
+  bool planned() const { return runtime_ != nullptr; }
   /// The live configuration ("" while still sampling).
   std::string ConfigurationText() const;
   /// The live plan (nullptr while still sampling); serialize it with
@@ -225,8 +229,8 @@ class StreamAggEngine {
   /// with the cost model's predicted collision rates for the live plan
   /// (the paper's model-vs-actual comparison), engine-total counters, and
   /// latency histograms. While sampling, returns an empty snapshot; after
-  /// Finish(), returns the final pre-teardown snapshot. For sharded
-  /// engines call it only while the shards are quiescent (after Finish()).
+  /// Finish(), returns the final pre-teardown snapshot. A P x S engine
+  /// must be quiescent (after Finish()); a 1 x 1 engine answers any time.
   TelemetrySnapshot telemetry() const;
   /// Per-epoch snapshots captured when Options::telemetry_epoch_snapshots
   /// is set; each is labeled with the epoch it completed.
@@ -263,15 +267,15 @@ class StreamAggEngine {
   /// runtime (results/counters carried over), re-plans the drifted subtrees
   /// with the rest pinned, records a ReplanEvent and swaps in the new
   /// runtime. CaptureEpochSnapshot must run first: it appends the history
-  /// entry the trend check reads and, for sharded engines, quiesces the
-  /// matrix so the tables are safe to read.
+  /// entry the trend check reads and quiesces the runtime so the tables are
+  /// safe to read.
   ///
   /// Also the seat of the probe-mode policy (docs/probe_kernel.md §3): when
   /// adaptive_options.sort_enter_collision_rate <= 1.0 the same controller
   /// chooses hash vs. sort-drain per raw table (DecideProbeModes) and
-  /// installs flips via SetProbeModes — flag-only, safe at this boundary on
-  /// both paths (serial pre-flush, sharded quiescent). A flip re-prices the
-  /// overload controller's shed plan so its cycles-per-record stay honest.
+  /// installs flips via SetProbeModes — flag-only, safe at this quiescent,
+  /// pre-flush boundary. A flip re-prices the overload controller's shed
+  /// plan so its cycles-per-record stay honest.
   /// When adaptive_options.auto_tune_trend is set, trend_epochs and
   /// widening_slack are first re-derived from the observed epoch-gap spread
   /// (AdaptiveController::AutoTuneTrend).
@@ -279,10 +283,11 @@ class StreamAggEngine {
 
   /// Epoch boundary (overload controller only): re-judges the shed plan
   /// against the freshly captured snapshot history and installs it into the
-  /// live runtime; for sharded runtimes also asks the controller for an
-  /// ingest-layout rebalance and applies it at the Quiesce barrier the
-  /// capture already ran. Runs after CaptureEpochSnapshot (and after any
-  /// adaptive re-plan, so the plan it sheds against is the live one).
+  /// live runtime; when the runtime routes through a slot table also asks
+  /// the controller for an ingest-layout rebalance and applies it at the
+  /// Quiesce barrier the capture already ran. Runs after
+  /// CaptureEpochSnapshot (and after any adaptive re-plan, so the plan it
+  /// sheds against is the live one).
   Status HandleOverloadBoundary();
 
   /// Builds (or rebuilds) the runtime for `plan_`, carrying the HFTA over.
@@ -298,11 +303,14 @@ class StreamAggEngine {
   /// overloads; `parsed` must carry `def`.
   Result<int> AddParsedQuery(ParsedQuery parsed);
 
-  /// Quiesce-barrier bookkeeping shared by churn swaps: drains a sharded
-  /// matrix, flushes the epoch in flight, folds the retiring runtime's
-  /// HFTA into the accumulated results and accumulates counters. Returns
-  /// the barrier wall-clock (the churn event's merge_millis).
-  double ChurnBarrier();
+  /// The retire step of adaptive swaps, churn swaps and Finish: one
+  /// FlushEpoch, then the live runtime's HFTA folds into the accumulated
+  /// results and its counters into total_counters_. Returns its
+  /// wall-clock (the swap events' merge_millis).
+  double RetireRuntime();
+
+  /// FailedPrecondition once Finish() has run.
+  Status CheckNotFinished() const;
 
   /// Copies query id `query_id`'s per-epoch results (dense slot `dense`)
   /// out of the accumulated HFTA — and, when `include_live` is set, merged
@@ -351,11 +359,6 @@ class StreamAggEngine {
   /// The live runtime's HFTA (nullptr while sampling and after Finish).
   const Hfta* LiveHfta() const;
 
-  /// Folds the live runtime's counter growth since the last call into
-  /// total_counters_. Idempotent: calling it any number of times, at any
-  /// point, never double-counts (it tracks a baseline and adds deltas).
-  void AccumulateCounters();
-
   /// Attaches engine-level context to a runtime-built snapshot: total
   /// counters across swaps, the plan's predicted collision rates, and the
   /// re-optimization count.
@@ -392,18 +395,17 @@ class StreamAggEngine {
   // Live state.
   std::unique_ptr<RelationCatalog> catalog_;  // Snapshot behind plan_.
   std::unique_ptr<OptimizedPlan> plan_;
-  /// Serial path (num_shards == 1 and num_producers == 1).
-  std::unique_ptr<ConfigurationRuntime> runtime_;
-  /// Parallel path (num_shards > 1 or num_producers > 1).
-  std::unique_ptr<ShardedRuntime> sharded_runtime_;
+  /// The live runtime (nullptr while sampling and after Finish).
+  std::unique_ptr<ShardedRuntime> runtime_;
+  bool finished_ = false;
   std::unique_ptr<Hfta> accumulated_hfta_;  // Results across runtime swaps.
   uint64_t current_epoch_ = 0;
   bool saw_record_ = false;
   /// Largest timestamp accepted so far (0 before the first record).
   double latest_timestamp_ = 0.0;
   RuntimeCounters total_counters_;
-  /// Live runtime's counters as of the last AccumulateCounters (reset at
-  /// every InstallRuntime); makes accumulation idempotent by construction.
+  /// Live runtime's counters as of its last retire (reset at every
+  /// InstallRuntime); a repeated retire never double-counts.
   RuntimeCounters live_counter_baseline_;
   /// Cost-model collision-rate predictions for the live plan, indexed like
   /// the runtime's tables (Configuration::ToRuntimeSpecs preserves node

@@ -82,11 +82,13 @@ ShardedRuntime::ShardedRuntime(
       epoch_seconds_(epoch_seconds),
       num_producers_(options.num_producers),
       pin_threads_(options.pin_threads),
-      merged_hfta_(std::make_unique<Hfta>(per_query_metrics_)) {
+      inline_(shards_.size() == 1 && num_producers_ == 1) {
   const size_t matrix = static_cast<size_t>(num_producers_) * shards_.size();
+  ingest_stats_.resize(matrix);  // Read at every split; all zero inline.
+  if (inline_) return;
+  merged_hfta_ = std::make_unique<Hfta>(per_query_metrics_);
   queues_.reserve(matrix);
   staging_.resize(matrix);
-  ingest_stats_.resize(matrix);
   if (options.rebalance_slots_per_shard > 0) {
     // Identity-preserving initial map: slot i -> i % S means
     // slot_shards_[h % (kS)] == h % S (S divides the slot count), so routing
@@ -129,6 +131,7 @@ ShardedRuntime::ShardedRuntime(
 }
 
 ShardedRuntime::~ShardedRuntime() {
+  if (inline_) return;
   // Stop the internal producers first: after this, the driver is the only
   // thread touching staging buffers and queue rows.
   for (auto& slot : producer_slots_) {
@@ -342,6 +345,10 @@ void ShardedRuntime::ProcessRecord(const Record& record) {
 }
 
 void ShardedRuntime::ProcessBatch(std::span<const Record> records) {
+  if (inline_) {
+    shards_[0]->ProcessBatch(records);
+    return;
+  }
   if (records.empty()) return;
   if (num_producers_ == 1) {
     // Single-producer fast path: stage on the driver, unchanged from the
@@ -440,9 +447,17 @@ void ShardedRuntime::DispatchRun(std::span<const Record> records) {
   }
 }
 
-void ShardedRuntime::FlushEpoch() { RunBarrier(Envelope::Kind::kFlush); }
+void ShardedRuntime::FlushEpoch() {
+  if (inline_) {
+    shards_[0]->FlushEpoch();
+    return;
+  }
+  RunBarrier(Envelope::Kind::kFlush);
+}
 
-void ShardedRuntime::Quiesce() { RunBarrier(Envelope::Kind::kQuiesce); }
+void ShardedRuntime::Quiesce() {
+  if (!inline_) RunBarrier(Envelope::Kind::kQuiesce);
+}
 
 void ShardedRuntime::RunBarrier(Envelope::Kind kind) {
   // Driver-side barrier span (docs/tracing.md): covers staging delivery,

@@ -31,57 +31,62 @@ struct ShardIngestStats {
   uint64_t blocked_pushes = 0;
 };
 
-/// Parallel LFTA ingest: S ConfigurationRuntime replicas, each owned by one
-/// worker thread and fed through bounded SPSC record queues by P producers
-/// (a P x S queue matrix — every (producer, shard) pair has its own ring,
-/// so the hot path never needs an MPMC queue or a lock). Records are
-/// partitioned by a hash of their projection onto the configuration's root
-/// (raw-relation) attributes, so a root group always lands on the same
-/// shard regardless of which producer routed it. Per-shard HFTA outputs are
-/// merged at an epoch barrier (FlushEpoch) into the same final aggregates
-/// the serial runtime produces — shard merge is order-insensitive because
-/// all supported aggregates are commutative. See docs/runtime.md for the
-/// full concurrency model.
+/// The engine's LFTA runtime for every producers x shards split. At 1 x 1 it
+/// runs inline: one ConfigurationRuntime replica driven directly on the
+/// caller's thread, with no threads, queues or staging. Any other split runs
+/// parallel ingest: S replicas, each owned by one worker thread and fed
+/// through bounded SPSC record queues by P producers (a P x S queue matrix
+/// — every (producer, shard) pair has its own ring, so the hot path never
+/// needs an MPMC queue or a lock). Records are partitioned by a hash of
+/// their projection onto the configuration's root (raw-relation)
+/// attributes, so a root group always lands on the same shard regardless
+/// of which producer routed it. Per-shard HFTA outputs are merged at an
+/// epoch barrier (FlushEpoch) into the same final aggregates the inline
+/// runtime produces — shard merge is order-insensitive because all
+/// supported aggregates are commutative. See docs/runtime.md for the full
+/// concurrency model.
 ///
 /// Threading contract (single external driver thread):
-///  * ProcessRecord / ProcessBatch / ProcessTrace / FlushEpoch must be
-///    called from one thread (the driver). Records must arrive in
+///  * ProcessRecord / ProcessBatch / ProcessTrace / FlushEpoch / Quiesce
+///    must be called from one thread (the driver). Records must arrive in
 ///    non-decreasing timestamp order, exactly as for ConfigurationRuntime.
 ///    With num_producers > 1 the runtime owns P-1 internal producer threads;
 ///    ProcessBatch stripes each epoch-run across them and joins before
 ///    returning, so the multi-producer fan-out is invisible to the caller.
-///  * hfta() and counters() return the snapshot merged at the last
-///    FlushEpoch barrier; they are stable (race-free) between barriers.
-///  * shard(i) exposes a shard's runtime for inspection and is only safe
-///    to read between FlushEpoch (or construction) and the next
-///    ProcessRecord/ProcessBatch, while the workers are quiescent. The same
-///    holds for shard_stats()/producer_stats().
+///  * hfta() and counters() are live when the runtime runs inline; otherwise
+///    they return the snapshot merged at the last barrier and are stable
+///    (race-free) between barriers.
+///  * shard(i) exposes a shard's runtime for inspection. Inline it is always
+///    safe to read; otherwise only between a barrier (or construction) and
+///    the next ProcessRecord/ProcessBatch, while the workers are quiescent.
+///    The same holds for shard_stats()/producer_stats().
 class ShardedRuntime {
  public:
   struct Options {
-    /// Number of shard replicas / worker threads. 1 is valid (one worker
-    /// behind one queue) and produces the serial runtime's exact results.
+    /// Number of shard replicas. At 1 with one producer the runtime runs
+    /// inline on the caller's thread; otherwise each shard gets one worker
+    /// thread.
     int num_shards = 1;
     /// Number of ingest producers. 1 (default) stages and enqueues on the
-    /// driver thread exactly as before. P > 1 adds P-1 internal producer
-    /// threads; ProcessBatch splits each batch into contiguous stripes and
-    /// all P producers hash/route/stage in parallel through their own queue
-    /// rows. Epoch boundaries insert a quiescing barrier (all producers
-    /// joined, all queues drained, every shard flushed) so each worker only
-    /// ever interleaves same-epoch records — which keeps final aggregates
-    /// bit-identical to the serial runtime for any producer/shard split.
+    /// driver thread. P > 1 adds P-1 internal producer threads;
+    /// ProcessBatch splits each batch into contiguous stripes and all P
+    /// producers hash/route/stage in parallel through their own queue rows.
+    /// Epoch boundaries insert a quiescing barrier (all producers joined,
+    /// all queues drained, every shard flushed) so each worker only ever
+    /// interleaves same-epoch records — which keeps final aggregates
+    /// bit-identical to the inline runtime for any producer/shard split.
     int num_producers = 1;
     /// Per-(producer, shard) queue capacity in *envelopes* (each envelope
     /// carries up to kEnvelopeBatch records); rounded up to a power of two.
     /// A producer blocks (spins) when a queue is full, so this bounds both
-    /// memory and the producer/consumer skew.
+    /// memory and the producer/consumer skew. Unused inline.
     size_t queue_capacity = 4096;
     /// Pin worker threads (and internal producer threads) to CPUs chosen by
     /// AffinityLayout::Plan over the detected topology: producers spread
     /// across NUMA nodes, each shard consumer co-located with the producer
     /// that owns its busiest queue row. The driver thread (producer 0) is
     /// never pinned — it belongs to the caller. Pinning is best-effort;
-    /// failures degrade to unpinned threads.
+    /// failures degrade to unpinned threads. Unused inline.
     bool pin_threads = false;
     /// 0 (default) routes records with a plain `hash % num_shards`. A value
     /// k >= 1 routes through a remappable slot table of k * num_shards
@@ -90,7 +95,8 @@ class ShardedRuntime {
     /// move hot slots off an overloaded shard (docs/overload.md). The
     /// initial map is slot i -> i % num_shards, which makes routing
     /// bit-identical to the plain path until a rebalance actually fires
-    /// (num_shards divides the slot count, so slot % S == hash % S).
+    /// (num_shards divides the slot count, so slot % S == hash % S). Inline
+    /// there is nothing to route, so no slot table is built.
     int rebalance_slots_per_shard = 0;
   };
 
@@ -111,35 +117,36 @@ class ShardedRuntime {
       const Schema& schema, std::vector<RuntimeRelationSpec> specs,
       double epoch_seconds, Options options, uint64_t seed = 0x1f7a);
 
-  /// Stops and joins workers and producer threads; any queued records are
-  /// processed first.
+  /// Stops and joins workers and producer threads, if any; queued records
+  /// are processed first.
   ~ShardedRuntime();
 
   ShardedRuntime(const ShardedRuntime&) = delete;
   ShardedRuntime& operator=(const ShardedRuntime&) = delete;
 
-  /// Routes one record (via producer 0) to its shard's staging envelope;
-  /// the envelope is pushed to the shard's queue (blocking when full) once
-  /// it holds kEnvelopeBatch records. Partially filled envelopes are
-  /// delivered by the next FlushEpoch barrier, which is also when results
-  /// become visible — the staging delay is unobservable through this
-  /// class's API.
+  /// Feeds one record: a batch of one.
   void ProcessRecord(const Record& record);
 
-  /// Routes a batch of records (non-decreasing timestamps). Equivalent to
-  /// calling ProcessRecord per record: partitioning is per-record, so batch
-  /// boundaries never affect results. With num_producers > 1 the batch is
-  /// cut into epoch runs, each run striped across all P producers, and an
-  /// epoch barrier quiesces the matrix between runs.
+  /// Feeds a batch of records (non-decreasing timestamps). Inline, the
+  /// replica's ProcessBatch runs on the caller's thread. Otherwise each
+  /// record is routed (via producer 0) to its shard's staging envelope,
+  /// pushed to the shard's queue (blocking when full) once it holds
+  /// kEnvelopeBatch records; partial envelopes are delivered by the next
+  /// barrier, which is also when results become visible. Partitioning is
+  /// per-record, so batch boundaries never affect results. With
+  /// num_producers > 1 the batch is cut into epoch runs, each run striped
+  /// across all P producers, and an epoch barrier quiesces the matrix
+  /// between runs.
   void ProcessBatch(std::span<const Record> records);
 
   /// Feeds a whole trace, then runs the final epoch barrier.
   void ProcessTrace(const Trace& trace);
 
-  /// Epoch barrier: quiesces the producers, drains every queue of the
-  /// P x S matrix, flushes every shard's current epoch, and rebuilds the
-  /// merged HFTA/counters snapshot. Blocks the caller until all shards have
-  /// acknowledged.
+  /// Flushes every shard's current epoch. Inline that is the replica's own
+  /// FlushEpoch. Otherwise it is the epoch barrier: quiesces the producers,
+  /// drains every queue of the P x S matrix, flushes every shard, and
+  /// rebuilds the merged HFTA/counters snapshot, blocking the caller until
+  /// all shards have acknowledged.
   void FlushEpoch();
 
   /// Quiescence barrier *without* flushing: drains every queue of the
@@ -148,13 +155,21 @@ class ShardedRuntime {
   /// snapshots and estimates statistics at — table occupancy is the
   /// group-count signal, and an epoch flush would destroy it. After the
   /// call the same contract as FlushEpoch holds: shard(i)/shard_stats() are
-  /// race-free until the next ProcessRecord/ProcessBatch.
+  /// race-free until the next ProcessRecord/ProcessBatch. Inline there is
+  /// nothing to drain, so it does nothing.
   void Quiesce();
 
-  /// Merged results across shards, as of the last FlushEpoch barrier.
-  const Hfta& hfta() const { return *merged_hfta_; }
-  /// Aggregated counters across shards, as of the last FlushEpoch barrier.
-  const RuntimeCounters& counters() const { return merged_counters_; }
+  /// Results across shards: live inline, else as of the last barrier.
+  const Hfta& hfta() const {
+    return inline_ ? shards_[0]->hfta() : *merged_hfta_;
+  }
+  /// Counters across shards: live inline, else as of the last barrier.
+  const RuntimeCounters& counters() const {
+    return inline_ ? shards_[0]->counters() : merged_counters_;
+  }
+  /// True at 1 x 1: no threads or queues, ProcessBatch runs the replica on
+  /// the caller's thread, and every read is live.
+  bool runs_inline() const { return inline_; }
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int num_producers() const { return num_producers_; }
@@ -163,7 +178,7 @@ class ShardedRuntime {
   /// Ingest stats of shard `i` summed over its queue column (records routed
   /// to the shard by any producer; queue depth high-water mark is the max
   /// over the column). Safe while the producers are quiescent (same
-  /// contract as shard()).
+  /// contract as shard()). All zero inline, where nothing is routed.
   ShardIngestStats shard_stats(int i) const;
   /// Ingest stats of producer `p` summed over its queue row (records the
   /// producer routed anywhere; depth HWM is the max over the row).
@@ -178,7 +193,8 @@ class ShardedRuntime {
   /// configuration's raw-relation attributes).
   AttributeSet partition_attrs() const { return partition_attrs_; }
   /// The affinity placement chosen at construction. All -1 (unpinned) when
-  /// Options::pin_threads is false.
+  /// Options::pin_threads is false; empty inline, where there are no
+  /// threads to place.
   const AffinityLayout& layout() const { return layout_; }
 
   /// Total LFTA memory across all shard replicas, in 4-byte words.
@@ -322,6 +338,9 @@ class ShardedRuntime {
   std::vector<std::unique_ptr<ProducerSlot>> producer_slots_;
   AffinityLayout layout_;
   bool pin_threads_ = false;
+
+  /// 1 x 1: no threads, queues, staging or slot table (runs_inline()).
+  const bool inline_;
 
   /// Epoch tracking on the driver (multi-producer path only): an epoch
   /// boundary inside ProcessBatch triggers the quiescing barrier before the

@@ -727,6 +727,9 @@ TelemetrySnapshot BuildTelemetrySnapshot(const ConfigurationRuntime& runtime,
 
 TelemetrySnapshot BuildTelemetrySnapshot(const ShardedRuntime& runtime,
                                          const Schema& schema) {
+  if (runtime.runs_inline()) {
+    return BuildTelemetrySnapshot(runtime.shard(0), schema);
+  }
   TelemetrySnapshot s;
   s.num_shards = 0;  // MergeFrom sums the replicas' 1s back up.
   const AffinityLayout& layout = runtime.layout();

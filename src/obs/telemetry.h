@@ -257,7 +257,8 @@ TelemetrySnapshot BuildTelemetrySnapshot(const ConfigurationRuntime& runtime,
 /// producer-side ingest stats. Caller must hold the quiescence contract
 /// (between FlushEpoch barriers). The merged counters are bit-identical to
 /// the serial run's totals: each is an exact uint64 sum over the same
-/// probe/transfer events, just partitioned by shard.
+/// probe/transfer events, just partitioned by shard. An inline (1 x 1)
+/// runtime returns its replica's own snapshot, with no shards or producers.
 TelemetrySnapshot BuildTelemetrySnapshot(const ShardedRuntime& runtime,
                                          const Schema& schema);
 

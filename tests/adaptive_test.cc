@@ -92,8 +92,9 @@ TEST(AdaptiveControllerTest, OccupancyRecoversGroupCounts) {
   PreciseCollisionModel precise;
   CostModel cost_model(&s.catalog, &precise, CostParams{1.0, 50.0});
   AdaptiveController controller(&cost_model, &s.plan);
-  auto runtime = ConfigurationRuntime::Make(
-      s.trace.schema(), *s.plan.ToRuntimeSpecs(), 0.0);
+  // A 1x1 runtime runs inline, so its tables are readable without a barrier.
+  auto runtime = ShardedRuntime::Make(s.trace.schema(),
+                                      *s.plan.ToRuntimeSpecs(), 0.0, {});
   ASSERT_TRUE(runtime.ok());
   // Occupancy is only meaningful mid-epoch (the end-of-epoch flush empties
   // every table), so feed records without the final flush.

@@ -326,5 +326,65 @@ TEST(BatchedIngestAllocationTest, SteadyStateBatchedPathAllocatesNothing) {
       << "steady-state ProcessBatch allocated";
 }
 
+TEST(BatchedIngestAllocationTest, SteadyStateEngineBatchAllocatesNothing) {
+  // The same steady state one layer up: a planned 1x1 StreamAggEngine in
+  // one epoch, fed ProcessBatch(64) over resident groups only. The engine
+  // layer (timestamp check, epoch cut, inline runtime) must add no
+  // allocation to the batched path.
+  const Schema schema = *Schema::Default(4);
+  StreamAggEngine::Options options;
+  options.memory_words = 40000;
+  options.sample_size = 2048;
+  options.clustered = false;
+  const std::vector<QueryDef> queries = {
+      QueryDef(*schema.ParseAttributeSet("AB"))};
+  auto engine = std::move(StreamAggEngine::FromQueryDefs(schema, queries,
+                                                         options))
+                    .value();
+  std::vector<Record> warm(options.sample_size);
+  Random rng(0xe9a110c);
+  for (Record& r : warm) {
+    r.values[0] = static_cast<uint32_t>(rng.Uniform(32));
+    r.values[1] = static_cast<uint32_t>(rng.Uniform(16));
+  }
+  ASSERT_TRUE(engine->ProcessBatch(warm).ok());
+  ASSERT_TRUE(engine->planned());
+
+  // The engine's replica is deterministic (same specs, seed and records),
+  // so a rebuilt one reads back which groups stayed resident.
+  auto replica = std::move(ConfigurationRuntime::Make(
+                               schema, *engine->plan()->ToRuntimeSpecs(),
+                               /*epoch_seconds=*/0.0))
+                     .value();
+  replica->ProcessBatch(warm);
+  ASSERT_EQ(replica->num_relations(), 1);
+  std::vector<Record> steady;
+  replica->table(0).ForEach([&](const GroupKey& key, uint64_t) {
+    Record r;
+    r.values[0] = key.values[0];
+    r.values[1] = key.values[1];
+    steady.push_back(r);
+  });
+  ASSERT_GE(steady.size(), 64u);
+  steady.resize(64);
+  const RuntimeCounters before = engine->counters();
+
+  const uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  for (int pass = 0; pass < 1024; ++pass) {
+    ASSERT_TRUE(engine->ProcessBatch(steady).ok());
+  }
+  const uint64_t allocations_after =
+      g_allocations.load(std::memory_order_relaxed);
+
+  // Sanity: every record hit a resident group, with no eviction.
+  const RuntimeCounters after = engine->counters();
+  EXPECT_EQ(after.records - before.records, 1024u * steady.size());
+  EXPECT_EQ(after.intra_transfers, before.intra_transfers);
+  EXPECT_EQ(after.epochs_flushed, before.epochs_flushed);
+  EXPECT_EQ(allocations_after - allocations_before, 0u)
+      << "steady-state engine ProcessBatch allocated";
+}
+
 }  // namespace
 }  // namespace streamagg

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -577,6 +578,67 @@ TEST(StreamAggEngineTest, AcceptsBackwardTimestampsWithinTheEpoch) {
       ComputeReferenceAggregate(trace, queries[0].group_by, 2.0);
   for (const auto& [epoch, groups] : expected) {
     EXPECT_TRUE(engine->EpochResult(0, epoch) == groups) << epoch;
+  }
+}
+
+TEST(StreamAggEngineTest, FinishedEngineRejectsFeedAndChurn) {
+  // Finish() ends the stream. A second Finish() does nothing (it must not
+  // re-plan from the retained sample and replay it), and feeding or
+  // churning a finished engine is rejected with every result and counter
+  // untouched — on a sampled engine and on a pinned-plan one, which has no
+  // sample to fall back into.
+  const Trace trace = UniformTrace(800, 60000, 47);
+  const Schema& schema = trace.schema();
+  const std::vector<QueryDef> queries = {
+      QueryDef(*schema.ParseAttributeSet("AB")),
+      QueryDef(*schema.ParseAttributeSet("CD"))};
+  TraceStats stats(&trace);
+  const RelationCatalog catalog =
+      RelationCatalog::FromTrace(&stats, /*clustered=*/false);
+  const OptimizedPlan plan = *Optimizer().Optimize(catalog, queries, 30000.0);
+  for (int shards : {1, 2}) {
+    StreamAggEngine::Options options = BaseOptions();
+    options.num_shards = shards;
+    std::vector<std::unique_ptr<StreamAggEngine>> engines;
+    engines.push_back(std::move(StreamAggEngine::FromQueryDefs(
+                                    schema, queries, options))
+                          .value());
+    engines.push_back(std::move(StreamAggEngine::FromPinnedPlan(
+                                    schema, plan, {}, options))
+                          .value());
+    for (const auto& engine : engines) {
+      const std::string label = "shards=" + std::to_string(shards) +
+                                (engine->planned() ? " pinned" : " sampled");
+      ASSERT_TRUE(engine->ProcessBatch(trace.records()).ok()) << label;
+      ASSERT_TRUE(engine->Finish().ok()) << label;
+      const RuntimeCounters counters = engine->counters();
+      ASSERT_EQ(counters.records, trace.size()) << label;
+      const auto results = AllResults(*engine);
+
+      EXPECT_TRUE(engine->Finish().ok()) << label;
+      const StatusCode refused = StatusCode::kFailedPrecondition;
+      EXPECT_EQ(engine->Process(trace.records().back()).code(), refused)
+          << label;
+      EXPECT_EQ(engine->ProcessBatch(trace.records()).code(), refused)
+          << label;
+      EXPECT_EQ(
+          engine->AddQuery(QueryDef(*schema.ParseAttributeSet("BC")))
+              .status()
+              .code(),
+          refused)
+          << label;
+      EXPECT_EQ(engine->AddQuery("select A, count(*) from R group by A")
+                    .status()
+                    .code(),
+                refused)
+          << label;
+      EXPECT_EQ(engine->DropQuery(1).code(), refused) << label;
+
+      EXPECT_TRUE(engine->counters() == counters) << label;
+      EXPECT_TRUE(AllResults(*engine) == results) << label;
+      EXPECT_EQ(engine->num_query_ids(), 2) << label;
+      EXPECT_TRUE(engine->IsLive(1)) << label;
+    }
   }
 }
 

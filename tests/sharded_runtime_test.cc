@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+
 #include "core/configuration.h"
 #include "core/engine.h"
 #include "dsms/reference_aggregator.h"
@@ -130,37 +134,47 @@ TEST(ShardedRuntimeTest, MetricsSurviveShardMerge) {
 }
 
 TEST(ShardedRuntimeTest, SingleShardMatchesSerialRuntimeExactly) {
-  // One shard behind a queue must be bit-identical to the serial runtime:
-  // same tables, same seed, same record order.
+  // One shard and one producer run inline: the replica is the serial
+  // runtime, driven on the caller's thread. Its hfta() and counters() are
+  // live, so they match the serial runtime after every batch with no
+  // barrier in between — a threaded runtime would still serve its last
+  // barrier's snapshot.
   const Trace trace = ZipfTrace(0x91);
   const std::vector<RuntimeRelationSpec> specs =
       SpecsFor(trace.schema(), "ABCD(AB BCD(BC BD CD))");
 
   auto serial = ConfigurationRuntime::Make(trace.schema(), specs, 3.0);
   ASSERT_TRUE(serial.ok());
-  (*serial)->ProcessTrace(trace);
-
   ShardedRuntime::Options options;
   options.num_shards = 1;
   auto sharded = ShardedRuntime::Make(trace.schema(), specs, 3.0, options);
   ASSERT_TRUE(sharded.ok());
-  (*sharded)->ProcessTrace(trace);
+  ASSERT_TRUE((*sharded)->runs_inline());
 
-  for (int qi = 0; qi < (*serial)->hfta().num_queries(); ++qi) {
-    const std::vector<uint64_t> epochs = (*serial)->hfta().Epochs(qi);
-    EXPECT_EQ(epochs, (*sharded)->hfta().Epochs(qi));
-    for (uint64_t epoch : epochs) {
-      EXPECT_TRUE((*serial)->hfta().Result(qi, epoch) ==
-                  (*sharded)->hfta().Result(qi, epoch))
-          << "query " << qi << " epoch " << epoch;
+  const auto expect_same = [&](const std::string& label) {
+    for (int qi = 0; qi < (*serial)->hfta().num_queries(); ++qi) {
+      const std::vector<uint64_t> epochs = (*serial)->hfta().Epochs(qi);
+      EXPECT_EQ(epochs, (*sharded)->hfta().Epochs(qi)) << label;
+      for (uint64_t epoch : epochs) {
+        EXPECT_TRUE((*serial)->hfta().Result(qi, epoch) ==
+                    (*sharded)->hfta().Result(qi, epoch))
+            << label << " query " << qi << " epoch " << epoch;
+      }
     }
+    // Identical record order through identical tables: identical counters.
+    EXPECT_TRUE((*serial)->counters() == (*sharded)->counters()) << label;
+  };
+  const std::span<const Record> records(trace.records());
+  for (size_t i = 0; i < records.size() && !HasFailure(); i += 997) {
+    const std::span<const Record> batch =
+        records.subspan(i, std::min<size_t>(997, records.size() - i));
+    (*serial)->ProcessBatch(batch);
+    (*sharded)->ProcessBatch(batch);
+    expect_same("after record " + std::to_string(i + batch.size()));
   }
-  // Identical record order through identical tables: identical counters.
-  const RuntimeCounters& a = (*serial)->counters();
-  const RuntimeCounters& b = (*sharded)->counters();
-  EXPECT_EQ(a.records, b.records);
-  EXPECT_EQ(a.total_probes(), b.total_probes());
-  EXPECT_EQ(a.total_transfers(), b.total_transfers());
+  (*serial)->FlushEpoch();
+  (*sharded)->FlushEpoch();
+  expect_same("after the final flush");
 }
 
 TEST(ShardedRuntimeTest, CountersAggregateAcrossShards) {

@@ -585,10 +585,11 @@ TEST(TelemetrySnapshotTest, ShardedMergeIsBitIdenticalToRuntimeCounters) {
 }
 
 TEST(TelemetrySnapshotTest, SingleShardSnapshotMatchesSerialTables) {
-  // One shard behind a queue sees the identical record order through
-  // identical tables, so every per-table telemetry field must match the
-  // serial runtime exactly (timing histograms excluded by construction —
-  // TableTelemetry carries none).
+  // A 1x1 runtime runs its replica inline: the identical record order
+  // through identical tables, so every per-table telemetry field must match
+  // the serial runtime exactly (timing histograms excluded by construction
+  // — TableTelemetry carries none), and the snapshot is the serial one,
+  // with no shard or producer rows.
   const Trace trace = TestTrace(0xc33);
   const std::vector<RuntimeRelationSpec> specs = TestSpecs(trace.schema());
 
@@ -612,6 +613,10 @@ TEST(TelemetrySnapshotTest, SingleShardSnapshotMatchesSerialTables) {
     EXPECT_TRUE(a.tables[i] == b.tables[i]) << "table " << i;
   }
   EXPECT_EQ(a.hfta_groups, b.hfta_groups);
+  EXPECT_EQ(b.num_shards, 1);
+  EXPECT_EQ(b.num_producers, 1);
+  EXPECT_TRUE(b.shards.empty());
+  EXPECT_TRUE(b.producers.empty());
 }
 
 TEST(TelemetrySnapshotTest, RuntimeLevelOffDisablesTelemetryTallies) {

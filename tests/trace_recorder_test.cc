@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -379,6 +380,55 @@ TEST(FlightRecorderEngineTest, ShardedRunRecordsBarriersAndAcks) {
     if (e.type == TraceEventType::kEpochFlush) flush_shards.insert(e.arg0);
   }
   EXPECT_EQ(flush_shards, (std::set<uint32_t>{0, 1}));
+  ResetRecorder();
+}
+
+TEST(FlightRecorderEngineTest, ChurnSwapRunsOneFlushBarrier) {
+  // A churn swap on a P x S engine retires the runtime with a single
+  // FlushEpoch barrier: the flush already drains the queue matrix, so no
+  // Quiesce barrier may precede it.
+  ResetRecorder();
+  FlightRecorder::Instance().set_enabled(true);
+
+  const Trace trace = UniformTrace(400, 60000, 19);
+  StreamAggEngine::Options options;
+  options.memory_words = 30000.0;
+  options.sample_size = 20000;
+  options.epoch_seconds = 2.0;
+  options.clustered = false;
+  options.num_shards = 2;
+  auto engine = StreamAggEngine::FromQueryTexts(
+      trace.schema(),
+      {"select A, B, count(*) from R group by A, B, time/2",
+       "select C, count(*) from R group by C, time/2"},
+      options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const std::span<const Record> records(trace.records());
+  ASSERT_TRUE((*engine)->ProcessBatch(records.first(30000)).ok());
+  ASSERT_TRUE((*engine)->planned());
+
+  // Kinds (0 flush, 1 quiesce) of the barrier spans started since `from`.
+  const auto barriers_since = [](uint64_t from) {
+    std::vector<uint32_t> kinds;
+    for (const TraceEvent& e : FlightRecorder::Instance().Snapshot()) {
+      if (e.type == TraceEventType::kBarrier && e.start_ns >= from) {
+        kinds.push_back(e.arg0);
+      }
+    }
+    return kinds;
+  };
+  uint64_t start = TelemetryNowNanos();
+  auto added =
+      (*engine)->AddQuery("select B, C, count(*) from R group by B, C, time/2");
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  EXPECT_EQ(barriers_since(start), std::vector<uint32_t>{0});
+
+  ASSERT_TRUE((*engine)->ProcessBatch(records.subspan(30000, 10000)).ok());
+  start = TelemetryNowNanos();
+  ASSERT_TRUE((*engine)->DropQuery(1).ok());  // Not an alias: prune + swap.
+  EXPECT_EQ(barriers_since(start), std::vector<uint32_t>{0});
+  ASSERT_EQ((*engine)->churn_events().size(), 2u);
+  EXPECT_FALSE((*engine)->churn_events().back().aliased);
   ResetRecorder();
 }
 
