@@ -628,13 +628,12 @@ BENCHMARK(BM_EngineOverload)
 // pinned (1024) so the group-count sweep walks the paper's collision curve
 // from cold (g/b = 1/4) to saturated (g/b = 16, where nearly every probe
 // evicts a resident group). Uniform and Zipf(1.0) draws from the same group
-// universe at every point — the hash-vs-sort methodology of the group-by
-// study (arXiv 2411.13245); see EXPERIMENTS.md. Reports records/sec plus
-// the observed collision rate.
+// universe at every point — the methodology of the group-by study (arXiv
+// 2411.13245); see EXPERIMENTS.md. Reports records/sec plus the observed
+// collision rate.
 void BM_EngineProbeKernel(benchmark::State& state) {
   const uint64_t groups = static_cast<uint64_t>(state.range(0));
   const double theta = static_cast<double>(state.range(1)) / 100.0;
-  const bool sort_mode = state.range(2) != 0;
   const Schema schema = *Schema::Default(4);
   auto universe = std::move(GroupUniverse::Uniform(
                                 schema, groups,
@@ -654,9 +653,6 @@ void BM_EngineProbeKernel(benchmark::State& state) {
   spec.query_index = 0;
   auto runtime =
       std::move(ConfigurationRuntime::Make(schema, {spec}, 1.0)).value();
-  if (sort_mode) {
-    (void)runtime->SetProbeModes({ProbeMode::kSort});
-  }
   // Pre-drawn, pre-timestamped replay inside one epoch: the timed region
   // is the pure probe kernel plus its evictions (no flush mid-batch).
   std::vector<Record> replay(1 << 16);
@@ -689,35 +685,20 @@ void BM_EngineProbeKernel(benchmark::State& state) {
       table.probes() > 0 ? static_cast<double>(table.collisions()) /
                                static_cast<double>(table.probes())
                          : 0.0;
-  if (sort_mode) {
-    state.counters["unique_per_drain"] =
-        table.sort_drains() > 0
-            ? static_cast<double>(table.sort_unique_groups()) /
-                  static_cast<double>(table.sort_drains())
-            : 0.0;
-  }
   // CI's bench-smoke job greps this label to assert the SIMD dispatch the
   // build actually selected (docs/probe_kernel.md §2).
   state.SetLabel(std::string("simd:") + SimdTierName());
 }
 BENCHMARK(BM_EngineProbeKernel)
-    ->Args({256, 0, 0})
-    ->Args({1024, 0, 0})
-    ->Args({4096, 0, 0})
-    ->Args({16384, 0, 0})
-    ->Args({256, 100, 0})
-    ->Args({1024, 100, 0})
-    ->Args({4096, 100, 0})
-    ->Args({16384, 100, 0})
-    ->Args({256, 0, 1})
-    ->Args({1024, 0, 1})
-    ->Args({4096, 0, 1})
-    ->Args({16384, 0, 1})
-    ->Args({256, 100, 1})
-    ->Args({1024, 100, 1})
-    ->Args({4096, 100, 1})
-    ->Args({16384, 100, 1})
-    ->ArgNames({"groups", "zipf_pct", "sort"})
+    ->Args({256, 0})
+    ->Args({1024, 0})
+    ->Args({4096, 0})
+    ->Args({16384, 0})
+    ->Args({256, 100})
+    ->Args({1024, 100})
+    ->Args({4096, 100})
+    ->Args({16384, 100})
+    ->ArgNames({"groups", "zipf_pct"})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -66,22 +66,6 @@ class AdaptiveController {
     /// a post-shift plateau (drift flat at the new level) triggers, while a
     /// decaying one-off spike does not.
     double widening_slack = 0.25;
-    /// Per-epoch collision rate at which DecideProbeModes flips a saturated
-    /// raw table from hash to sort-drain mode (docs/probe_kernel.md §3),
-    /// sustained over `trend_epochs`. Rates cannot exceed 1.0, so the
-    /// default 2.0 disables mode switching entirely — existing adaptive
-    /// behavior is untouched unless a deployment opts in (the engine only
-    /// consults DecideProbeModes when this is <= 1.0).
-    double sort_enter_collision_rate = 2.0;
-    /// Sort mode exits once the average distinct groups per run drain fall
-    /// below this fraction of the table's buckets (sustained over
-    /// `trend_epochs`): the group universe shrank enough that hashing would
-    /// collide rarely again.
-    double sort_exit_unique_fraction = 0.25;
-    /// When true the engine re-derives trend_epochs / widening_slack each
-    /// boundary from the observed epoch-cadence spread via AutoTuneTrend
-    /// instead of using the fixed values above.
-    bool auto_tune_trend = false;
   };
 
   /// Per-table outcome of one trend assessment (see AssessTrend).
@@ -133,34 +117,6 @@ class AdaptiveController {
   TrendVerdict AssessTrend(
       std::span<const TelemetrySnapshot> history) const;
 
-  /// Chooses hash vs. sort-drain per *raw* table from the same snapshot
-  /// history AssessTrend reads (docs/probe_kernel.md §3). Returns one mode
-  /// per root table of the latest snapshot (parent < 0), in snapshot order —
-  /// which is the runtime's raw-relation order — ready to hand to
-  /// SetProbeModes. Starting point is each root's current mode
-  /// (`probe_mode` in the latest snapshot); a hash table flips to sort when
-  /// its per-epoch collision rate sustained `sort_enter_collision_rate`
-  /// across `trend_epochs` epochs *and* it sits saturated (occupied within
-  /// half a bucket of its size); a sort table flips back once its average
-  /// distinct-groups-per-drain sustained below `sort_exit_unique_fraction`
-  /// of its buckets. With the default (disabled) enter threshold the input
-  /// modes are returned unchanged. Empty when the history is empty.
-  std::vector<ProbeMode> DecideProbeModes(
-      std::span<const TelemetrySnapshot> history) const;
-
-  /// Re-derives the trend cadence knobs from observed epoch timing instead
-  /// of fixed constants: the spread of the latest snapshot's epoch_gap_ns
-  /// histogram (p99 upper bound over p50 upper bound) measures how jittery
-  /// the epoch cadence is, and jitter is exactly what makes single-epoch
-  /// deltas noisy. trend_epochs = clamp(2 + floor(log2(spread)), 2, 6) and
-  /// widening_slack = min(0.5, 0.25 + 0.05 * log2(spread)): a stable
-  /// cadence (spread ~1) reproduces the fixed defaults (2 epochs, 0.25
-  /// slack), while a 4x spread demands two extra confirming epochs and
-  /// tolerates 10 extra points of shrink. `base` is returned unchanged when
-  /// the history or histogram is empty. Pure function of its inputs.
-  static Options AutoTuneTrend(Options base,
-                               std::span<const TelemetrySnapshot> history);
-
   /// Inverts the expected-occupancy map of a table: after g distinct groups
   /// the expected number of occupied buckets is b (1 - (1 - 1/b)^g), so
   ///   g = log(1 - occ/b) / log(1 - 1/b).
@@ -169,27 +125,14 @@ class AdaptiveController {
   /// (occupancy reaches ~95% of b there); degenerate b < 2 reports occ.
   static double InvertOccupancy(double occupied, double buckets);
 
-  /// Inverts the expected-distinct-count map of a sort run: a run of
-  /// `run_length` records over g groups holds
-  ///   d = g (1 - exp(-run_length / g))
-  /// distinct groups in expectation, solved for g by bracketed bisection
-  /// (d is monotone in g). This is how group counts are recovered for
-  /// sort-mode tables, whose hash occupancy is meaningless. unique <= 0
-  /// reports 0; unique within half a group of run_length (every record
-  /// distinct — the run can no longer resolve g) reports the ~3*run_length
-  /// lower bound, mirroring InvertOccupancy's saturated case.
-  static double InvertUniqueCount(double unique, double run_length);
-
   /// Estimates the current number of groups of every *instantiated*
-  /// relation from its table occupancy via InvertOccupancy — or, for a
-  /// sort-mode table that has drained at least one run (its hash occupancy
-  /// carries no signal), from its average distinct-groups-per-drain via
-  /// InvertUniqueCount. Keys are AttributeSet masks; merge with prior
-  /// statistics to rebuild a catalog for re-optimization (no stream storage
-  /// required). Per-shard inversions of a relation sum. Caller must hold
-  /// the quiescence contract (between barriers), and the tables must be
-  /// pre-flush (ShardedRuntime::Quiesce, not FlushEpoch): the end-of-epoch
-  /// flush empties every table.
+  /// relation from its table occupancy via InvertOccupancy. Keys are
+  /// AttributeSet masks; merge with prior statistics to rebuild a catalog
+  /// for re-optimization (no stream storage required). Per-shard
+  /// inversions of a relation sum. Caller must hold the quiescence contract
+  /// (between barriers), and the tables must be pre-flush
+  /// (ShardedRuntime::Quiesce, not FlushEpoch): the end-of-epoch flush
+  /// empties every table.
   std::map<uint32_t, uint64_t> EstimateGroupCounts(
       const ShardedRuntime& runtime) const;
 

@@ -1,7 +1,6 @@
 #include "core/cost_model.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace streamagg {
 
@@ -22,52 +21,17 @@ std::vector<double> CostModel::CollisionRates(
   return rates;
 }
 
-double CostModel::SortTransferRate(double groups) {
-  const double g = groups < 1.0 ? 1.0 : groups;
-  const double run = static_cast<double>(LftaHashTable::kSortRunCapacity);
-  // Expected distinct groups in a run of `run` records over g uniform
-  // groups, over the run length: what a drain emits per appended record.
-  const double d = g * (1.0 - std::pow(1.0 - 1.0 / g, run));
-  return d / run;
-}
-
-void CostModel::ApplyProbeModes(const Configuration& config,
-                                std::span<const ProbeMode> root_modes,
-                                std::vector<double>* x,
-                                std::vector<double>* c1s) const {
-  size_t root = 0;
-  for (int i = 0; i < config.num_nodes() && root < root_modes.size(); ++i) {
-    const Configuration::Node& node = config.node(i);
-    if (node.parent >= 0) continue;
-    if (root_modes[root++] != ProbeMode::kSort) continue;
-    const double g =
-        static_cast<double>(catalog_->GroupCount(node.attrs));
-    (*x)[static_cast<size_t>(i)] = SortTransferRate(g);
-    (*c1s)[static_cast<size_t>(i)] = params_.c1_sort;
-  }
-}
-
 double CostModel::PerRecordCost(const Configuration& config,
                                 const std::vector<double>& buckets) const {
-  return PerRecordCost(config, buckets, {});
-}
-
-double CostModel::PerRecordCost(const Configuration& config,
-                                const std::vector<double>& buckets,
-                                std::span<const ProbeMode> root_modes) const {
-  std::vector<double> x = CollisionRates(config, buckets);
-  std::vector<double> c1s(x.size(), params_.c1);
-  ApplyProbeModes(config, root_modes, &x, &c1s);
+  const std::vector<double> x = CollisionRates(config, buckets);
   // feed[i] = prod of ancestor collision rates (1 for raw relations); nodes
-  // are ordered parents before children. For a sort-mode root, x is the run
-  // dedup factor s — each appended record feeds s drained groups downstream
-  // instead of x evicted entries.
+  // are ordered parents before children.
   std::vector<double> feed(x.size(), 1.0);
   double cost = 0.0;
   for (int i = 0; i < config.num_nodes(); ++i) {
     const Configuration::Node& node = config.node(i);
     if (node.parent >= 0) feed[i] = feed[node.parent] * x[node.parent];
-    cost += feed[i] * c1s[i];
+    cost += feed[i] * params_.c1;
     if (node.is_query) cost += feed[i] * x[i] * params_.c2;
   }
   return cost;
@@ -75,15 +39,7 @@ double CostModel::PerRecordCost(const Configuration& config,
 
 std::vector<double> CostModel::PerRecordCostByRoot(
     const Configuration& config, const std::vector<double>& buckets) const {
-  return PerRecordCostByRoot(config, buckets, {});
-}
-
-std::vector<double> CostModel::PerRecordCostByRoot(
-    const Configuration& config, const std::vector<double>& buckets,
-    std::span<const ProbeMode> root_modes) const {
-  std::vector<double> x = CollisionRates(config, buckets);
-  std::vector<double> c1s(x.size(), params_.c1);
-  ApplyProbeModes(config, root_modes, &x, &c1s);
+  const std::vector<double> x = CollisionRates(config, buckets);
   // Same recurrence as PerRecordCost, but each node's terms are credited to
   // the root of its feeding tree. Nodes are ordered parents before children,
   // so root[i] is already resolved when node i is visited.
@@ -94,7 +50,7 @@ std::vector<double> CostModel::PerRecordCostByRoot(
     const Configuration::Node& node = config.node(i);
     root[i] = node.parent >= 0 ? root[node.parent] : i;
     if (node.parent >= 0) feed[i] = feed[node.parent] * x[node.parent];
-    double cost = feed[i] * c1s[i];
+    double cost = feed[i] * params_.c1;
     if (node.is_query) cost += feed[i] * x[i] * params_.c2;
     by_root[static_cast<size_t>(root[i])] += cost;
   }

@@ -1,13 +1,11 @@
 #ifndef STREAMAGG_CORE_COST_MODEL_H_
 #define STREAMAGG_CORE_COST_MODEL_H_
 
-#include <span>
 #include <vector>
 
 #include "core/collision_model.h"
 #include "core/configuration.h"
 #include "core/relation_catalog.h"
-#include "dsms/lfta_hash_table.h"
 #include "util/status.h"
 
 namespace streamagg {
@@ -18,12 +16,6 @@ namespace streamagg {
 struct CostParams {
   double c1 = 1.0;
   double c2 = 50.0;
-  /// Cost of one sort-mode append (plus its amortized share of the run's
-  /// radix sort), in the same units as c1. Below c1 because an append is a
-  /// sequential store with no bucket load-compare; the batched radix drain
-  /// touches each entry a handful of times but streams linearly
-  /// (docs/probe_kernel.md §3).
-  double c1_sort = 0.6;
 };
 
 /// Evaluates the paper's cost model for a configuration and a space
@@ -58,18 +50,6 @@ class CostModel {
   double PerRecordCost(const Configuration& config,
                        const std::vector<double>& buckets) const;
 
-  /// PerRecordCost with per-root probe modes (docs/probe_kernel.md §3):
-  /// `root_modes` parallels the configuration's root nodes in node order
-  /// (the runtime's raw-relation order; shorter spans leave the remaining
-  /// roots in hash mode). A sort-mode root replaces its probe term c1 with
-  /// c1_sort and its transfer/feed rate x with the run dedup factor
-  ///   s = d / L,  d = g (1 - (1 - 1/g)^L),  L = LftaHashTable's run length
-  /// — the expected distinct groups per run over the run length, which is
-  /// what a drain actually emits per appended record. Children still hash.
-  double PerRecordCost(const Configuration& config,
-                       const std::vector<double>& buckets,
-                       std::span<const ProbeMode> root_modes) const;
-
   /// Equation 7 attributed to feeding-tree roots: element r holds the part
   /// of PerRecordCost contributed by root node r's whole subtree, and is 0
   /// for non-root nodes. Because every term of Eq 7 belongs to exactly one
@@ -78,19 +58,6 @@ class CostModel {
   /// probe saves (docs/overload.md).
   std::vector<double> PerRecordCostByRoot(
       const Configuration& config, const std::vector<double>& buckets) const;
-
-  /// PerRecordCostByRoot with per-root probe modes; see the PerRecordCost
-  /// overload for the sort-mode substitution. This is what keeps shed-plan
-  /// prices honest when the adaptive controller flips a root to sort-drain:
-  /// a shed record there saves c1_sort + s-weighted downstream work, not
-  /// the hash-mode c1 + x-weighted work.
-  std::vector<double> PerRecordCostByRoot(
-      const Configuration& config, const std::vector<double>& buckets,
-      std::span<const ProbeMode> root_modes) const;
-
-  /// The per-record transfer/feed rate of a sort-mode root over g groups:
-  /// s = d / L with d = g (1 - (1 - 1/g)^L) and L the sort run length.
-  static double SortTransferRate(double groups);
 
   /// End-of-epoch update cost E_u (Equation 8): top-down flush; each non-raw
   /// relation R receives feed_R = M_parent + feed_parent * x_parent probes
@@ -106,14 +73,6 @@ class CostModel {
                        const std::vector<double>& buckets) const;
 
  private:
-  /// Applies the sort-mode substitutions in place: for every root node whose
-  /// mode is kSort, c1s[i] becomes c1_sort and x[i] becomes SortTransferRate
-  /// of the node's catalog group count. `root_modes` is consumed in root
-  /// order (node order restricted to parent < 0).
-  void ApplyProbeModes(const Configuration& config,
-                       std::span<const ProbeMode> root_modes,
-                       std::vector<double>* x, std::vector<double>* c1s) const;
-
   const RelationCatalog* catalog_;
   const CollisionModel* collision_;
   CostParams params_;

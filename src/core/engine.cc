@@ -19,9 +19,9 @@ namespace streamagg {
 namespace {
 
 /// Records a kShedPlanInstall instant for the controller's current plan,
-/// called wherever a plan is pushed into a runtime (initial arm, reprice
-/// after a probe-mode flip, runtime swap, and boundary updates alike) so
-/// the trace shows every install, not just the changed-at-boundary ones.
+/// called wherever a plan is pushed into a runtime (runtime install and
+/// boundary updates alike) so the trace shows every install, not just the
+/// changed-at-boundary ones.
 void TraceShedPlanInstall(const OverloadController& controller,
                           uint64_t epoch) {
   const ShedPlan& plan = controller.shed_plan();
@@ -54,6 +54,17 @@ Status StreamAggEngine::ValidateOptions(const Options& options) {
     return Status::InvalidArgument(
         "Options::shard_queue_capacity must be >= 2 (got " +
         std::to_string(options.shard_queue_capacity) + ")");
+  }
+  if (options.adaptive_options.trend_epochs < 1) {
+    return Status::InvalidArgument(
+        "Options::adaptive_options.trend_epochs must be >= 1 (got " +
+        std::to_string(options.adaptive_options.trend_epochs) + ")");
+  }
+  if (!(options.adaptive_options.widening_slack >= 0.0 &&
+        options.adaptive_options.widening_slack <= 1.0)) {
+    return Status::InvalidArgument(
+        "Options::adaptive_options.widening_slack must be in [0, 1] (got " +
+        std::to_string(options.adaptive_options.widening_slack) + ")");
   }
   STREAMAGG_RETURN_NOT_OK(OverloadController::ValidateOptions(options.overload));
   if (options.overload.enabled &&
@@ -217,7 +228,7 @@ StreamAggEngine::StreamAggEngine(const Schema& schema,
   handles_.resize(queries_.size());
   dense_refcount_.assign(queries_.size(), 1);
   for (size_t i = 0; i < handles_.size(); ++i) {
-    handles_[i].dense = static_cast<int>(i);
+    handles_[i] = static_cast<int>(i);
   }
   if (!parsed_.empty()) {
     shared_filters_ = parsed_.front().filters;
@@ -267,10 +278,6 @@ Status StreamAggEngine::InstallRuntime() {
   // The incoming runtime's counters start at zero; reset the accumulation
   // baseline with them (see RetireRuntime).
   live_counter_baseline_ = RuntimeCounters{};
-  // A fresh runtime starts every table in hash mode; the adaptive boundary
-  // re-decides from the new plan's own telemetry (trend runs restart at a
-  // swap anyway — SnapshotsContinuous breaks there).
-  probe_modes_.clear();
   // The overload controller outlives runtime swaps; each new plan only
   // re-prices its raw relations (and re-derives the shed plan, so the shed
   // floor stays in force on the fresh runtime).
@@ -330,179 +337,145 @@ double StreamAggEngine::RetireRuntime() {
   return timer.ElapsedMillis();
 }
 
-Status StreamAggEngine::HandleEpochBoundary() {
-  // Judge the epoch-snapshot history for a sustained drift trend. The
-  // completed epoch's snapshot was just appended by CaptureEpochSnapshot
-  // (capture is forced on under adaptive), so the trend window ends at the
-  // epoch whose boundary we are standing on; a single noisy epoch cannot
-  // trigger, only trend_epochs consecutive drifted ones can.
-  CostModel cost_model(catalog_.get(), collision_model_.get(),
-                       options_.optimizer.cost);
-  const std::span<const TelemetrySnapshot> history(telemetry_history_);
-  AdaptiveController::Options adaptive_options = options_.adaptive_options;
-  if (adaptive_options.auto_tune_trend) {
-    // Re-derive the trend cadence from the observed epoch-gap spread: a
-    // jittery cadence demands more confirming epochs before any verdict
-    // (drift, overload-independent probe modes) is acted on.
-    adaptive_options =
-        AdaptiveController::AutoTuneTrend(adaptive_options, history);
-  }
-  AdaptiveController controller(&cost_model, plan_.get(), adaptive_options);
-
-  // Probe-mode policy (opt-in; docs/probe_kernel.md §3). Flips are
-  // flag-only: the runtime sits quiescent behind the capture's barrier,
-  // which is exactly where SetProbeModes is specified, and has not flushed
-  // this boundary yet — FlushEpoch drains any pending sort run regardless
-  // of the flag.
-  if (adaptive_options.sort_enter_collision_rate <= 1.0) {
-    std::vector<ProbeMode> modes = controller.DecideProbeModes(history);
-    if (!modes.empty() && modes != probe_modes_) {
-      STREAMAGG_RETURN_NOT_OK(runtime_->SetProbeModes(modes));
-      probe_modes_ = std::move(modes);
-      STREAMAGG_TRACE({
-        uint32_t sort_tables = 0;
-        for (ProbeMode m : probe_modes_) {
-          if (m == ProbeMode::kSort) ++sort_tables;
-        }
-        FlightRecorder::Instance().RecordInstant(
-            TraceEventType::kProbeModeFlip, current_epoch_, sort_tables,
-            static_cast<uint32_t>(probe_modes_.size()));
-      });
-      if (overload_controller_ != nullptr) {
-        // Keep the shed prices honest: a sort-mode root costs c1_sort + the
-        // run dedup rate downstream, not c1 + the hash collision rate.
-        // PriceRelations rebuilds the plan at the current target, so push
-        // the re-derived plan into the runtime immediately.
-        overload_controller_->PriceRelations(&cost_model, *plan_, schema_,
-                                             probe_modes_);
-        STREAMAGG_RETURN_NOT_OK(
-            runtime_->SetShedPlan(overload_controller_->shed_plan()));
-        STREAMAGG_TRACE(
-            TraceShedPlanInstall(*overload_controller_, current_epoch_));
-      }
-    }
-  }
-
-  const AdaptiveController::TrendVerdict verdict =
-      controller.AssessTrend(history);
+Status StreamAggEngine::EpochBoundary(
+    [[maybe_unused]] uint64_t next_epoch) {
   STREAMAGG_TRACE(FlightRecorder::Instance().RecordInstant(
-      TraceEventType::kTrendAssess, current_epoch_,
-      verdict.should_replan ? 1u : 0u,
-      static_cast<uint32_t>(std::max(verdict.max_table, 0)),
-      static_cast<uint32_t>(std::clamp(verdict.max_drift, 0.0, 4.0) *
-                            1000.0)));
-  if (!verdict.should_replan) return Status::OK();
-  STREAMAGG_TRACE(const uint64_t replan_start =
-                      FlightRecorder::Instance().enabled()
-                          ? TelemetryNowNanos()
-                          : 0);
+      TraceEventType::kEpochBoundary, current_epoch_,
+      static_cast<uint32_t>(next_epoch)));
+  // Capture. The history sees the completed epoch's tables as the stream
+  // left them: the capture quiesces the runtime without flushing it (it
+  // flushes when the next run starts), so the tables are safe to read and
+  // still hold the epoch's groups.
+  CaptureEpochSnapshot(current_epoch_);
+  const std::span<const TelemetrySnapshot> history(telemetry_history_);
 
-  const Configuration& config = plan_->config;
-  // The drifted tables condemn their whole feeding trees (verdict indices
-  // line up with configuration nodes — ToRuntimeSpecs preserves order).
-  std::vector<int> tree_root(static_cast<size_t>(config.num_nodes()));
-  for (int i = 0; i < config.num_nodes(); ++i) {
-    int r = i;
-    while (config.node(r).parent >= 0) r = config.node(r).parent;
-    tree_root[static_cast<size_t>(i)] = r;
-  }
-  std::set<int> drifted_roots;
-  for (int t : verdict.drifted_tables) {
-    if (t >= 0 && t < config.num_nodes()) {
-      drifted_roots.insert(tree_root[static_cast<size_t>(t)]);
+  // Drift check and re-plan. The trend window ends at the epoch whose
+  // boundary this is; a single noisy epoch cannot trigger, only
+  // trend_epochs consecutive drifted ones can.
+  if (options_.adaptive) {
+    CostModel cost_model(catalog_.get(), collision_model_.get(),
+                         options_.optimizer.cost);
+    AdaptiveController controller(&cost_model, plan_.get(),
+                                  options_.adaptive_options);
+    const AdaptiveController::TrendVerdict verdict =
+        controller.AssessTrend(history);
+    STREAMAGG_TRACE(FlightRecorder::Instance().RecordInstant(
+        TraceEventType::kTrendAssess, current_epoch_,
+        verdict.should_replan ? 1u : 0u,
+        static_cast<uint32_t>(std::max(verdict.max_table, 0)),
+        static_cast<uint32_t>(std::clamp(verdict.max_drift, 0.0, 4.0) *
+                              1000.0)));
+    if (verdict.should_replan) {
+      STREAMAGG_TRACE(const uint64_t replan_start =
+                          FlightRecorder::Instance().enabled()
+                              ? TelemetryNowNanos()
+                              : 0);
+
+      const Configuration& config = plan_->config;
+      // The drifted tables condemn their whole feeding trees (verdict
+      // indices line up with configuration nodes — ToRuntimeSpecs preserves
+      // order).
+      std::vector<int> tree_root(static_cast<size_t>(config.num_nodes()));
+      for (int i = 0; i < config.num_nodes(); ++i) {
+        int r = i;
+        while (config.node(r).parent >= 0) r = config.node(r).parent;
+        tree_root[static_cast<size_t>(i)] = r;
+      }
+      std::set<int> drifted_roots;
+      for (int t : verdict.drifted_tables) {
+        if (t >= 0 && t < config.num_nodes()) {
+          drifted_roots.insert(tree_root[static_cast<size_t>(t)]);
+        }
+      }
+      std::set<uint32_t> drifted_masks;
+      int pinned_nodes = 0;
+      for (int i = 0; i < config.num_nodes(); ++i) {
+        if (drifted_roots.count(tree_root[static_cast<size_t>(i)]) > 0) {
+          drifted_masks.insert(config.node(i).attrs.mask());
+        } else {
+          ++pinned_nodes;
+        }
+      }
+
+      // Fresh statistics from live (pre-flush) table occupancy — the
+      // capture above quiesced the runtime without flushing it. Only the
+      // drifted trees' relations take fresh estimates: the pinned trees must
+      // re-cost exactly as before, and the rest of the catalog keeps its
+      // prior statistics.
+      const std::map<uint32_t, uint64_t> estimates =
+          controller.EstimateGroupCounts(*runtime_);
+      std::vector<AttributeSet> group_bys;
+      for (const QueryDef& q : queries_) group_bys.push_back(q.group_by);
+      STREAMAGG_ASSIGN_OR_RETURN(FeedingGraph graph,
+                                 FeedingGraph::Build(schema_, group_bys));
+      std::set<AttributeSet> interesting(group_bys.begin(), group_bys.end());
+      for (AttributeSet p : graph.phantoms()) interesting.insert(p);
+      for (int i = 0; i < schema_.num_attributes(); ++i) {
+        interesting.insert(AttributeSet::Single(i));
+      }
+      std::map<uint32_t, uint64_t> counts;
+      for (AttributeSet set : interesting) {
+        auto it = estimates.find(set.mask());
+        const bool fresh =
+            drifted_masks.count(set.mask()) > 0 && it != estimates.end();
+        counts[set.mask()] = fresh ? it->second : catalog_->GroupCount(set);
+      }
+      const double flow_length =
+          catalog_->FlowLength(schema_.AllAttributes());
+      STREAMAGG_ASSIGN_OR_RETURN(
+          RelationCatalog next_catalog,
+          RelationCatalog::Synthetic(schema_, std::move(counts), flow_length));
+
+      // Retire the current runtime at the boundary, then swap in the
+      // re-planned configuration. The retire is timed into the event's
+      // merge_millis — the swap-latency companion to optimize_millis
+      // (docs/observability.md).
+      const double merge_millis = RetireRuntime();
+
+      catalog_ = std::make_unique<RelationCatalog>(std::move(next_catalog));
+      std::vector<int> drifted_nodes(verdict.drifted_tables.begin(),
+                                     verdict.drifted_tables.end());
+      STREAMAGG_ASSIGN_OR_RETURN(
+          OptimizedPlan plan,
+          optimizer_.ReplanSubtrees(*catalog_, *plan_, drifted_nodes,
+                                    PlanningBudget()));
+      last_optimize_millis_ = plan.optimize_millis;
+      ++reoptimizations_;
+
+      ReplanEvent event;
+      event.epoch = current_epoch_;
+      if (verdict.max_table >= 0 && verdict.max_table < config.num_nodes()) {
+        event.trigger_relation =
+            schema_.FormatAttributeSet(config.node(verdict.max_table).attrs);
+      }
+      event.drift = verdict.max_drift;
+      event.pinned_nodes = pinned_nodes;
+      event.replanned_nodes =
+          std::max(0, plan.config.num_nodes() - pinned_nodes);
+      event.optimize_millis = plan.optimize_millis;
+      event.merge_millis = merge_millis;
+      replan_events_.push_back(std::move(event));
+
+      plan_ = std::make_unique<OptimizedPlan>(std::move(plan));
+      STREAMAGG_RETURN_NOT_OK(InstallRuntime());
+      STREAMAGG_TRACE(if (replan_start != 0) {
+        // Covers the whole swap: retire-flush + HFTA merge, re-estimate,
+        // re-optimize, and runtime rebuild — the replan latency a Chrome
+        // trace shows as one block at the epoch boundary.
+        FlightRecorder::Instance().RecordSpan(
+            TraceEventType::kReplanSwap, replan_start, current_epoch_,
+            static_cast<uint32_t>(replan_events_.back().replanned_nodes),
+            static_cast<uint32_t>(replan_events_.back().pinned_nodes));
+      });
     }
   }
-  std::set<uint32_t> drifted_masks;
-  int pinned_nodes = 0;
-  for (int i = 0; i < config.num_nodes(); ++i) {
-    if (drifted_roots.count(tree_root[static_cast<size_t>(i)]) > 0) {
-      drifted_masks.insert(config.node(i).attrs.mask());
-    } else {
-      ++pinned_nodes;
-    }
-  }
 
-  // Fresh statistics from live (pre-flush) table occupancy — the capture
-  // above quiesced the runtime without flushing it. Only the drifted trees'
-  // relations take fresh estimates: the pinned trees must re-cost exactly
-  // as before, and the rest of the catalog keeps its prior statistics.
-  const std::map<uint32_t, uint64_t> estimates =
-      controller.EstimateGroupCounts(*runtime_);
-  std::vector<AttributeSet> group_bys;
-  for (const QueryDef& q : queries_) group_bys.push_back(q.group_by);
-  STREAMAGG_ASSIGN_OR_RETURN(FeedingGraph graph,
-                             FeedingGraph::Build(schema_, group_bys));
-  std::set<AttributeSet> interesting(group_bys.begin(), group_bys.end());
-  for (AttributeSet p : graph.phantoms()) interesting.insert(p);
-  for (int i = 0; i < schema_.num_attributes(); ++i) {
-    interesting.insert(AttributeSet::Single(i));
-  }
-  std::map<uint32_t, uint64_t> counts;
-  for (AttributeSet set : interesting) {
-    auto it = estimates.find(set.mask());
-    const bool fresh =
-        drifted_masks.count(set.mask()) > 0 && it != estimates.end();
-    counts[set.mask()] = fresh ? it->second : catalog_->GroupCount(set);
-  }
-  const double flow_length = catalog_->FlowLength(schema_.AllAttributes());
-  STREAMAGG_ASSIGN_OR_RETURN(
-      RelationCatalog next_catalog,
-      RelationCatalog::Synthetic(schema_, std::move(counts), flow_length));
-
-  // Retire the current runtime at the boundary, then swap in the
-  // re-planned configuration. The retire is timed into the event's
-  // merge_millis — the swap-latency companion to optimize_millis
-  // (docs/observability.md).
-  const double merge_millis = RetireRuntime();
-
-  catalog_ = std::make_unique<RelationCatalog>(std::move(next_catalog));
-  std::vector<int> drifted_nodes(verdict.drifted_tables.begin(),
-                                 verdict.drifted_tables.end());
-  STREAMAGG_ASSIGN_OR_RETURN(
-      OptimizedPlan plan,
-      optimizer_.ReplanSubtrees(*catalog_, *plan_, drifted_nodes,
-                                PlanningBudget()));
-  last_optimize_millis_ = plan.optimize_millis;
-  ++reoptimizations_;
-
-  ReplanEvent event;
-  event.epoch = telemetry_history_.empty() ? current_epoch_
-                                           : telemetry_history_.back().epoch;
-  if (verdict.max_table >= 0 && verdict.max_table < config.num_nodes()) {
-    event.trigger_relation =
-        schema_.FormatAttributeSet(config.node(verdict.max_table).attrs);
-  }
-  event.drift = verdict.max_drift;
-  event.pinned_nodes = pinned_nodes;
-  event.replanned_nodes =
-      std::max(0, plan.config.num_nodes() - pinned_nodes);
-  event.optimize_millis = plan.optimize_millis;
-  event.merge_millis = merge_millis;
-  replan_events_.push_back(std::move(event));
-
-  plan_ = std::make_unique<OptimizedPlan>(std::move(plan));
-  STREAMAGG_RETURN_NOT_OK(InstallRuntime());
-  STREAMAGG_TRACE(if (replan_start != 0) {
-    // Covers the whole swap: retire-flush + HFTA merge, re-estimate,
-    // re-optimize, and runtime rebuild — the replan latency a Chrome trace
-    // shows as one block at the epoch boundary.
-    FlightRecorder::Instance().RecordSpan(
-        TraceEventType::kReplanSwap, replan_start, current_epoch_,
-        static_cast<uint32_t>(replan_events_.back().replanned_nodes),
-        static_cast<uint32_t>(replan_events_.back().pinned_nodes));
-  });
-  return Status::OK();
-}
-
-Status StreamAggEngine::HandleOverloadBoundary() {
+  // Shed plan and rebalance, against whatever runtime the re-plan left in
+  // place. The runtime is still quiescent behind the capture's barrier:
+  // SetShedPlan and ApplyIngestLayout are driver-only operations specified
+  // for exactly this point.
   if (overload_controller_ == nullptr) return Status::OK();
-  // CaptureEpochSnapshot already ran (overload forces capture on): the
-  // history ends at the epoch whose boundary this is, and the runtime is
-  // quiescent behind the capture's Quiesce barrier — both SetShedPlan and
-  // ApplyIngestLayout are driver-only operations specified for exactly
-  // this point.
-  if (overload_controller_->UpdateShedPlan(
-          std::span<const TelemetrySnapshot>(telemetry_history_))) {
+  if (overload_controller_->UpdateShedPlan(history)) {
     STREAMAGG_RETURN_NOT_OK(
         runtime_->SetShedPlan(overload_controller_->shed_plan()));
     STREAMAGG_TRACE(
@@ -511,8 +484,7 @@ Status StreamAggEngine::HandleOverloadBoundary() {
   if (runtime_->num_slots() > 0) {
     OverloadController::IngestLayout layout =
         overload_controller_->DecideRebalance(
-            std::span<const TelemetrySnapshot>(telemetry_history_),
-            runtime_->SlotRecords(), runtime_->slot_shards(),
+            history, runtime_->SlotRecords(), runtime_->slot_shards(),
             runtime_->num_shards(), runtime_->num_producers());
     if (layout.changed) {
       STREAMAGG_TRACE(const uint32_t slots =
@@ -591,18 +563,7 @@ Status StreamAggEngine::Ingest(std::span<const Record> records) {
     if (options_.epoch_seconds > 0.0) {
       const uint64_t epoch = EpochOf(records[i].timestamp);
       if (saw_record_ && epoch != current_epoch_) {
-        STREAMAGG_TRACE(FlightRecorder::Instance().RecordInstant(
-            TraceEventType::kEpochBoundary, current_epoch_,
-            static_cast<uint32_t>(epoch)));
-        // The boundary step. The history sees the completed epoch's tables
-        // as the stream left them (the runtime flushes when the next run
-        // starts); the overload controller then judges against whatever
-        // runtime an adaptive re-plan left in place.
-        CaptureEpochSnapshot(current_epoch_);
-        if (options_.adaptive) {
-          STREAMAGG_RETURN_NOT_OK(HandleEpochBoundary());
-        }
-        STREAMAGG_RETURN_NOT_OK(HandleOverloadBoundary());
+        STREAMAGG_RETURN_NOT_OK(EpochBoundary(epoch));
       }
       current_epoch_ = epoch;
       // Epochs never decrease (CheckTimestamps), so the run is a prefix.
@@ -748,7 +709,7 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
           "existing query first");
     }
     const int id = num_query_ids();
-    handles_.push_back(QueryHandle{static_cast<int>(d), current_epoch_, 0});
+    handles_.push_back(static_cast<int>(d));
     ++dense_refcount_[d];
     parsed_.push_back(std::move(parsed));
     QueryChurnEvent event;
@@ -780,7 +741,7 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
     const int dense = static_cast<int>(queries_.size());
     queries_.push_back(def);
     dense_refcount_.push_back(1);
-    handles_.push_back(QueryHandle{dense, current_epoch_, 0});
+    handles_.push_back(dense);
     parsed_.push_back(std::move(parsed));
     extend_hfta();
     QueryChurnEvent event;
@@ -822,7 +783,7 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
   const int dense = static_cast<int>(queries_.size());
   queries_.push_back(def);
   dense_refcount_.push_back(1);
-  handles_.push_back(QueryHandle{dense, current_epoch_, 0});
+  handles_.push_back(dense);
   parsed_.push_back(std::move(parsed));
   extend_hfta();
   last_optimize_millis_ = next->optimize_millis;
@@ -847,20 +808,18 @@ Status StreamAggEngine::DropQuery(int query_id) {
     return Status::InvalidArgument("unknown query id " +
                                    std::to_string(query_id));
   }
-  QueryHandle& handle = handles_[static_cast<size_t>(query_id)];
-  if (handle.dense < 0) {
+  int& handle = handles_[static_cast<size_t>(query_id)];
+  if (handle < 0) {
     return Status::FailedPrecondition(
         "query id " + std::to_string(query_id) + " was already dropped");
   }
-  int live = 0;
-  for (const QueryHandle& h : handles_) {
-    if (h.dense >= 0) ++live;
-  }
+  const auto live = std::count_if(handles_.begin(), handles_.end(),
+                                  [](int dense) { return dense >= 0; });
   if (live <= 1) {
     return Status::FailedPrecondition(
         "cannot drop the last live query; an engine cannot run queryless");
   }
-  const int dense = handle.dense;
+  const int dense = handle;
   QueryChurnEvent event;
   event.epoch = current_epoch_;
   event.add = false;
@@ -878,8 +837,7 @@ Status StreamAggEngine::DropQuery(int query_id) {
     event.merge_millis = timer.ElapsedMillis();
     event.aliased = true;
     --dense_refcount_[static_cast<size_t>(dense)];
-    handle.dense = -1;
-    handle.dropped_epoch = current_epoch_;
+    handle = -1;
     RecordChurnEvent(std::move(event));
     return Status::OK();
   }
@@ -888,8 +846,7 @@ Status StreamAggEngine::DropQuery(int query_id) {
     // Sampling phase: structural removal before any plan exists.
     ArchiveQuery(query_id, dense, /*include_live=*/false);
     RemoveDenseSlot(dense);
-    handle.dense = -1;
-    handle.dropped_epoch = current_epoch_;
+    handle = -1;
     RecordChurnEvent(std::move(event));
     return Status::OK();
   }
@@ -917,8 +874,7 @@ Status StreamAggEngine::DropQuery(int query_id) {
   // slot before RemoveDenseSlot remaps it away.
   ArchiveQuery(query_id, dense, /*include_live=*/false);
   RemoveDenseSlot(dense);
-  handle.dense = -1;
-  handle.dropped_epoch = current_epoch_;
+  handle = -1;
   event.pinned_nodes = pinned_nodes;
   event.optimize_millis = next->optimize_millis;
   last_optimize_millis_ = next->optimize_millis;
@@ -947,8 +903,8 @@ void StreamAggEngine::ArchiveQuery(int query_id, int dense,
 void StreamAggEngine::RemoveDenseSlot(int dense) {
   queries_.erase(queries_.begin() + dense);
   dense_refcount_.erase(dense_refcount_.begin() + dense);
-  for (QueryHandle& h : handles_) {
-    if (h.dense > dense) --h.dense;
+  for (int& h : handles_) {
+    if (h > dense) --h;
   }
   std::vector<std::vector<MetricSpec>> metrics;
   std::vector<int> source;
@@ -987,7 +943,7 @@ const EpochAggregate& StreamAggEngine::EpochResult(int query_index,
   if (query_index < 0 || query_index >= num_query_ids()) {
     return empty_aggregate_;
   }
-  const int dense = handles_[static_cast<size_t>(query_index)].dense;
+  const int dense = handles_[static_cast<size_t>(query_index)];
   if (dense < 0) {
     auto rid = retired_.find(query_index);
     if (rid == retired_.end()) return empty_aggregate_;
@@ -1015,7 +971,7 @@ const EpochAggregate& StreamAggEngine::EpochResult(int query_index,
 std::vector<uint64_t> StreamAggEngine::Epochs(int query_index) const {
   std::set<uint64_t> epochs;
   if (query_index < 0 || query_index >= num_query_ids()) return {};
-  const int dense = handles_[static_cast<size_t>(query_index)].dense;
+  const int dense = handles_[static_cast<size_t>(query_index)];
   if (dense < 0) {
     auto rid = retired_.find(query_index);
     if (rid != retired_.end()) {
@@ -1130,15 +1086,14 @@ void StreamAggEngine::CaptureEpochSnapshot(uint64_t completed_epoch) {
   if (options_.adaptive) {
     // The trend window needs trend_epochs observations plus the preceding
     // snapshot for the oldest delta.
-    const size_t need = static_cast<size_t>(std::max(
-                            1, options_.adaptive_options.trend_epochs)) +
-                        1;
+    const size_t need =
+        static_cast<size_t>(options_.adaptive_options.trend_epochs) + 1;
     limit = std::max(limit, need);
   }
   if (options_.overload.enabled) {
     // Same shape for the overload controller's pressure window.
     const size_t need =
-        static_cast<size_t>(std::max(1, options_.overload.trend_epochs)) + 1;
+        static_cast<size_t>(options_.overload.trend_epochs) + 1;
     limit = std::max(limit, need);
   }
   while (telemetry_history_.size() > limit) {

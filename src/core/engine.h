@@ -190,7 +190,7 @@ class StreamAggEngine {
   /// True while `query_id` is registered (accumulating results).
   bool IsLive(int query_id) const {
     return query_id >= 0 && query_id < num_query_ids() &&
-           handles_[static_cast<size_t>(query_id)].dense >= 0;
+           handles_[static_cast<size_t>(query_id)] >= 0;
   }
   /// Every add/drop so far, oldest first (also exported via telemetry as
   /// the `query_churn` section).
@@ -247,55 +247,38 @@ class StreamAggEngine {
   int num_queries() const { return static_cast<int>(queries_.size()); }
 
  private:
-  /// Lifecycle of one query id: the dense slot it occupies in queries_/
-  /// the plan/the HFTA (-1 once dropped), and its churn epochs.
-  struct QueryHandle {
-    int dense = -1;
-    uint64_t added_epoch = 0;
-    uint64_t dropped_epoch = 0;
-  };
-
   StreamAggEngine(const Schema& schema, std::vector<QueryDef> queries,
                   std::vector<ParsedQuery> parsed, Options options);
 
   /// Ends the sampling phase: measures statistics, plans, replays buffer.
   Status PlanFromSample();
 
-  /// Epoch boundary (adaptive only): judges the telemetry history for a
-  /// sustained drift trend; on a trigger, re-estimates statistics for the
-  /// drifted feeding trees from live table occupancy, retires the current
-  /// runtime (results/counters carried over), re-plans the drifted subtrees
-  /// with the rest pinned, records a ReplanEvent and swaps in the new
-  /// runtime. CaptureEpochSnapshot must run first: it appends the history
-  /// entry the trend check reads and quiesces the runtime so the tables are
-  /// safe to read.
-  ///
-  /// Also the seat of the probe-mode policy (docs/probe_kernel.md §3): when
-  /// adaptive_options.sort_enter_collision_rate <= 1.0 the same controller
-  /// chooses hash vs. sort-drain per raw table (DecideProbeModes) and
-  /// installs flips via SetProbeModes — flag-only, safe at this quiescent,
-  /// pre-flush boundary. A flip re-prices the overload controller's shed
-  /// plan so its cycles-per-record stay honest.
-  /// When adaptive_options.auto_tune_trend is set, trend_epochs and
-  /// widening_slack are first re-derived from the observed epoch-gap spread
-  /// (AdaptiveController::AutoTuneTrend).
-  Status HandleEpochBoundary();
-
-  /// Epoch boundary (overload controller only): re-judges the shed plan
-  /// against the freshly captured snapshot history and installs it into the
-  /// live runtime; when the runtime routes through a slot table also asks
-  /// the controller for an ingest-layout rebalance and applies it at the
-  /// Quiesce barrier the capture already ran. Runs after
-  /// CaptureEpochSnapshot (and after any adaptive re-plan, so the plan it
-  /// sheds against is the live one).
-  Status HandleOverloadBoundary();
+  /// The boundary step, run once between the last run of an epoch and the
+  /// first run of `next_epoch`, in this order:
+  ///  1. capture — CaptureEpochSnapshot appends the completed epoch's
+  ///     snapshot and quiesces the runtime without flushing it, so the
+  ///     tables still hold the epoch's groups and are safe to read;
+  ///  2. drift check and re-plan (adaptive only) — AdaptiveController::
+  ///     AssessTrend judges the history; on a sustained trend the drifted
+  ///     feeding trees get fresh group counts from live table occupancy,
+  ///     the runtime retires (results and counters carried over), the
+  ///     drifted subtrees are re-planned with the rest pinned, a ReplanEvent
+  ///     is recorded and the new runtime installed (which re-prices the
+  ///     shed plan);
+  ///  3. shed plan and rebalance (overload only) — the controller re-judges
+  ///     its shed target against the history and, when the runtime routes
+  ///     through a slot table, decides an ingest-layout rebalance; both
+  ///     install at the capture's barrier, into whatever runtime step 2
+  ///     left in place.
+  Status EpochBoundary(uint64_t next_epoch);
 
   /// Builds (or rebuilds) the runtime for `plan_`, carrying the HFTA over.
   Status InstallRuntime();
 
   /// Rejects option combinations the engine cannot honor (num_shards or
-  /// num_producers < 1, queue capacity < 2). Messages name the offending
-  /// field and the value it held.
+  /// num_producers < 1, queue capacity < 2, adaptive trend_epochs < 1 or
+  /// widening_slack outside [0, 1], ...). Messages name the offending field
+  /// and the value it held.
   static Status ValidateOptions(const Options& options);
 
   /// Registers a parsed query: alias, structural append (sampling phase),
@@ -372,8 +355,9 @@ class StreamAggEngine {
   /// Dense live query definitions — what the plan and the HFTA hold.
   std::vector<QueryDef> queries_;
   std::vector<ParsedQuery> parsed_;  // One per query id (see handles_).
-  /// Query-id table: handles_[id].dense indexes queries_ (or -1, dropped).
-  std::vector<QueryHandle> handles_;
+  /// Query-id table: handles_[id] is the id's dense slot in queries_, the
+  /// plan and the HFTA (-1 once dropped).
+  std::vector<int> handles_;
   /// Live ids per dense slot (aliases share a slot); parallel to queries_.
   std::vector<int> dense_refcount_;
   /// Archived per-epoch results of dropped query ids.
@@ -411,11 +395,6 @@ class StreamAggEngine {
   /// the runtime's tables (Configuration::ToRuntimeSpecs preserves node
   /// order). Empty when no catalog is available.
   std::vector<double> planned_rates_;
-  /// Per-raw-relation probe modes currently installed in the live runtime
-  /// (raw-relation order). Empty means never decided — every table in hash
-  /// mode, which is also what a fresh runtime starts with, so InstallRuntime
-  /// clears it. Only the adaptive boundary writes it (HandleEpochBoundary).
-  std::vector<ProbeMode> probe_modes_;
   std::vector<TelemetrySnapshot> telemetry_history_;
   /// Every adaptive re-plan so far, oldest first; copied into snapshots by
   /// AnnotateSnapshot so the JSON export carries the re-plan lifecycle.

@@ -141,22 +141,6 @@ Status ConfigurationRuntime::SetShedPlan(const ShedPlan& plan) {
   return Status::OK();
 }
 
-Status ConfigurationRuntime::SetProbeModes(const std::vector<ProbeMode>& modes) {
-  if (!modes.empty() && modes.size() != raw_relations_.size()) {
-    return Status::InvalidArgument(
-        "SetProbeModes needs one mode per raw relation (got " +
-        std::to_string(modes.size()) + ", need " +
-        std::to_string(raw_relations_.size()) + ") or an empty vector");
-  }
-  // Flag-only: pending run-buffer entries are drained by the next
-  // FlushEpoch regardless of mode, so no state migration happens here.
-  for (size_t i = 0; i < raw_relations_.size(); ++i) {
-    tables_[static_cast<size_t>(raw_relations_[i])]->set_probe_mode(
-        modes.empty() ? ProbeMode::kHash : modes[i]);
-  }
-  return Status::OK();
-}
-
 template <bool kFlushing>
 void ConfigurationRuntime::ProbeRelation(int rel, const GroupKey& key,
                                          const AggregateState& state) {
@@ -210,19 +194,6 @@ void ConfigurationRuntime::PropagateEviction(int rel, const GroupKey& key,
   }
 }
 
-void ConfigurationRuntime::HashChunk(const LftaHashTable& table, int width,
-                                     size_t n) {
-  // AoS -> SoA transpose of the just-projected keys (still hot in L1): the
-  // column layout is what lets HashWordsBatch sweep whole-chunk lanes.
-  const uint32_t* cols[kMaxAttributes];
-  for (int w = 0; w < width; ++w) {
-    uint32_t* col = scratch_cols_[static_cast<size_t>(w)].data();
-    for (size_t j = 0; j < n; ++j) col[j] = scratch_keys_[j].values[w];
-    cols[w] = col;
-  }
-  HashWordsBatch(cols, width, n, table.seed(), scratch_hashes_.data());
-}
-
 void ConfigurationRuntime::ProbeChunkHash(
     int rel, LftaHashTable& table, size_t n, std::span<const Record> records,
     const uint32_t* rec_idx, const std::vector<MetricSpec>& metrics) {
@@ -231,7 +202,16 @@ void ConfigurationRuntime::ProbeChunkHash(
   LftaHashTable::SlotClass* const classes = scratch_classes_.data();
   uint64_t* const dirty = scratch_dirty_.data();
   const bool count_only = metrics.empty();
-  HashChunk(table, table.key_width(), n);
+  // AoS -> SoA transpose of the just-projected keys (still hot in L1): the
+  // column layout is what lets HashWordsBatch sweep whole-chunk lanes.
+  const int width = table.key_width();
+  const uint32_t* cols[kMaxAttributes];
+  for (int w = 0; w < width; ++w) {
+    uint32_t* col = scratch_cols_[static_cast<size_t>(w)].data();
+    for (size_t j = 0; j < n; ++j) col[j] = keys[j].values[w];
+    cols[w] = col;
+  }
+  HashWordsBatch(cols, width, n, table.seed(), scratch_hashes_.data());
   for (size_t j = 0; j < n; ++j) {
     buckets[j] = table.BucketOfHash(scratch_hashes_[j]);
     table.Prefetch(buckets[j]);
@@ -292,50 +272,6 @@ void ConfigurationRuntime::ProbeChunkHash(
   }
 }
 
-void ConfigurationRuntime::ProbeChunkSort(
-    int rel, LftaHashTable& table, size_t n, std::span<const Record> records,
-    const uint32_t* rec_idx, const std::vector<MetricSpec>& metrics) {
-  const bool count_only = metrics.empty();
-  HashChunk(table, table.key_width(), n);
-  // Sort-mode appends are not probes: intra_probes (and the table's
-  // probes()) stay untouched; the work is accounted when the run drains
-  // and its distinct groups propagate as transfers/child probes.
-  AggregateState from_record;
-  for (size_t j = 0; j < n; ++j) {
-    const AggregateState* add = &count_one_;
-    if (!count_only) {
-      from_record = AggregateState::FromRecord(records[rec_idx[j]], metrics);
-      add = &from_record;
-    }
-    if (table.SortAppend(scratch_keys_[j], *add, scratch_hashes_[j])) {
-      STREAMAGG_TRACE(const uint64_t run_len = table.sort_run_size();
-                      const uint64_t drain_start =
-                          FlightRecorder::Instance().enabled()
-                              ? TelemetryNowNanos()
-                              : 0);
-      const uint64_t unique =
-          table.DrainSortRun([&](const GroupKey& key,
-                                 const AggregateState& state) {
-            PropagateEviction</*kFlushing=*/false>(rel, key, state);
-          });
-      STREAMAGG_TRACE(if (drain_start != 0) {
-        FlightRecorder::Instance().RecordSpan(
-            TraceEventType::kSortRunDrain, drain_start, current_epoch_,
-            static_cast<uint32_t>(rel), static_cast<uint32_t>(unique),
-            static_cast<uint32_t>(run_len));
-      });
-#if STREAMAGG_TELEMETRY_LEVEL >= 2
-      if (telemetry_level_.load(std::memory_order_relaxed) ==
-          TelemetryLevel::kFull) {
-        telemetry_.sort_run_unique.Record(unique);
-      }
-#else
-      (void)unique;
-#endif
-    }
-  }
-}
-
 void ConfigurationRuntime::ProcessEpochRun(std::span<const Record> records) {
   counters_.records += records.size();
   // Probe relation-major: per raw relation, sweep the run in chunks of
@@ -355,7 +291,6 @@ void ConfigurationRuntime::ProcessEpochRun(std::span<const Record> records) {
     const ProjectionPlan& plan = raw_plans_[ri];
     const std::vector<MetricSpec>& metrics = specs_[rel].metrics;
     const bool count_only = metrics.empty();
-    const bool sort_mode = table.probe_mode() == ProbeMode::kSort;
     const uint32_t shed_num = shedding ? shed_plan_.numerators[ri] : 0;
     if (shed_num == 0) {
       for (size_t base = 0; base < records.size(); base += kChunk) {
@@ -373,11 +308,7 @@ void ConfigurationRuntime::ProcessEpochRun(std::span<const Record> records) {
           }
           rec_idx = survivors;
         }
-        if (sort_mode) {
-          ProbeChunkSort(rel, table, n, records, rec_idx, metrics);
-        } else {
-          ProbeChunkHash(rel, table, n, records, rec_idx, metrics);
-        }
+        ProbeChunkHash(rel, table, n, records, rec_idx, metrics);
       }
       continue;
     }
@@ -403,11 +334,7 @@ void ConfigurationRuntime::ProcessEpochRun(std::span<const Record> records) {
       for (size_t j = 0; j < m; ++j) {
         keys[j] = plan.Apply(records[survivors[j]]);
       }
-      if (sort_mode) {
-        ProbeChunkSort(rel, table, m, records, survivors, metrics);
-      } else {
-        ProbeChunkHash(rel, table, m, records, survivors, metrics);
-      }
+      ProbeChunkHash(rel, table, m, records, survivors, metrics);
     }
     shed_accum_[ri] = accum;
     shed_counts_[ri] += shed;
@@ -480,36 +407,6 @@ void ConfigurationRuntime::FlushEpoch() {
     last_flush_nanos_ = flush_start;
   }
 #endif
-  // Pending sort-mode run buffers drain first, whatever the current mode —
-  // a mode flip never strands partial aggregates. Drained groups propagate
-  // like any other flush eviction, so their cascades land in child tables
-  // before those flush below.
-  for (size_t ri = 0; ri < raw_relations_.size(); ++ri) {
-    const int rel = raw_relations_[ri];
-    LftaHashTable& table = *tables_[rel];
-    if (table.sort_run_size() == 0) continue;
-    STREAMAGG_TRACE(const uint64_t run_len = table.sort_run_size();
-                    const uint64_t drain_start =
-                        FlightRecorder::Instance().enabled()
-                            ? TelemetryNowNanos()
-                            : 0);
-    const uint64_t unique =
-        table.DrainSortRun([&](const GroupKey& key,
-                               const AggregateState& state) {
-          PropagateEviction</*kFlushing=*/true>(rel, key, state);
-        });
-    STREAMAGG_TRACE(if (drain_start != 0) {
-      FlightRecorder::Instance().RecordSpan(
-          TraceEventType::kSortRunDrain, drain_start, current_epoch_,
-          static_cast<uint32_t>(rel), static_cast<uint32_t>(unique),
-          static_cast<uint32_t>(run_len));
-    });
-#if STREAMAGG_TELEMETRY_LEVEL >= 2
-    if (timed) telemetry_.sort_run_unique.Record(unique);
-#else
-    (void)unique;
-#endif
-  }
   // Top-down: specs are ordered parents before children, so by the time a
   // relation is flushed it already holds everything its ancestors pushed
   // down during this flush (paper Section 3.2.2).

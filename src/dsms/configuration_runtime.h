@@ -155,10 +155,6 @@ struct RuntimeTelemetry {
   LogHistogram batch_ns;       ///< Wall nanoseconds per sampled call.
   LogHistogram flush_ns;       ///< Wall nanoseconds per FlushEpoch call.
   LogHistogram epoch_gap_ns;   ///< Wall nanoseconds between epoch flushes.
-  /// Distinct groups emitted per sort-mode run drain (docs/probe_kernel.md
-  /// §3) — the empirical d behind the sort-mode cost term d/L, and the
-  /// signal the adaptive controller uses to leave sort mode.
-  LogHistogram sort_run_unique;
   std::vector<RelationTelemetry> relations;
 
   void Merge(const RuntimeTelemetry& other) {
@@ -166,7 +162,6 @@ struct RuntimeTelemetry {
     batch_ns.Merge(other.batch_ns);
     flush_ns.Merge(other.flush_ns);
     epoch_gap_ns.Merge(other.epoch_gap_ns);
-    sort_run_unique.Merge(other.sort_run_unique);
     if (relations.size() < other.relations.size()) {
       relations.resize(other.relations.size());
     }
@@ -258,9 +253,7 @@ class ConfigurationRuntime {
   Status SetShedPlan(const ShedPlan& plan);
   const ShedPlan& shed_plan() const { return shed_plan_; }
   /// Records dropped at raw relation `i` (raw-relation order) so far.
-  /// Exact: table(raw_relation(i)).probes() + shed_count(i) == records —
-  /// for hash-mode relations; sort-mode appends are not probes
-  /// (docs/probe_kernel.md §3).
+  /// Exact: table(raw_relation(i)).probes() + shed_count(i) == records.
   uint64_t shed_count(int i) const {
     return shed_counts_[static_cast<size_t>(i)];
   }
@@ -270,19 +263,6 @@ class ConfigurationRuntime {
   /// each replica with its shard.
   void set_trace_id(int id) { trace_id_ = id; }
   int trace_id() const { return trace_id_; }
-
-  /// Installs per-raw-relation probe modes (docs/probe_kernel.md §3), under
-  /// the same quiescence contract as SetShedPlan. `modes` parallels
-  /// raw-relation order; empty restores all-hash. The switch is flag-only
-  /// and safe at any record boundary: a run buffer left behind by sort mode
-  /// is drained by the next FlushEpoch regardless of the current mode, so a
-  /// flip never strands partial aggregates. Eviction-fed child probes always
-  /// hash; the mode only steers the raw-record path.
-  Status SetProbeModes(const std::vector<ProbeMode>& modes);
-  /// Current mode of raw relation `i` (raw-relation order).
-  ProbeMode probe_mode(int i) const {
-    return tables_[static_cast<size_t>(raw_relation(i))]->probe_mode();
-  }
 
  private:
   ConfigurationRuntime(const Schema& schema,
@@ -309,27 +289,17 @@ class ConfigurationRuntime {
   /// classifies every slot in a pure read sweep, then applies outcomes in
   /// record order — falling back to the serial probe for buckets dirtied
   /// earlier in the chunk, which keeps results bit-identical to
-  /// record-at-a-time processing. Sort-mode raw relations instead append the
-  /// hashed chunk to their run buffer and drain when it fills.
+  /// record-at-a-time processing.
   void ProcessEpochRun(std::span<const Record> records);
 
-  /// The hash-mode chunk pipeline on `n` already-projected keys in
-  /// scratch_keys_ (record indices rec_idx[0..n) into `records` for
-  /// metric-bearing states; null when count-only). Returns nothing; bumps
-  /// counters exactly as the serial loop would.
+  /// The chunk pipeline on `n` already-projected keys in scratch_keys_
+  /// (record indices rec_idx[0..n) into `records` for metric-bearing
+  /// states; null when count-only): transpose, HashWordsBatch, resolve and
+  /// prefetch buckets, classify, apply. Bumps counters exactly as the
+  /// serial loop would.
   void ProbeChunkHash(int rel, LftaHashTable& table, size_t n,
                       std::span<const Record> records, const uint32_t* rec_idx,
                       const std::vector<MetricSpec>& metrics);
-
-  /// The sort-mode chunk pipeline: batch-hash and append; drains the run
-  /// through PropagateEviction when it fills.
-  void ProbeChunkSort(int rel, LftaHashTable& table, size_t n,
-                      std::span<const Record> records, const uint32_t* rec_idx,
-                      const std::vector<MetricSpec>& metrics);
-
-  /// Transposes scratch_keys_[0..n) into scratch_cols_ and writes the
-  /// chunk's HashWordsBatch results (table seed) into scratch_hashes_.
-  void HashChunk(const LftaHashTable& table, int width, size_t n);
 
   Schema schema_;
   std::vector<RuntimeRelationSpec> specs_;

@@ -1,8 +1,6 @@
 #include "dsms/lfta_hash_table.h"
 
 #include <cassert>
-#include <cstring>
-#include <limits>
 #include <utility>
 
 #include "util/dcheck.h"
@@ -45,59 +43,6 @@ void LftaHashTable::ResetStats() {
   occupied_hwm_ = occupied_;
   flushed_entries_ = 0;
   flushes_ = 0;
-  sort_appends_ = 0;
-  sort_drains_ = 0;
-  sort_drained_entries_ = 0;
-  sort_unique_groups_ = 0;
-}
-
-bool LftaHashTable::SortAppend(const GroupKey& key, const AggregateState& add,
-                               uint64_t hash) {
-  STREAMAGG_DCHECK(key.size == key_width_);
-  STREAMAGG_DCHECK(add.num_metrics == metrics_.size());
-  STREAMAGG_DCHECK(run_count_ < kSortRunCapacity &&
-                   "SortAppend after a full run: caller must DrainSortRun");
-  if (run_entries_.empty()) {
-    run_entries_.resize(static_cast<size_t>(kSortRunCapacity) *
-                        static_cast<size_t>(slot_words_));
-    run_hashes_.resize(kSortRunCapacity);
-    run_order_.resize(kSortRunCapacity);
-    run_order_tmp_.resize(kSortRunCapacity);
-  }
-  StoreEntry(run_entries_.data() +
-                 static_cast<size_t>(run_count_) *
-                     static_cast<size_t>(slot_words_),
-             key, add);
-  run_hashes_[run_count_] = hash;
-  ++run_count_;
-  ++sort_appends_;
-  return run_count_ == kSortRunCapacity;
-}
-
-void LftaHashTable::SortRunOrder(uint32_t n) {
-  uint32_t* src = run_order_.data();
-  uint32_t* dst = run_order_tmp_.data();
-  for (uint32_t i = 0; i < n; ++i) src[i] = i;
-  uint32_t hist[256];
-  // Eight stable LSD passes over the 64-bit hash; an even number of
-  // src/dst swaps lands the sorted order back in run_order_.
-  for (int pass = 0; pass < 8; ++pass) {
-    const int shift = pass * 8;
-    std::memset(hist, 0, sizeof(hist));
-    for (uint32_t i = 0; i < n; ++i) {
-      ++hist[(run_hashes_[src[i]] >> shift) & 0xff];
-    }
-    uint32_t sum = 0;
-    for (uint32_t d = 0; d < 256; ++d) {
-      const uint32_t c = hist[d];
-      hist[d] = sum;
-      sum += c;
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      dst[hist[(run_hashes_[src[i]] >> shift) & 0xff]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
 }
 
 }  // namespace streamagg

@@ -20,14 +20,6 @@ enum class ProbeOutcome {
   kCollision, ///< Bucket held a different group; it was evicted and replaced.
 };
 
-/// Which algorithm drains raw records through a table
-/// (docs/probe_kernel.md). Chosen per table by the adaptive controller; the
-/// decision is exported per table in telemetry (`probe_mode`).
-enum class ProbeMode : uint8_t {
-  kHash = 0,  ///< Probe/evict hash aggregation — the paper's LFTA.
-  kSort = 1,  ///< Accumulate into a run buffer, radix-sort-merge on drain.
-};
-
 /// Gigascope-style low-level aggregation hash table (paper Section 2.2):
 /// one {group, state} entry per bucket, where the state is the running
 /// count(*) plus any additional distributive metrics (sum/min/max of an
@@ -157,107 +149,6 @@ class LftaHashTable {
     StoreEntry(slot, key, add);
   }
 
-  // --- Sort-drain mode (docs/probe_kernel.md §3) --------------------------
-  // In ProbeMode::kSort the raw-record path bypasses the hash slots
-  // entirely: records append {packed entry, 64-bit key hash} to a bounded
-  // run buffer, and a drain radix-sorts the run by hash, merges
-  // equal-adjacent keys, and emits one entry per group for the caller to
-  // propagate downstream. When groups >> buckets this trades the
-  // ~1-eviction-per-record hash thrash for d/L transfers per record
-  // (d = distinct groups in a run of L records). The buffer is lazily
-  // allocated scratch outside the paper's per-slot memory accounting,
-  // bounded by kSortRunCapacity * slot_words() words (plus 12 bytes/entry
-  // of hash+order arrays). Drains are deterministic functions of the
-  // per-table record sequence (buffer full, epoch flush), so results stay
-  // bit-identical across batch splits and across mode flips at epoch
-  // boundaries. Entries whose distinct keys share a 64-bit hash are emitted
-  // as separate (possibly duplicate) groups — downstream merges are
-  // commutative, so answers are unaffected.
-
-  /// Run length L of sort-drain mode. Larger runs amortize the sort and
-  /// dedup better (d/L falls as L grows past the group count) at the price
-  /// of a bigger scratch buffer.
-  static constexpr uint32_t kSortRunCapacity = 8192;
-
-  /// The mode only steers the *caller's* raw-record path
-  /// (ConfigurationRuntime::ProcessBatch); eviction-fed probes from parents
-  /// always hash. Flip at epoch boundaries: entries still in the run buffer
-  /// are drained by the next FlushEpoch regardless of the current mode, so
-  /// a flip never strands partials.
-  void set_probe_mode(ProbeMode mode) { probe_mode_ = mode; }
-  ProbeMode probe_mode() const { return probe_mode_; }
-
-  /// Appends one record's contribution under `hash` = HashWords of the key
-  /// with this table's seed (the batched kernel already computed it).
-  /// Returns true when the run just filled — the caller must drain before
-  /// the next append.
-  bool SortAppend(const GroupKey& key, const AggregateState& add,
-                  uint64_t hash);
-  uint32_t sort_run_size() const { return run_count_; }
-
-  /// Radix-sorts the pending run by hash, merges equal-adjacent keys and
-  /// invokes fn(key, merged_state) once per distinct group (in hash order),
-  /// then empties the run. Returns the number of groups emitted.
-  template <typename Fn>
-  uint64_t DrainSortRun(Fn&& fn) {
-    const uint32_t n = run_count_;
-    if (n == 0) return 0;
-    SortRunOrder(n);
-    const uint32_t* order = run_order_.data();
-    uint64_t emitted = 0;
-    GroupKey cur_key;
-    AggregateState cur_state;
-    uint64_t cur_hash = 0;
-    bool have = false;
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint32_t idx = order[i];
-      const uint32_t* entry =
-          run_entries_.data() +
-          static_cast<size_t>(idx) * static_cast<size_t>(slot_words_);
-      if (have && run_hashes_[idx] == cur_hash) {
-        bool same = true;
-        for (int w = 0; w < key_width_; ++w) {
-          if (entry[w] != cur_key.values[w]) {
-            same = false;
-            break;
-          }
-        }
-        if (same) {
-          GroupKey k;
-          AggregateState add;
-          LoadEntry(entry, &k, &add);
-          cur_state.Merge(add, metrics_);
-          continue;
-        }
-      }
-      if (have) {
-        fn(cur_key, cur_state);
-        ++emitted;
-      }
-      LoadEntry(entry, &cur_key, &cur_state);
-      cur_hash = run_hashes_[idx];
-      have = true;
-    }
-    if (have) {
-      fn(cur_key, cur_state);
-      ++emitted;
-    }
-    run_count_ = 0;
-    ++sort_drains_;
-    sort_drained_entries_ += n;
-    sort_unique_groups_ += emitted;
-    return emitted;
-  }
-
-  // Sort-mode lifetime tallies (monotonic, like probes()/collisions();
-  // ResetStats clears them). In sort mode appends are *not* probes — the
-  // `probes() + shed == records` identity of the raw probe loop holds in
-  // hash mode only.
-  uint64_t sort_appends() const { return sort_appends_; }
-  uint64_t sort_drains() const { return sort_drains_; }
-  uint64_t sort_drained_entries() const { return sort_drained_entries_; }
-  uint64_t sort_unique_groups() const { return sort_unique_groups_; }
-
   /// Invokes fn(key, state) for every occupied bucket, then empties the
   /// table. Used for end-of-epoch processing (paper Section 3.2.2).
   template <typename Fn>
@@ -343,10 +234,6 @@ class LftaHashTable {
   /// kUpdated fast path, skipping the LoadEntry/Merge/StoreEntry round trip
   /// (no GroupKey copy, no rewrite of the key words).
   void MergeSlot(uint32_t* slot, const AggregateState& add);
-  /// Fills run_order_[0..n) with the run's entry indices sorted by
-  /// run_hashes_ (LSD radix, 8x8-bit stable counting-sort passes).
-  void SortRunOrder(uint32_t n);
-
   uint64_t num_buckets_;
   int key_width_;
   std::vector<MetricSpec> metrics_;
@@ -367,21 +254,6 @@ class LftaHashTable {
   uint64_t occupied_hwm_ = 0;
   uint64_t flushed_entries_ = 0;
   uint64_t flushes_ = 0;
-
-  /// Sort-drain mode state: the pending run as packed slot-format entries
-  /// (stride slot_words_), the parallel key hashes, and the radix-sort
-  /// index arrays (ping-pong). All lazily allocated on the first SortAppend
-  /// so hash-mode tables pay nothing.
-  ProbeMode probe_mode_ = ProbeMode::kHash;
-  std::vector<uint32_t> run_entries_;
-  std::vector<uint64_t> run_hashes_;
-  std::vector<uint32_t> run_order_;
-  std::vector<uint32_t> run_order_tmp_;
-  uint32_t run_count_ = 0;
-  uint64_t sort_appends_ = 0;
-  uint64_t sort_drains_ = 0;
-  uint64_t sort_drained_entries_ = 0;
-  uint64_t sort_unique_groups_ = 0;
 };
 
 inline void LftaHashTable::LoadEntry(const uint32_t* slot, GroupKey* key,

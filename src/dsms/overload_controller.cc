@@ -69,13 +69,12 @@ OverloadController::OverloadController(Options options)
 
 void OverloadController::PriceRelations(const CostModel* cost_model,
                                         const OptimizedPlan& plan,
-                                        const Schema& schema,
-                                        std::span<const ProbeMode> root_modes) {
+                                        const Schema& schema) {
   prices_.clear();
   const Configuration& config = plan.config;
   const std::vector<double> by_root =
       cost_model != nullptr
-          ? cost_model->PerRecordCostByRoot(config, plan.buckets, root_modes)
+          ? cost_model->PerRecordCostByRoot(config, plan.buckets)
           : std::vector<double>(static_cast<size_t>(config.num_nodes()), 1.0);
   // Root attribution and query census, same walk as PerRecordCostByRoot
   // (parents precede children in the node order).

@@ -117,15 +117,8 @@ class OverloadController {
   /// `cost_model` (pinned plans without catalog statistics) falls back to
   /// uniform pricing — the floor and trend logic still work, only the
   /// which-relation preference degrades to accuracy weight alone.
-  /// `root_modes` carries the current per-root probe modes (raw-relation
-  /// order, from AdaptiveController::DecideProbeModes); empty means all
-  /// hash. Sort-mode roots are priced with the c1_sort + dedup-rate
-  /// substitution (CostModel::PerRecordCostByRoot's modes overload), so the
-  /// shed plan keeps preferring the relations whose records actually cost
-  /// the most. Re-call after a mode flip.
   void PriceRelations(const CostModel* cost_model, const OptimizedPlan& plan,
-                      const Schema& schema,
-                      std::span<const ProbeMode> root_modes = {});
+                      const Schema& schema);
   const std::vector<RelationPrice>& prices() const { return prices_; }
 
   /// Pressure of the epoch `cur` closes, as a ratio of the worst signal to

@@ -548,13 +548,6 @@ Status ShardedRuntime::SetShedPlan(const ShedPlan& plan) {
   return Status::OK();
 }
 
-Status ShardedRuntime::SetProbeModes(const std::vector<ProbeMode>& modes) {
-  for (auto& shard : shards_) {
-    STREAMAGG_RETURN_NOT_OK(shard->SetProbeModes(modes));
-  }
-  return Status::OK();
-}
-
 uint64_t ShardedRuntime::shed_count(int i) const {
   uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->shed_count(i);

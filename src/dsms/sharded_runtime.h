@@ -210,12 +210,6 @@ class ShardedRuntime {
   /// shards. Same quiescence contract as shard().
   uint64_t shed_count(int i) const;
 
-  /// Installs per-raw-relation probe modes on every shard replica
-  /// (docs/probe_kernel.md §3). Same driver-only, between-barriers contract
-  /// as SetShedPlan; each shard drains any pending sort run at its own next
-  /// epoch flush, so flips stay bit-identical across shard splits.
-  Status SetProbeModes(const std::vector<ProbeMode>& modes);
-
   /// Slot-map routing state (empty / 0 when rebalancing is disabled).
   int num_slots() const { return static_cast<int>(slot_shards_.size()); }
   const std::vector<int>& slot_shards() const { return slot_shards_; }

@@ -250,26 +250,6 @@ std::string TelemetryToOpenMetrics(const TelemetrySnapshot& snapshot) {
              PerTable(tables, [](const TableTelemetry& t) {
                return FormatUint(t.flushed_entries);
              }));
-  EmitFamily(&out, "streamagg_table_probe_mode", "gauge",
-             "Probe mode of the raw-record path (0 hash, 1 sort).",
-             PerTable(tables, [](const TableTelemetry& t) {
-               return FormatUint(static_cast<uint64_t>(t.probe_mode));
-             }));
-  EmitFamily(&out, "streamagg_table_sort_appends", "counter",
-             "Records appended to sort-run buffers.",
-             PerTable(tables, [](const TableTelemetry& t) {
-               return FormatUint(t.sort_appends);
-             }));
-  EmitFamily(&out, "streamagg_table_sort_drains", "counter",
-             "Sort-run drains (full-run and flush).",
-             PerTable(tables, [](const TableTelemetry& t) {
-               return FormatUint(t.sort_drains);
-             }));
-  EmitFamily(&out, "streamagg_table_sort_unique_groups", "counter",
-             "Distinct groups emitted by sort-run drains.",
-             PerTable(tables, [](const TableTelemetry& t) {
-               return FormatUint(t.sort_unique_groups);
-             }));
   {
     // Observed vs predicted collision rate, the paper's drift comparison,
     // distinguished by a `kind` label; the predicted sample is absent for
@@ -388,9 +368,6 @@ std::string TelemetryToOpenMetrics(const TelemetrySnapshot& snapshot) {
   EmitHistogram(&out, "streamagg_epoch_gap_ns",
                 "Wall-clock nanoseconds between epoch flushes.",
                 snapshot.epoch_gap_ns);
-  EmitHistogram(&out, "streamagg_sort_run_unique",
-                "Distinct groups per sort-mode run drain.",
-                snapshot.sort_run_unique);
 
   out += "# EOF\n";
   return out;

@@ -88,10 +88,6 @@ JsonValue TableToJson(const TableTelemetry& t) {
   out.Set("flush_evictions", JsonValue::Number(t.flush_evictions));
   out.Set("hfta_transfers", JsonValue::Number(t.hfta_transfers));
   out.Set("flushed_entries", JsonValue::Number(t.flushed_entries));
-  out.Set("probe_mode", JsonValue::Number(static_cast<int64_t>(t.probe_mode)));
-  out.Set("sort_appends", JsonValue::Number(t.sort_appends));
-  out.Set("sort_drains", JsonValue::Number(t.sort_drains));
-  out.Set("sort_unique_groups", JsonValue::Number(t.sort_unique_groups));
   out.Set("x_observed", JsonValue::Number(t.observed_collision_rate));
   out.Set("x_predicted", JsonValue::Number(t.predicted_collision_rate));
   out.Set("flush_occupancy", HistogramToJson(t.flush_occupancy));
@@ -115,15 +111,6 @@ TableTelemetry TableFromJson(const JsonValue& v) {
   t.flush_evictions = v.Get("flush_evictions").AsUint64();
   t.hfta_transfers = v.Get("hfta_transfers").AsUint64();
   t.flushed_entries = v.Get("flushed_entries").AsUint64();
-  // Absent in snapshots serialized before the sort-drain probe mode.
-  if (v.Has("probe_mode")) {
-    t.probe_mode = static_cast<int>(v.Get("probe_mode").AsInt64());
-  }
-  if (v.Has("sort_appends")) t.sort_appends = v.Get("sort_appends").AsUint64();
-  if (v.Has("sort_drains")) t.sort_drains = v.Get("sort_drains").AsUint64();
-  if (v.Has("sort_unique_groups")) {
-    t.sort_unique_groups = v.Get("sort_unique_groups").AsUint64();
-  }
   t.observed_collision_rate = v.Get("x_observed").AsDouble();
   t.predicted_collision_rate = v.Has("x_predicted")
                                    ? v.Get("x_predicted").AsDouble()
@@ -270,12 +257,6 @@ void TableTelemetry::MergeFrom(const TableTelemetry& other) {
   flush_evictions += other.flush_evictions;
   hfta_transfers += other.hfta_transfers;
   flushed_entries += other.flushed_entries;
-  // Replicas of one table share the controller's mode decision; max keeps
-  // the merged view honest if a flip lands between per-shard snapshots.
-  probe_mode = std::max(probe_mode, other.probe_mode);
-  sort_appends += other.sort_appends;
-  sort_drains += other.sort_drains;
-  sort_unique_groups += other.sort_unique_groups;
   flush_occupancy.Merge(other.flush_occupancy);
   observed_collision_rate =
       probes == 0 ? 0.0
@@ -350,7 +331,6 @@ void TelemetrySnapshot::MergeFrom(const TelemetrySnapshot& other) {
   batch_ns.Merge(other.batch_ns);
   flush_ns.Merge(other.flush_ns);
   epoch_gap_ns.Merge(other.epoch_gap_ns);
-  sort_run_unique.Merge(other.sort_run_unique);
 }
 
 std::string TelemetrySnapshot::ToJsonLine() const {
@@ -410,7 +390,6 @@ std::string TelemetrySnapshot::ToJsonLine() const {
   histograms.Set("batch_ns", HistogramToJson(batch_ns));
   histograms.Set("flush_ns", HistogramToJson(flush_ns));
   histograms.Set("epoch_gap_ns", HistogramToJson(epoch_gap_ns));
-  histograms.Set("sort_run_unique", HistogramToJson(sort_run_unique));
   root.Set("histograms", std::move(histograms));
   return root.Dump();
 }
@@ -494,10 +473,6 @@ Result<TelemetrySnapshot> TelemetrySnapshot::FromJsonLine(
   s.batch_ns = HistogramFromJson(histograms.Get("batch_ns"));
   s.flush_ns = HistogramFromJson(histograms.Get("flush_ns"));
   s.epoch_gap_ns = HistogramFromJson(histograms.Get("epoch_gap_ns"));
-  // Absent in snapshots serialized before the sort-drain probe mode.
-  if (histograms.Has("sort_run_unique")) {
-    s.sort_run_unique = HistogramFromJson(histograms.Get("sort_run_unique"));
-  }
   return s;
 }
 
@@ -647,31 +622,10 @@ std::string TelemetrySnapshot::ToTable() const {
     }
     out += '\n';
   }
-  // Probe modes only earn a line once some table has left hash mode.
-  bool any_sort = false;
-  for (const TableTelemetry& t : tables) {
-    if (t.probe_mode != 0 || t.sort_drains > 0) any_sort = true;
-  }
-  if (any_sort) {
-    out += "probe modes:";
-    for (const TableTelemetry& t : tables) {
-      if (t.probe_mode == 0 && t.sort_drains == 0) continue;
-      std::snprintf(buffer, sizeof(buffer),
-                    " [%s %s drains=%llu unique=%llu]", t.relation.c_str(),
-                    t.probe_mode != 0 ? "sort" : "hash",
-                    static_cast<unsigned long long>(t.sort_drains),
-                    static_cast<unsigned long long>(t.sort_unique_groups));
-      out += buffer;
-    }
-    out += '\n';
-  }
   out += FormatHistogramLine("batch_records", batch_records);
   out += FormatHistogramLine("batch_ns", batch_ns);
   out += FormatHistogramLine("flush_ns", flush_ns);
   out += FormatHistogramLine("epoch_gap_ns", epoch_gap_ns);
-  if (sort_run_unique.count() > 0) {
-    out += FormatHistogramLine("sort_run_uniq", sort_run_unique);
-  }
   return out;
 }
 
@@ -686,7 +640,6 @@ TelemetrySnapshot BuildTelemetrySnapshot(const ConfigurationRuntime& runtime,
   s.batch_ns = telemetry.batch_ns;
   s.flush_ns = telemetry.flush_ns;
   s.epoch_gap_ns = telemetry.epoch_gap_ns;
-  s.sort_run_unique = telemetry.sort_run_unique;
   s.tables.reserve(static_cast<size_t>(runtime.num_relations()));
   for (int i = 0; i < runtime.num_relations(); ++i) {
     const RuntimeRelationSpec& spec = runtime.spec(i);
@@ -704,10 +657,6 @@ TelemetrySnapshot BuildTelemetrySnapshot(const ConfigurationRuntime& runtime,
     t.updates = table.updates();
     t.collisions = table.collisions();
     t.flushed_entries = table.flushed_entries();
-    t.probe_mode = static_cast<int>(table.probe_mode());
-    t.sort_appends = table.sort_appends();
-    t.sort_drains = table.sort_drains();
-    t.sort_unique_groups = table.sort_unique_groups();
     t.observed_collision_rate = table.CollisionRate();
     const RelationTelemetry& rt =
         telemetry.relations[static_cast<size_t>(i)];

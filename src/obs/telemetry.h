@@ -40,15 +40,6 @@ struct TableTelemetry {
   uint64_t flush_evictions = 0;
   uint64_t hfta_transfers = 0;
   uint64_t flushed_entries = 0;  ///< Entries drained by epoch flushes.
-  /// Probe mode the raw-record path is running in (ProbeMode as int:
-  /// 0 = hash, 1 = sort) — the adaptive controller's per-table hash/sort
-  /// decision, exported for inspection (docs/probe_kernel.md §3). Always 0
-  /// for non-raw tables.
-  int probe_mode = 0;
-  // Sort-drain tallies (zero while the table has only ever hashed).
-  uint64_t sort_appends = 0;         ///< Records appended to run buffers.
-  uint64_t sort_drains = 0;          ///< Run drains (full-run + flush).
-  uint64_t sort_unique_groups = 0;   ///< Distinct groups emitted by drains.
   /// Occupied buckets at each epoch flush (kFull tier only).
   LogHistogram flush_occupancy;
   /// collisions / probes — the paper's empirical x.
@@ -227,9 +218,6 @@ struct TelemetrySnapshot {
   LogHistogram batch_ns;
   LogHistogram flush_ns;
   LogHistogram epoch_gap_ns;
-  /// Distinct groups per sort-mode run drain (kFull tier; empty while no
-  /// table has run in sort mode). See docs/probe_kernel.md §3.
-  LogHistogram sort_run_unique;
 
   /// Folds another snapshot into this one: counters/tallies sum, per-index
   /// tables merge (TableTelemetry::MergeFrom), histograms merge, shard and
@@ -240,6 +228,9 @@ struct TelemetrySnapshot {
 
   /// One compact JSON object (no newline); schema in docs/observability.md.
   std::string ToJsonLine() const;
+  /// Parses a ToJsonLine object. Keys it does not know are ignored, so
+  /// lines from older builds still parse — including the per-table fields
+  /// and the histogram of the retired sort-drain probe mode.
   static Result<TelemetrySnapshot> FromJsonLine(const std::string& line);
 
   /// Multi-line human-readable rendering (streamagg_cli --stats).

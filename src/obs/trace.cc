@@ -55,14 +55,10 @@ const char* TraceEventName(TraceEventType type) {
       return "trend_assess";
     case TraceEventType::kReplanSwap:
       return "replan_swap";
-    case TraceEventType::kProbeModeFlip:
-      return "probe_mode_flip";
     case TraceEventType::kShedPlanInstall:
       return "shed_plan_install";
     case TraceEventType::kRebalance:
       return "rebalance";
-    case TraceEventType::kSortRunDrain:
-      return "sort_run_drain";
     case TraceEventType::kQueryChurn:
       return "query_churn";
   }
@@ -272,21 +268,12 @@ JsonValue EventArgs(const TraceEvent& e) {
       args.Set("replanned_nodes", JsonValue::Number(uint64_t{e.arg0}));
       args.Set("pinned_nodes", JsonValue::Number(uint64_t{e.arg1}));
       break;
-    case TraceEventType::kProbeModeFlip:
-      args.Set("sort_tables", JsonValue::Number(uint64_t{e.arg0}));
-      args.Set("raw_relations", JsonValue::Number(uint64_t{e.arg1}));
-      break;
     case TraceEventType::kShedPlanInstall:
       args.Set("target_permille", JsonValue::Number(uint64_t{e.arg0}));
       args.Set("shedding_relations", JsonValue::Number(uint64_t{e.arg1}));
       break;
     case TraceEventType::kRebalance:
       args.Set("slots", JsonValue::Number(uint64_t{e.arg0}));
-      break;
-    case TraceEventType::kSortRunDrain:
-      args.Set("relation", JsonValue::Number(uint64_t{e.arg0}));
-      args.Set("unique_groups", JsonValue::Number(uint64_t{e.arg1}));
-      args.Set("run_length", JsonValue::Number(uint64_t{e.arg2}));
       break;
     case TraceEventType::kQueryChurn:
       args.Set("action", JsonValue::Str(e.arg0 != 0 ? "add" : "drop"));

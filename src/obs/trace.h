@@ -13,7 +13,7 @@
 
 /// Flight recorder (docs/tracing.md): an always-on, allocation-free record
 /// of the runtime's *events* — epoch boundaries, barrier phases, SPSC
-/// stalls, re-plan swaps, probe-mode flips, shed-plan installs — where the
+/// stalls, re-plan swaps, shed-plan installs, query churn — where the
 /// telemetry layer (obs/telemetry.h) records only aggregates. Each thread
 /// writes typed span/instant events into its own fixed-capacity ring
 /// buffer; rings can be snapshotted from any thread without stopping
@@ -38,7 +38,9 @@
 namespace streamagg {
 
 /// The event catalog (docs/tracing.md §2). Spans carry a nonzero duration;
-/// instants mark a point in time. Payload args are type-specific:
+/// instants mark a point in time. Payload args are type-specific. Values 7
+/// and 10 belonged to the retired sort-drain probe mode's events and stay
+/// unused, so every other type keeps its number:
 enum class TraceEventType : uint8_t {
   kEpochBoundary = 0,  ///< instant: engine epoch advanced (arg0 = next epoch).
   kEpochFlush = 1,     ///< span: ConfigurationRuntime::FlushEpoch (arg0 = shard).
@@ -47,10 +49,8 @@ enum class TraceEventType : uint8_t {
   kBlockedPush = 4,    ///< span: SPSC PushBlocking stall (arg0 = producer, arg1 = shard).
   kTrendAssess = 5,    ///< instant: AdaptiveController verdict (arg0 = should_replan, arg1 = max table, arg2 = drift permille).
   kReplanSwap = 6,     ///< span: re-plan + runtime swap (arg0 = replanned nodes, arg1 = pinned nodes).
-  kProbeModeFlip = 7,  ///< instant: probe modes installed (arg0 = sort-mode tables, arg1 = raw relations).
   kShedPlanInstall = 8,  ///< instant: shed plan installed (arg0 = target permille, arg1 = shedding relations).
   kRebalance = 9,        ///< instant: ingest layout applied (arg0 = slots).
-  kSortRunDrain = 10,    ///< span: sort-run drain (arg0 = relation, arg1 = unique groups, arg2 = run length).
   kQueryChurn = 11,      ///< instant: query added/dropped (arg0 = 1 add / 0 drop, arg1 = query id, arg2 = 1 when grafted).
 };
 

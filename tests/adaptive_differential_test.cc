@@ -273,61 +273,5 @@ TEST(AdaptiveDifferentialTest, SingleEpochSpikeTriggersNoReplan) {
   }
 }
 
-TEST(AdaptiveDifferentialTest, SortModeFlipRoundTripStaysExact) {
-  // Probe-mode policy differential (docs/probe_kernel.md §3): calm traffic
-  // long enough to plan small tables, then a saturating blow-up that drives
-  // the raw tables into sort-drain mode, then a tiny universe whose drains
-  // dedup far below the bucket count — back to hash. Both flips are
-  // flag-only swaps at epoch boundaries; every epoch of every query must
-  // stay bit-identical to the reference across them, on every P x S split.
-  const uint64_t seed = HarnessSeed();
-  const Schema schema = *Schema::Default(4);
-  const std::vector<QueryDef> queries = TwoQueries(schema);
-  const std::vector<Phase> phases = {
-      {200, 1, 6.0, 30000},   // planned distribution, tables fit
-      {6000, 1, 8.0, 80000},  // groups >> buckets: saturated collisions
-      {20, 1, 8.0, 80000},    // tiny universe: drains dedup to ~20 groups
-  };
-  const Trace trace = ShiftTrace(schema, phases, seed);
-
-  for (const Split& split : kSplits) {
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " producers=" +
-                 std::to_string(split.producers) + " shards=" +
-                 std::to_string(split.shards));
-    StreamAggEngine::Options options =
-        AdaptiveOptions(split.producers, split.shards);
-    options.memory_words = 6000.0;  // Small tables: phase 2 saturates them.
-    // Isolate the probe-mode policy: drift re-plans are unreachable, so the
-    // plan (and the snapshot run) stays fixed while modes flip.
-    options.adaptive_options.deviation_threshold = 1e12;
-    options.adaptive_options.sort_enter_collision_rate = 0.5;
-    options.adaptive_options.sort_exit_unique_fraction = 0.9;
-    auto engine = RunAllBatches(trace, queries, options);
-    ASSERT_NE(engine, nullptr);
-    EXPECT_EQ(engine->reoptimizations(), 0);
-
-    // The history must witness a root table in sort mode mid-run...
-    bool entered_sort = false;
-    uint64_t peak_sort_appends = 0;
-    for (const TelemetrySnapshot& snap : engine->telemetry_history()) {
-      for (const TableTelemetry& table : snap.tables) {
-        if (table.probe_mode != 0) entered_sort = true;
-        peak_sort_appends = std::max(peak_sort_appends, table.sort_appends);
-      }
-    }
-    EXPECT_TRUE(entered_sort) << "phase 2 never entered sort-drain mode";
-    EXPECT_GT(peak_sort_appends, 0u);
-    // ...and the final state must be back to hash everywhere, with the
-    // sort-era tallies still on the record (no runtime swap reset them).
-    const TelemetrySnapshot final_snapshot = engine->telemetry();
-    bool saw_sort_history = false;
-    for (const TableTelemetry& table : final_snapshot.tables) {
-      EXPECT_EQ(table.probe_mode, 0) << table.relation;
-      if (table.sort_appends > 0) saw_sort_history = true;
-    }
-    EXPECT_TRUE(saw_sort_history);
-  }
-}
-
 }  // namespace
 }  // namespace streamagg

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <span>
 
 #include "stream/trace_stats.h"
 #include "stream/uniform_generator.h"
@@ -311,216 +310,6 @@ TEST(AdaptiveControllerTest, TrendIgnoresThinEpochsAndMissingPredictions) {
     snap.tables[0].predicted_collision_rate = TableTelemetry::kNoPrediction;
   }
   EXPECT_FALSE(f.controller.AssessTrend(unpredicted).should_replan);
-}
-
-// ---------------------------------------------------------------------------
-// AutoTuneTrend: trend_epochs / widening_slack derived from the observed
-// epoch-gap spread. The derivation is pinned here —
-// trend_epochs = clamp(2 + floor(log2(p99/p50)), 2, 6) and
-// widening_slack = min(0.5, 0.25 + 0.05 * log2(p99/p50)) — so a change to
-// the formula has to be a deliberate one.
-
-/// A one-snapshot history whose epoch_gap_ns histogram holds `gaps`.
-std::vector<TelemetrySnapshot> GapHistory(std::span<const uint64_t> gaps) {
-  TelemetrySnapshot snap;
-  for (uint64_t gap : gaps) snap.epoch_gap_ns.Record(gap);
-  return {std::move(snap)};
-}
-
-TEST(AdaptiveControllerTest, AutoTuneTrendStableCadenceKeepsDefaults) {
-  AdaptiveController::Options base;
-  base.trend_epochs = 2;
-  base.widening_slack = 0.25;
-  // All gaps in one histogram bucket: p99 == p50, spread clamps to 1.
-  std::vector<uint64_t> gaps(100, 1000000);
-  const auto tuned =
-      AdaptiveController::AutoTuneTrend(base, GapHistory(gaps));
-  EXPECT_EQ(tuned.trend_epochs, 2);
-  EXPECT_DOUBLE_EQ(tuned.widening_slack, 0.25);
-}
-
-TEST(AdaptiveControllerTest, AutoTuneTrendSpreadBuysConfirmingEpochs) {
-  AdaptiveController::Options base;
-  // ~4x p99/p50 spread: 90 gaps in the 2^21-bound bucket, 10 in the bucket
-  // whose bound clamps to the 2^23 max. LogHistogram buckets are
-  // power-of-two ranges, so the bound ratio lands just above an exact power
-  // of 2 and the floor in the formula is unambiguous.
-  std::vector<uint64_t> gaps(90, 1 << 20);
-  gaps.insert(gaps.end(), 10, 1 << 23);
-  const auto tuned =
-      AdaptiveController::AutoTuneTrend(base, GapHistory(gaps));
-  // p50 upper bound 2^21 - 1 vs p99 bound 2^23: two doublings.
-  EXPECT_EQ(tuned.trend_epochs, 4);
-  EXPECT_NEAR(tuned.widening_slack, 0.35, 0.01);
-
-  // An extreme spread saturates at the clamps.
-  std::vector<uint64_t> wild(90, 1024);
-  wild.insert(wild.end(), 10, 1ull << 40);
-  const auto clamped =
-      AdaptiveController::AutoTuneTrend(base, GapHistory(wild));
-  EXPECT_EQ(clamped.trend_epochs, 6);
-  EXPECT_DOUBLE_EQ(clamped.widening_slack, 0.5);
-}
-
-TEST(AdaptiveControllerTest, AutoTuneTrendNoSignalLeavesBaseUntouched) {
-  AdaptiveController::Options base;
-  base.trend_epochs = 3;
-  base.widening_slack = 0.4;
-  base.deviation_threshold = 0.7;  // Unrelated knobs must survive verbatim.
-  const auto empty_history =
-      AdaptiveController::AutoTuneTrend(base, {});
-  EXPECT_EQ(empty_history.trend_epochs, 3);
-  EXPECT_DOUBLE_EQ(empty_history.widening_slack, 0.4);
-  EXPECT_DOUBLE_EQ(empty_history.deviation_threshold, 0.7);
-  // A history whose latest snapshot recorded no gaps is no signal either.
-  const auto empty_histogram = AdaptiveController::AutoTuneTrend(
-      base, GapHistory(std::span<const uint64_t>()));
-  EXPECT_EQ(empty_histogram.trend_epochs, 3);
-  EXPECT_DOUBLE_EQ(empty_histogram.widening_slack, 0.4);
-}
-
-// ---------------------------------------------------------------------------
-// DecideProbeModes: hash -> sort on sustained saturated collisions, sort ->
-// hash once drains dedup far below the bucket count. Histories are
-// synthetic, like the trend tests: only the fields the policy reads matter.
-
-/// Appends one epoch for a single raw table: `rate` per-epoch collision
-/// rate at full occupancy in hash mode, or `unique_per_drain` distinct
-/// groups over one drain in sort mode (rate < 0 selects sort).
-void AppendModeEpoch(std::vector<TelemetrySnapshot>* history, double rate,
-                     uint64_t unique_per_drain = 0) {
-  constexpr uint64_t kEpochProbes = 10000;
-  TelemetrySnapshot snap;
-  if (!history->empty()) snap = history->back();
-  snap.epoch = history->size();
-  if (snap.tables.empty()) {
-    TableTelemetry table;
-    table.relation = "AB";
-    table.num_buckets = 1024;
-    snap.tables.push_back(table);
-  }
-  TableTelemetry& table = snap.tables[0];
-  if (rate >= 0.0) {
-    table.probe_mode = 0;
-    table.occupied = table.num_buckets;  // Saturated.
-    table.probes += kEpochProbes;
-    table.collisions += static_cast<uint64_t>(rate * kEpochProbes);
-  } else {
-    table.probe_mode = 1;
-    table.occupied = 0;  // Sort mode leaves hash slots untouched.
-    table.sort_appends += kEpochProbes;
-    table.sort_drains += 1;
-    table.sort_unique_groups += unique_per_drain;
-  }
-  table.observed_collision_rate =
-      table.probes == 0 ? 0.0
-                        : static_cast<double>(table.collisions) /
-                              static_cast<double>(table.probes);
-  history->push_back(std::move(snap));
-}
-
-/// Options with mode switching enabled (enter at 0.5, defaults otherwise).
-AdaptiveController MakeModeController(const TrendFixture& f,
-                                      double enter = 0.5) {
-  AdaptiveController::Options options;
-  options.sort_enter_collision_rate = enter;
-  return AdaptiveController(&f.cost_model, &f.scenario.plan, options);
-}
-
-TEST(AdaptiveControllerTest, ProbeModesDisabledByDefaultThreshold) {
-  TrendFixture f;
-  std::vector<TelemetrySnapshot> history;
-  AppendModeEpoch(&history, 0.9);
-  AppendModeEpoch(&history, 0.9);
-  // Default options: threshold 2.0 > 1.0 returns current modes untouched.
-  const auto modes = f.controller.DecideProbeModes(history);
-  ASSERT_EQ(modes.size(), 1u);
-  EXPECT_EQ(modes[0], ProbeMode::kHash);
-  EXPECT_TRUE(f.controller.DecideProbeModes({}).empty());
-}
-
-TEST(AdaptiveControllerTest, SustainedSaturatedCollisionsEnterSortMode) {
-  TrendFixture f;
-  const AdaptiveController controller = MakeModeController(f);
-  std::vector<TelemetrySnapshot> history;
-  AppendModeEpoch(&history, 0.8);
-  // One epoch of evidence is not a trend (K = 2).
-  EXPECT_EQ(controller.DecideProbeModes(history)[0], ProbeMode::kHash);
-  AppendModeEpoch(&history, 0.8);
-  EXPECT_EQ(controller.DecideProbeModes(history)[0], ProbeMode::kSort);
-}
-
-TEST(AdaptiveControllerTest, UnsaturatedTableNeverEntersSortMode) {
-  TrendFixture f;
-  const AdaptiveController controller = MakeModeController(f);
-  std::vector<TelemetrySnapshot> history;
-  AppendModeEpoch(&history, 0.8);
-  AppendModeEpoch(&history, 0.8);
-  for (TelemetrySnapshot& snap : history) {
-    snap.tables[0].occupied = snap.tables[0].num_buckets - 1;
-  }
-  // High collisions on a non-full table (clustered keys, not saturation)
-  // keep hashing: sort mode only pays off when groups exceed buckets.
-  EXPECT_EQ(controller.DecideProbeModes(history)[0], ProbeMode::kHash);
-}
-
-TEST(AdaptiveControllerTest, ShrunkenDrainsExitSortMode) {
-  TrendFixture f;
-  const AdaptiveController controller = MakeModeController(f);
-  std::vector<TelemetrySnapshot> history;
-  // In sort mode with drains still emitting ~900 distinct groups per run
-  // (close to the 1024 buckets): stay.
-  AppendModeEpoch(&history, -1.0, 900);
-  AppendModeEpoch(&history, -1.0, 900);
-  EXPECT_EQ(controller.DecideProbeModes(history)[0], ProbeMode::kSort);
-  // The universe shrinks: drains dedup to 100 << 0.25 * 1024. One epoch is
-  // not enough; two consecutive are.
-  AppendModeEpoch(&history, -1.0, 100);
-  EXPECT_EQ(controller.DecideProbeModes(history)[0], ProbeMode::kSort);
-  AppendModeEpoch(&history, -1.0, 100);
-  EXPECT_EQ(controller.DecideProbeModes(history)[0], ProbeMode::kHash);
-}
-
-TEST(AdaptiveControllerTest, EpochsWithoutDrainsKeepSortMode) {
-  TrendFixture f;
-  const AdaptiveController controller = MakeModeController(f);
-  std::vector<TelemetrySnapshot> history;
-  AppendModeEpoch(&history, -1.0, 100);
-  // A quiet epoch (no drains at all) carries no exit signal.
-  TelemetrySnapshot quiet = history.back();
-  quiet.epoch++;
-  history.push_back(quiet);
-  EXPECT_EQ(controller.DecideProbeModes(history)[0], ProbeMode::kSort);
-}
-
-// ---------------------------------------------------------------------------
-// InvertUniqueCount: the sort-mode group-count recovery, mirroring the
-// InvertOccupancy property tests.
-
-TEST(AdaptiveControllerTest, InvertUniqueCountRecoversKnownGroupCounts) {
-  const double run = 8192.0;
-  for (const double g : {16.0, 256.0, 2048.0, 8192.0, 32768.0}) {
-    const double unique = g * (1.0 - std::exp(-run / g));
-    const double estimated =
-        AdaptiveController::InvertUniqueCount(unique, run);
-    if (unique >= run - 0.5) {
-      EXPECT_DOUBLE_EQ(estimated, 3.0 * run) << "g=" << g;
-    } else {
-      EXPECT_NEAR(estimated, g, 1e-6 * g + 1e-6) << "g=" << g;
-    }
-  }
-}
-
-TEST(AdaptiveControllerTest, InvertUniqueCountEdgeCases) {
-  EXPECT_DOUBLE_EQ(AdaptiveController::InvertUniqueCount(0.0, 8192.0), 0.0);
-  EXPECT_DOUBLE_EQ(AdaptiveController::InvertUniqueCount(-5.0, 8192.0), 0.0);
-  // Every record distinct: lower bound, like a saturated hash table.
-  EXPECT_DOUBLE_EQ(AdaptiveController::InvertUniqueCount(8192.0, 8192.0),
-                   3.0 * 8192.0);
-  EXPECT_DOUBLE_EQ(AdaptiveController::InvertUniqueCount(8191.8, 8192.0),
-                   3.0 * 8192.0);
-  // Degenerate run lengths fall back to the unique count itself.
-  EXPECT_DOUBLE_EQ(AdaptiveController::InvertUniqueCount(1.0, 1.0), 1.0);
 }
 
 }  // namespace

@@ -943,6 +943,38 @@ TEST(EngineValidation, RejectsOverlargeChurnReserve) {
       << engine.status().ToString();
 }
 
+TEST(EngineValidation, RejectsNonPositiveAdaptiveTrendEpochs) {
+  // A trend window of no epochs cannot judge anything.
+  for (const int trend_epochs : {0, -3}) {
+    StreamAggEngine::Options options = BaseOptions();
+    options.adaptive_options.trend_epochs = trend_epochs;
+    auto engine = StreamAggEngine::FromQueryDefs(
+        *Schema::Default(2), {QueryDef(AttributeSet::Single(0))}, options);
+    ASSERT_FALSE(engine.ok()) << trend_epochs;
+    EXPECT_NE(engine.status().ToString().find(
+                  "Options::adaptive_options.trend_epochs must be >= 1 (got " +
+                  std::to_string(trend_epochs) + ")"),
+              std::string::npos)
+        << engine.status().ToString();
+  }
+}
+
+TEST(EngineValidation, RejectsAdaptiveWideningSlackOutsideUnitRange) {
+  for (const double slack : {-0.25, 1.5}) {
+    StreamAggEngine::Options options = BaseOptions();
+    options.adaptive_options.widening_slack = slack;
+    auto engine = StreamAggEngine::FromQueryDefs(
+        *Schema::Default(2), {QueryDef(AttributeSet::Single(0))}, options);
+    ASSERT_FALSE(engine.ok()) << slack;
+    EXPECT_NE(engine.status().ToString().find(
+                  "Options::adaptive_options.widening_slack must be in [0, 1] "
+                  "(got " +
+                  std::to_string(slack) + ")"),
+              std::string::npos)
+        << engine.status().ToString();
+  }
+}
+
 TEST(EngineValidation, RejectsAdaptivePinnedPlanWithoutCounts) {
   const Schema schema = *Schema::Default(4);
   auto catalog = RelationCatalog::Synthetic(

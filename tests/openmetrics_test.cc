@@ -181,6 +181,19 @@ TEST(OpenMetricsTest, EmptySnapshotPassesGrammarAndKeepsCoreFamilies) {
             std::string::npos);
 }
 
+TEST(OpenMetricsTest, ExportsNoSortDrainFamilies) {
+  // The retired sort-drain probe mode leaves no family behind: no per-table
+  // probe-mode gauge or sort tallies, and no drain histogram.
+  const std::string text = TelemetryToOpenMetrics(MakeSnapshot());
+  ValidateOpenMetrics(text);
+  for (const std::string& line : Lines(text)) {
+    EXPECT_EQ(line.find("streamagg_table_probe_mode"), std::string::npos)
+        << line;
+    EXPECT_EQ(line.find("streamagg_table_sort_"), std::string::npos) << line;
+    EXPECT_EQ(line.find("streamagg_sort_"), std::string::npos) << line;
+  }
+}
+
 TEST(OpenMetricsTest, CounterValuesAreBitExact) {
   const std::string text = TelemetryToOpenMetrics(MakeSnapshot());
   // (1 << 63) + 12345: exact only if rendered through uint64 formatting.

@@ -1,29 +1,15 @@
 // Probe-kernel correctness (docs/probe_kernel.md): the batched SIMD hash
-// must be bit-identical to the scalar chain on every width/count, the
-// single-record and batched paths must resolve identical bucket sequences,
-// the sort-drain run buffer must merge exactly, and a runtime in sort mode
-// (or flipping modes mid-stream, serial or sharded) must keep every epoch's
-// aggregates bit-identical to the direct reference — modes change cost,
-// never answers.
+// must be bit-identical to the scalar chain on every width/count, and the
+// single-record and batched paths must resolve identical bucket sequences.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <random>
-#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "core/configuration.h"
-#include "dsms/configuration_runtime.h"
 #include "dsms/lfta_hash_table.h"
-#include "dsms/reference_aggregator.h"
-#include "dsms/sharded_runtime.h"
-#include "stream/uniform_generator.h"
-#include "stream/zipf_generator.h"
 #include "util/hash.h"
 #include "util/simd_hash.h"
 
@@ -111,283 +97,6 @@ TEST(ProbeKernelTest, BucketSequenceIdenticalSingleVsBatched) {
   for (size_t j = 0; j < kCount; ++j) {
     ASSERT_EQ(table.BucketOf(keys[j]), table.BucketOfHash(hashes[j]))
         << "key " << j;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sort-drain run buffer semantics.
-
-GroupKey Key2(uint32_t a, uint32_t b) {
-  GroupKey key;
-  key.size = 2;
-  key.values[0] = a;
-  key.values[1] = b;
-  return key;
-}
-
-uint64_t KeyHash(const LftaHashTable& table, const GroupKey& key) {
-  return HashWords(key.values.data(), static_cast<size_t>(key.size),
-                   table.seed());
-}
-
-TEST(SortDrainTest, DrainMergesDuplicateKeysExactly) {
-  LftaHashTable table(64, 2, /*seed=*/0x77);
-  table.set_probe_mode(ProbeMode::kSort);
-  // 10 groups, appended round-robin with per-append count contributions that
-  // make each group's exact total distinguishable.
-  std::map<uint32_t, uint64_t> expected;
-  for (uint32_t i = 0; i < 1000; ++i) {
-    const uint32_t g = i % 10;
-    const GroupKey key = Key2(g, g + 100);
-    const AggregateState add = AggregateState::FromCount(1 + g);
-    EXPECT_FALSE(table.SortAppend(key, add, KeyHash(table, key)));
-    expected[g] += 1 + g;
-  }
-  EXPECT_EQ(table.sort_run_size(), 1000u);
-  std::map<uint32_t, uint64_t> drained;
-  const uint64_t emitted =
-      table.DrainSortRun([&](const GroupKey& key, const AggregateState& st) {
-        drained[key.values[0]] += st.count;
-      });
-  EXPECT_EQ(emitted, 10u);
-  EXPECT_EQ(drained, expected);
-  EXPECT_EQ(table.sort_run_size(), 0u);
-  EXPECT_EQ(table.sort_appends(), 1000u);
-  EXPECT_EQ(table.sort_drains(), 1u);
-  EXPECT_EQ(table.sort_drained_entries(), 1000u);
-  EXPECT_EQ(table.sort_unique_groups(), 10u);
-  // Hash-side tallies are untouched: sort appends are not probes.
-  EXPECT_EQ(table.probes(), 0u);
-  EXPECT_EQ(table.occupied_buckets(), 0u);
-}
-
-TEST(SortDrainTest, DrainMergesMetricStates) {
-  const std::vector<MetricSpec> metrics = {{AggregateOp::kSum, 0},
-                                           {AggregateOp::kMin, 1},
-                                           {AggregateOp::kMax, 1}};
-  LftaHashTable table(64, 2, metrics, /*seed=*/0x99);
-  table.set_probe_mode(ProbeMode::kSort);
-  const GroupKey key = Key2(7, 8);
-  const uint64_t hash = KeyHash(table, key);
-  for (uint64_t v : {30ull, 10ull, 20ull}) {
-    AggregateState add = AggregateState::FromCount(1);
-    add.num_metrics = 3;
-    add.metrics[0] = v;  // sum -> 60
-    add.metrics[1] = v;  // min -> 10
-    add.metrics[2] = v;  // max -> 30
-    table.SortAppend(key, add, hash);
-  }
-  uint64_t emitted = 0;
-  table.DrainSortRun([&](const GroupKey& k, const AggregateState& st) {
-    ++emitted;
-    EXPECT_EQ(k, key);
-    EXPECT_EQ(st.count, 3u);
-    EXPECT_EQ(st.metrics[0], 60u);
-    EXPECT_EQ(st.metrics[1], 10u);
-    EXPECT_EQ(st.metrics[2], 30u);
-  });
-  EXPECT_EQ(emitted, 1u);
-}
-
-TEST(SortDrainTest, AppendSignalsFullExactlyAtCapacity) {
-  LftaHashTable table(16, 1, /*seed=*/0x3);
-  table.set_probe_mode(ProbeMode::kSort);
-  GroupKey key;
-  key.size = 1;
-  for (uint32_t i = 0; i < LftaHashTable::kSortRunCapacity; ++i) {
-    key.values[0] = i;  // All distinct: no merging hides the count.
-    const bool full =
-        table.SortAppend(key, AggregateState::FromCount(1), KeyHash(table, key));
-    EXPECT_EQ(full, i + 1 == LftaHashTable::kSortRunCapacity) << i;
-  }
-  uint64_t emitted = table.DrainSortRun([](const GroupKey&,
-                                           const AggregateState&) {});
-  EXPECT_EQ(emitted, LftaHashTable::kSortRunCapacity);
-  // Drain on an empty run is a no-op that records nothing.
-  emitted = table.DrainSortRun([](const GroupKey&, const AggregateState&) {});
-  EXPECT_EQ(emitted, 0u);
-  EXPECT_EQ(table.sort_drains(), 1u);
-}
-
-TEST(SortDrainTest, ResetStatsClearsSortTallies) {
-  LftaHashTable table(16, 1, /*seed=*/0x5);
-  GroupKey key;
-  key.size = 1;
-  key.values[0] = 9;
-  table.SortAppend(key, AggregateState::FromCount(1), KeyHash(table, key));
-  table.DrainSortRun([](const GroupKey&, const AggregateState&) {});
-  table.ResetStats();
-  EXPECT_EQ(table.sort_appends(), 0u);
-  EXPECT_EQ(table.sort_drains(), 0u);
-  EXPECT_EQ(table.sort_drained_entries(), 0u);
-  EXPECT_EQ(table.sort_unique_groups(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Runtime-level probe modes: answers bit-identical to the reference (and so
-// to the hash-mode runtime) on every batch split, across mid-stream flips,
-// and on sharded splits.
-
-std::vector<RuntimeRelationSpec> SpecsFor(const Schema& schema,
-                                          const std::string& config_text,
-                                          double buckets_per_table) {
-  auto config = Configuration::Parse(schema, config_text);
-  EXPECT_TRUE(config.ok()) << config_text;
-  auto specs = config->ToRuntimeSpecs(
-      std::vector<double>(config->num_nodes(), buckets_per_table));
-  EXPECT_TRUE(specs.ok());
-  return *specs;
-}
-
-Trace SaturatedTrace(uint64_t seed) {
-  // Groups >> buckets: the regime sort mode exists for.
-  const Schema schema = *Schema::Default(4);
-  auto gen = std::move(UniformGenerator::Make(schema, 4000, seed)).value();
-  return Trace::Generate(*gen, 50000, 10.0);
-}
-
-void ExpectMatchesReference(const ConfigurationRuntime& runtime,
-                            const Trace& trace,
-                            const std::string& config_text,
-                            double epoch_seconds, const std::string& label) {
-  auto config = Configuration::Parse(trace.schema(), config_text);
-  const std::vector<QueryDef> queries = config->QueryDefs();
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const auto expected = ComputeReferenceAggregate(
-        trace, queries[qi].group_by, epoch_seconds, queries[qi].metrics);
-    std::string diagnostic;
-    EXPECT_TRUE(AggregatesEqual(expected, runtime.hfta(),
-                                static_cast<int>(qi), &diagnostic))
-        << label << " query " << qi << ": " << diagnostic;
-  }
-}
-
-TEST(ProbeModeRuntimeTest, SetProbeModesValidatesSize) {
-  const Schema schema = *Schema::Default(4);
-  auto runtime = ConfigurationRuntime::Make(
-      schema, SpecsFor(schema, "ABCD(AB CD)", 128.0), 0.0);
-  ASSERT_TRUE(runtime.ok());
-  EXPECT_EQ((*runtime)->num_raw_relations(), 1);
-  EXPECT_FALSE((*runtime)->SetProbeModes({ProbeMode::kSort, ProbeMode::kSort})
-                   .ok());
-  ASSERT_TRUE((*runtime)->SetProbeModes({ProbeMode::kSort}).ok());
-  EXPECT_EQ((*runtime)->probe_mode(0), ProbeMode::kSort);
-  ASSERT_TRUE((*runtime)->SetProbeModes({}).ok());  // Empty = all hash.
-  EXPECT_EQ((*runtime)->probe_mode(0), ProbeMode::kHash);
-}
-
-TEST(ProbeModeRuntimeTest, SortModeMatchesReference) {
-  const Trace trace = SaturatedTrace(0x50f7);
-  const std::string config_text = "ABCD(AB BCD(BC CD))";
-  const std::vector<RuntimeRelationSpec> specs =
-      SpecsFor(trace.schema(), config_text, 128.0);
-  auto runtime = ConfigurationRuntime::Make(trace.schema(), specs, 2.0);
-  ASSERT_TRUE(runtime.ok());
-  ASSERT_TRUE((*runtime)->SetProbeModes({ProbeMode::kSort}).ok());
-  (*runtime)->ProcessTrace(trace);
-  ExpectMatchesReference(**runtime, trace, config_text, 2.0, "sort");
-  // The raw root never touched its hash slots: every record went through
-  // the run buffer instead.
-  const LftaHashTable& root = (*runtime)->table((*runtime)->raw_relation(0));
-  EXPECT_EQ(root.sort_appends(), trace.size());
-  EXPECT_EQ(root.probes(), 0u);
-  EXPECT_GT(root.sort_drains(), 0u);
-  EXPECT_EQ(root.sort_drained_entries(), trace.size());
-}
-
-TEST(ProbeModeRuntimeTest, SortModeBitIdenticalAcrossBatchSplits) {
-  const Trace trace = SaturatedTrace(0x50f8);
-  const std::string config_text = "ABCD(AB CD)";
-  const std::vector<RuntimeRelationSpec> specs =
-      SpecsFor(trace.schema(), config_text, 128.0);
-  RuntimeCounters reference_counters;
-  uint64_t reference_unique = 0;
-  bool first = true;
-  for (const size_t batch : {size_t{1}, size_t{7}, size_t{64}, trace.size()}) {
-    auto runtime = ConfigurationRuntime::Make(trace.schema(), specs, 2.0);
-    ASSERT_TRUE(runtime.ok());
-    ASSERT_TRUE((*runtime)->SetProbeModes({ProbeMode::kSort}).ok());
-    const std::span<const Record> records(trace.records());
-    for (size_t i = 0; i < records.size(); i += batch) {
-      (*runtime)->ProcessBatch(
-          records.subspan(i, std::min(batch, records.size() - i)));
-    }
-    (*runtime)->FlushEpoch();
-    ExpectMatchesReference(**runtime, trace, config_text, 2.0,
-                           "batch=" + std::to_string(batch));
-    const LftaHashTable& root =
-        (*runtime)->table((*runtime)->raw_relation(0));
-    if (first) {
-      reference_counters = (*runtime)->counters();
-      reference_unique = root.sort_unique_groups();
-      first = false;
-    } else {
-      // Drains are a deterministic function of the per-table record
-      // sequence, so counters (not just answers) are split-invariant.
-      EXPECT_EQ((*runtime)->counters(), reference_counters)
-          << "batch=" << batch;
-      EXPECT_EQ(root.sort_unique_groups(), reference_unique)
-          << "batch=" << batch;
-    }
-  }
-}
-
-TEST(ProbeModeRuntimeTest, MidStreamFlipsKeepAnswersExact) {
-  // hash -> sort at one third, sort -> hash at two thirds, both at raw
-  // record boundaries mid-epoch: the pending run buffer left by the second
-  // flip must drain at the next epoch flush, stranding nothing.
-  const Trace trace = SaturatedTrace(0x50f9);
-  const std::string config_text = "ABCD(AB BCD(BC CD))";
-  const std::vector<RuntimeRelationSpec> specs =
-      SpecsFor(trace.schema(), config_text, 128.0);
-  auto runtime = ConfigurationRuntime::Make(trace.schema(), specs, 2.0);
-  ASSERT_TRUE(runtime.ok());
-  const std::span<const Record> records(trace.records());
-  const size_t third = records.size() / 3;
-  (*runtime)->ProcessBatch(records.subspan(0, third));
-  ASSERT_TRUE((*runtime)->SetProbeModes({ProbeMode::kSort}).ok());
-  (*runtime)->ProcessBatch(records.subspan(third, third));
-  ASSERT_TRUE((*runtime)->SetProbeModes({ProbeMode::kHash}).ok());
-  (*runtime)->ProcessBatch(records.subspan(2 * third));
-  (*runtime)->FlushEpoch();
-  ExpectMatchesReference(**runtime, trace, config_text, 2.0, "flip");
-  const LftaHashTable& root = (*runtime)->table((*runtime)->raw_relation(0));
-  EXPECT_GT(root.sort_appends(), 0u);
-  EXPECT_GT(root.probes(), 0u);
-  EXPECT_EQ(root.sort_run_size(), 0u) << "flush must drain the run buffer";
-}
-
-TEST(ProbeModeRuntimeTest, ShardedSortModeMatchesReference) {
-  // The TSan-facing variant: a P x S matrix with every shard's root in sort
-  // mode must still match the reference exactly.
-  const Schema schema = *Schema::Default(4);
-  auto universe = GroupUniverse::Uniform(schema, 3000, {60, 60, 60, 60}, 11);
-  auto gen =
-      std::move(ZipfGenerator::Make(std::move(*universe), 1.0, 12)).value();
-  const Trace trace = Trace::Generate(*gen, 50000, 10.0);
-  const std::string config_text = "ABCD(AB CD)";
-  const std::vector<RuntimeRelationSpec> specs =
-      SpecsFor(schema, config_text, 128.0);
-  for (const auto& [producers, shards] :
-       std::vector<std::pair<int, int>>{{1, 4}, {2, 2}}) {
-    ShardedRuntime::Options options;
-    options.num_shards = shards;
-    options.num_producers = producers;
-    auto sharded = ShardedRuntime::Make(schema, specs, 2.0, options);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    ASSERT_TRUE((*sharded)->SetProbeModes({ProbeMode::kSort}).ok());
-    (*sharded)->ProcessTrace(trace);
-    auto config = Configuration::Parse(schema, config_text);
-    const std::vector<QueryDef> queries = config->QueryDefs();
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const auto expected = ComputeReferenceAggregate(
-          trace, queries[qi].group_by, 2.0, queries[qi].metrics);
-      std::string diagnostic;
-      EXPECT_TRUE(AggregatesEqual(expected, (*sharded)->hfta(),
-                                  static_cast<int>(qi), &diagnostic))
-          << "P=" << producers << " S=" << shards << " query " << qi << ": "
-          << diagnostic;
-    }
   }
 }
 

