@@ -40,6 +40,15 @@ void TraceShedPlanInstall(const OverloadController& controller,
 #endif
 
 Status StreamAggEngine::ValidateOptions(const Options& options) {
+  if (!(options.memory_words > 0.0)) {
+    return Status::InvalidArgument("Options::memory_words must be > 0 (got " +
+                                   std::to_string(options.memory_words) + ")");
+  }
+  if (!(options.epoch_seconds >= 0.0)) {
+    return Status::InvalidArgument(
+        "Options::epoch_seconds must be >= 0 (got " +
+        std::to_string(options.epoch_seconds) + ")");
+  }
   if (options.num_shards < 1) {
     return Status::InvalidArgument(
         "Options::num_shards must be >= 1 (got " +
@@ -93,7 +102,6 @@ Status StreamAggEngine::ValidateOptions(const Options& options) {
 Result<std::unique_ptr<StreamAggEngine>> StreamAggEngine::FromQueryTexts(
     const Schema& schema, const std::vector<std::string>& queries,
     Options options) {
-  STREAMAGG_RETURN_NOT_OK(ValidateOptions(options));
   STREAMAGG_ASSIGN_OR_RETURN(std::vector<ParsedQuery> parsed,
                              ParseQuerySet(schema, queries));
   std::vector<QueryDef> defs;
@@ -102,6 +110,8 @@ Result<std::unique_ptr<StreamAggEngine>> StreamAggEngine::FromQueryTexts(
   if (parsed.front().epoch_seconds > 0.0) {
     options.epoch_seconds = parsed.front().epoch_seconds;
   }
+  // Validated after the queries' time/N, which overrides the option.
+  STREAMAGG_RETURN_NOT_OK(ValidateOptions(options));
   return std::unique_ptr<StreamAggEngine>(new StreamAggEngine(
       schema, std::move(defs), std::move(parsed), options));
 }
@@ -110,10 +120,11 @@ Result<std::unique_ptr<StreamAggEngine>> StreamAggEngine::FromQueryDefs(
     const Schema& schema, std::vector<QueryDef> queries, Options options) {
   STREAMAGG_RETURN_NOT_OK(ValidateOptions(options));
   if (queries.empty()) return Status::InvalidArgument("no queries");
-  for (const QueryDef& q : queries) {
+  for (QueryDef& q : queries) {
     if (q.group_by.empty() || !q.group_by.IsSubsetOf(schema.AllAttributes())) {
       return Status::InvalidArgument("query attributes invalid for schema");
     }
+    STREAMAGG_ASSIGN_OR_RETURN(q.metrics, UnionMetrics(q.metrics, {}));
   }
   return std::unique_ptr<StreamAggEngine>(new StreamAggEngine(
       schema, std::move(queries), {}, options));
@@ -196,13 +207,13 @@ bool PassesFilters(const std::vector<AttributePredicate>& filters,
   return true;
 }
 
-/// Folds every group of `from` into `into` under `metrics`.
-void MergeInto(const EpochAggregate& from,
-               const std::vector<MetricSpec>& metrics, EpochAggregate* into) {
-  for (const auto& [key, state] : from) {
-    auto [it, inserted] = into->try_emplace(key, state);
-    if (!inserted) it->second.Merge(state, metrics);
-  }
+/// One metric list per query, in query order: an HFTA's slot layout.
+std::vector<std::vector<MetricSpec>> MetricsOf(
+    const std::vector<QueryDef>& queries) {
+  std::vector<std::vector<MetricSpec>> metrics;
+  metrics.reserve(queries.size());
+  for (const QueryDef& q : queries) metrics.push_back(q.metrics);
+  return metrics;
 }
 
 }  // namespace
@@ -218,12 +229,9 @@ StreamAggEngine::StreamAggEngine(const Schema& schema,
       optimizer_(options.optimizer),
       collision_model_(
           MakeCollisionModel(options.optimizer.collision_model)),
-      sample_(std::make_unique<Trace>(schema)) {
+      sample_(std::make_unique<Trace>(schema)),
+      results_(MetricsOf(queries_)) {
   sample_->Reserve(options_.sample_size);
-  std::vector<std::vector<MetricSpec>> per_query_metrics;
-  per_query_metrics.reserve(queries_.size());
-  for (const QueryDef& q : queries_) per_query_metrics.push_back(q.metrics);
-  accumulated_hfta_ = std::make_unique<Hfta>(std::move(per_query_metrics));
   // Initial queries take ids 0..n-1, each owning its dense slot.
   handles_.resize(queries_.size());
   dense_refcount_.assign(queries_.size(), 1);
@@ -308,7 +316,7 @@ Status StreamAggEngine::InstallRuntime() {
   STREAMAGG_ASSIGN_OR_RETURN(
       std::unique_ptr<ShardedRuntime> runtime,
       ShardedRuntime::Make(schema_, std::move(specs), options_.epoch_seconds,
-                           runtime_options));
+                           runtime_options, &results_));
   runtime_ = std::move(runtime);
   runtime_->set_telemetry_level(options_.telemetry_level);
   if (overload_controller_ != nullptr) {
@@ -323,10 +331,6 @@ Status StreamAggEngine::InstallRuntime() {
 double StreamAggEngine::RetireRuntime() {
   Timer timer;
   runtime_->FlushEpoch();
-  accumulated_hfta_->MergeFrom(runtime_->hfta());
-  // The retired runtime's part of any split epoch is in accumulated_hfta_
-  // now, and dense slots may be renumbered before the next install.
-  split_epochs_.clear();
   // Fold in only the counter growth since the baseline: a retire repeated
   // on the same runtime (e.g. after a failed re-plan mid-swap) can never
   // double-count. InstallRuntime zeroes the baseline alongside the fresh
@@ -427,9 +431,9 @@ Status StreamAggEngine::EpochBoundary(
           RelationCatalog::Synthetic(schema_, std::move(counts), flow_length));
 
       // Retire the current runtime at the boundary, then swap in the
-      // re-planned configuration. The retire is timed into the event's
-      // merge_millis — the swap-latency companion to optimize_millis
-      // (docs/observability.md).
+      // re-planned configuration. The retire flush is timed into the
+      // event's merge_millis — the swap-latency companion to
+      // optimize_millis (docs/observability.md).
       const double merge_millis = RetireRuntime();
 
       catalog_ = std::make_unique<RelationCatalog>(std::move(next_catalog));
@@ -459,7 +463,7 @@ Status StreamAggEngine::EpochBoundary(
       plan_ = std::make_unique<OptimizedPlan>(std::move(plan));
       STREAMAGG_RETURN_NOT_OK(InstallRuntime());
       STREAMAGG_TRACE(if (replan_start != 0) {
-        // Covers the whole swap: retire-flush + HFTA merge, re-estimate,
+        // Covers the whole swap: retire flush, re-estimate,
         // re-optimize, and runtime rebuild — the replan latency a Chrome
         // trace shows as one block at the epoch boundary.
         FlightRecorder::Instance().RecordSpan(
@@ -686,23 +690,19 @@ Result<int> StreamAggEngine::AddQuery(QueryDef def) {
       !def.group_by.IsSubsetOf(schema_.AllAttributes())) {
     return Status::InvalidArgument("query attributes invalid for schema");
   }
+  STREAMAGG_ASSIGN_OR_RETURN(def.metrics, UnionMetrics(def.metrics, {}));
   return AddParsedQuery(SynthesizeParsed(schema_, def));
 }
 
 Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
   const QueryDef def = parsed.def;  // parsed is moved below; copy first.
-  const auto normalized = [](std::vector<MetricSpec> m) {
-    std::sort(m.begin(), m.end());
-    m.erase(std::unique(m.begin(), m.end()), m.end());
-    return m;
-  };
-  const std::vector<MetricSpec> want = normalized(def.metrics);
   // A configuration cannot hold the same attribute set twice, so a
   // group-by match with a live query either aliases it (identical metrics
-  // — share the slot, zero plan change) or is rejected.
+  // — share the slot, zero plan change) or is rejected. Both lists are
+  // sorted and deduplicated (parser and AddQuery alike).
   for (size_t d = 0; d < queries_.size(); ++d) {
     if (!(queries_[d].group_by == def.group_by)) continue;
-    if (normalized(queries_[d].metrics) != want) {
+    if (queries_[d].metrics != def.metrics) {
       return Status::InvalidArgument(
           "query groups by " + schema_.FormatAttributeSet(def.group_by) +
           " like a live query but asks for different metrics; drop the "
@@ -720,19 +720,15 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
     RecordChurnEvent(std::move(event));
     return id;
   }
-  // Extends the accumulated HFTA with a fresh slot: identity for the
-  // existing dense slots, -1 (empty) for the newcomer.
+  // Extends results_ with a fresh slot: identity for the existing dense
+  // slots, -1 (empty) for the newcomer.
   const auto extend_hfta = [&]() {
-    std::vector<std::vector<MetricSpec>> metrics;
     std::vector<int> source;
-    metrics.reserve(queries_.size());
-    for (size_t i = 0; i < queries_.size(); ++i) {
-      metrics.push_back(queries_[i].metrics);
+    for (size_t i = 0; i + 1 < queries_.size(); ++i) {
       source.push_back(static_cast<int>(i));
     }
-    metrics.back() = queries_.back().metrics;
-    source.back() = -1;
-    accumulated_hfta_->Remap(std::move(metrics), source);
+    source.push_back(-1);
+    results_.Remap(MetricsOf(queries_), source);
   };
   if (!planned()) {
     // Sampling phase: structural append — the newcomer joins the initial
@@ -775,9 +771,9 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
     replanned_nodes = next->config.num_nodes();
     pinned_nodes = 0;
   }
-  // Retire: the epoch in flight is flushed and folded into the accumulated
-  // results for the pre-existing queries, then the re-planned runtime takes
-  // over. The newcomer accumulates from here on.
+  // Retire: the epoch in flight is flushed into results_ for the
+  // pre-existing queries, then the re-planned runtime takes over. The
+  // newcomer accumulates from here on.
   const double merge_millis = RetireRuntime();
   const int id = num_query_ids();
   const int dense = static_cast<int>(queries_.size());
@@ -828,12 +824,14 @@ Status StreamAggEngine::DropQuery(int query_id) {
 
   if (dense_refcount_[static_cast<size_t>(dense)] > 1) {
     // Alias release: the dense slot lives on for the other ids, so the
-    // plan is untouched. Archive from a read-only barrier view — flush the
-    // epoch in flight into the live HFTA, but do NOT fold it into the
-    // accumulated results (that happens when the runtime retires).
+    // plan is untouched. Flush the epoch in flight into results_, then copy
+    // the slot into the archive.
     Timer timer;
     if (planned()) runtime_->FlushEpoch();
-    ArchiveQuery(query_id, dense, /*include_live=*/true);
+    EpochResults& archive = retired_[query_id];
+    for (uint64_t e : results_.Epochs(dense)) {
+      archive[e] = results_.Result(dense, e);
+    }
     event.merge_millis = timer.ElapsedMillis();
     event.aliased = true;
     --dense_refcount_[static_cast<size_t>(dense)];
@@ -844,7 +842,7 @@ Status StreamAggEngine::DropQuery(int query_id) {
 
   if (!planned()) {
     // Sampling phase: structural removal before any plan exists.
-    ArchiveQuery(query_id, dense, /*include_live=*/false);
+    retired_[query_id] = results_.TakeQuery(dense);
     RemoveDenseSlot(dense);
     handle = -1;
     RecordChurnEvent(std::move(event));
@@ -870,34 +868,25 @@ Status StreamAggEngine::DropQuery(int query_id) {
     pinned_nodes = 0;
   }
   event.merge_millis = RetireRuntime();
-  // The accumulated HFTA now holds everything up to the drop; archive the
-  // slot before RemoveDenseSlot remaps it away.
-  ArchiveQuery(query_id, dense, /*include_live=*/false);
+  // results_ now holds everything up to the drop; move the slot into the
+  // archive before RemoveDenseSlot remaps it away.
+  retired_[query_id] = results_.TakeQuery(dense);
   RemoveDenseSlot(dense);
   handle = -1;
   event.pinned_nodes = pinned_nodes;
   event.optimize_millis = next->optimize_millis;
   last_optimize_millis_ = next->optimize_millis;
   plan_ = std::make_unique<OptimizedPlan>(std::move(*next));
-  STREAMAGG_RETURN_NOT_OK(InstallRuntime());
+  const Status installed = InstallRuntime();
+  if (!installed.ok()) {
+    // The old runtime's numbering no longer fits results_: end the engine
+    // rather than let it write past the last slot.
+    runtime_.reset();
+    finished_ = true;
+    return installed;
+  }
   RecordChurnEvent(std::move(event));
   return Status::OK();
-}
-
-void StreamAggEngine::ArchiveQuery(int query_id, int dense,
-                                   bool include_live) {
-  std::map<uint64_t, EpochAggregate> archive;
-  for (uint64_t e : accumulated_hfta_->Epochs(dense)) {
-    archive[e] = accumulated_hfta_->Result(dense, e);
-  }
-  const Hfta* live = include_live ? LiveHfta() : nullptr;
-  if (live != nullptr) {
-    for (uint64_t e : live->Epochs(dense)) {
-      MergeInto(live->Result(dense, e),
-                queries_[static_cast<size_t>(dense)].metrics, &archive[e]);
-    }
-  }
-  retired_[query_id] = std::move(archive);
 }
 
 void StreamAggEngine::RemoveDenseSlot(int dense) {
@@ -906,17 +895,14 @@ void StreamAggEngine::RemoveDenseSlot(int dense) {
   for (int& h : handles_) {
     if (h > dense) --h;
   }
-  std::vector<std::vector<MetricSpec>> metrics;
   std::vector<int> source;
-  metrics.reserve(queries_.size());
   for (size_t i = 0; i < queries_.size(); ++i) {
-    metrics.push_back(queries_[i].metrics);
     source.push_back(static_cast<int>(i) < dense ? static_cast<int>(i)
                                                  : static_cast<int>(i) + 1);
   }
-  // Also nulls the HFTA's Add target cache — the ISSUE 10 satellite fix:
-  // a stale cache would keep accumulating a dropped query's groups.
-  accumulated_hfta_->Remap(std::move(metrics), source);
+  // Also resets every Add target: a stale one would keep accumulating a
+  // dropped query's groups.
+  results_.Remap(MetricsOf(queries_), source);
 }
 
 void StreamAggEngine::RecordChurnEvent(QueryChurnEvent event) {
@@ -924,12 +910,6 @@ void StreamAggEngine::RecordChurnEvent(QueryChurnEvent event) {
       TraceEventType::kQueryChurn, event.epoch, event.add ? 1u : 0u,
       static_cast<uint32_t>(event.query_id), event.grafted ? 1u : 0u));
   churn_events_.push_back(std::move(event));
-}
-
-const Hfta* StreamAggEngine::LiveHfta() const {
-  // A P x S runtime's HFTA is the merged snapshot from its last barrier
-  // (see docs/runtime.md); an inline runtime's is live.
-  return runtime_ != nullptr ? &runtime_->hfta() : nullptr;
 }
 
 std::string StreamAggEngine::ConfigurationText() const {
@@ -950,40 +930,19 @@ const EpochAggregate& StreamAggEngine::EpochResult(int query_index,
     auto it = rid->second.find(epoch);
     return it == rid->second.end() ? empty_aggregate_ : it->second;
   }
-  const EpochAggregate& accumulated = accumulated_hfta_->Result(dense, epoch);
-  const Hfta* live = LiveHfta();
-  if (live == nullptr) return accumulated;
-  const EpochAggregate& current = live->Result(dense, epoch);
-  if (current.empty()) return accumulated;
-  if (accumulated.empty()) return current;
-  // A mid-epoch churn swap split this epoch between the retired runtimes
-  // and the live one: serve the union, rebuilt once the live part moves.
-  SplitEpoch& split = split_epochs_[{dense, epoch}];
-  if (split.live_transfers != live->transfers()) {
-    split.merged = accumulated;
-    MergeInto(current, queries_[static_cast<size_t>(dense)].metrics,
-              &split.merged);
-    split.live_transfers = live->transfers();
-  }
-  return split.merged;
+  return results_.Result(dense, epoch);
 }
 
 std::vector<uint64_t> StreamAggEngine::Epochs(int query_index) const {
-  std::set<uint64_t> epochs;
   if (query_index < 0 || query_index >= num_query_ids()) return {};
   const int dense = handles_[static_cast<size_t>(query_index)];
-  if (dense < 0) {
-    auto rid = retired_.find(query_index);
-    if (rid != retired_.end()) {
-      for (const auto& [e, agg] : rid->second) epochs.insert(e);
-    }
-    return std::vector<uint64_t>(epochs.begin(), epochs.end());
+  if (dense >= 0) return results_.Epochs(dense);
+  std::vector<uint64_t> epochs;
+  auto rid = retired_.find(query_index);
+  if (rid != retired_.end()) {
+    for (const auto& [e, agg] : rid->second) epochs.push_back(e);
   }
-  if (const Hfta* live = LiveHfta()) {
-    for (uint64_t e : live->Epochs(dense)) epochs.insert(e);
-  }
-  for (uint64_t e : accumulated_hfta_->Epochs(dense)) epochs.insert(e);
-  return std::vector<uint64_t>(epochs.begin(), epochs.end());
+  return epochs;
 }
 
 RuntimeCounters StreamAggEngine::counters() const {

@@ -121,7 +121,8 @@ class StreamAggEngine {
       const Schema& schema, const std::vector<std::string>& queries,
       Options options);
 
-  /// Builds an engine from explicit query definitions.
+  /// Builds an engine from explicit query definitions. Metric lists are
+  /// sorted and deduplicated (at most kMaxMetrics): EpochResult's layout.
   static Result<std::unique_ptr<StreamAggEngine>> FromQueryDefs(
       const Schema& schema, std::vector<QueryDef> queries, Options options);
 
@@ -171,17 +172,19 @@ class StreamAggEngine {
   /// flushed for the pre-existing queries first).
   Result<int> AddQuery(const std::string& text);
 
-  /// Same, from an explicit definition (no text, no filter, engine epoch).
+  /// Same, from an explicit definition (no text, no filter, engine epoch);
+  /// metrics are sorted and deduplicated as in FromQueryDefs.
   Result<int> AddQuery(QueryDef def);
 
   /// Unregisters query `query_id` at one epoch-flush barrier. Its results
   /// up to the drop are archived and stay readable through
   /// EpochResult/Epochs under the same id; its groups stop accumulating
-  /// immediately (the HFTA slot is remapped away and the Add target cache
-  /// invalidated). Dropping the last live query is rejected — an engine
+  /// immediately. Dropping the last live query is rejected — an engine
   /// cannot run queryless. Non-aliased drops prune the plan
-  /// (Optimizer::PruneQueries) and swap the runtime; alias drops only
-  /// release the reference.
+  /// (Optimizer::PruneQueries), move the slot's results into the archive
+  /// and swap the runtime; alias drops copy them and release the reference.
+  /// If the pruned runtime fails to install, the engine ends as if
+  /// finished (results up to the drop stay readable) and the error returns.
   Status DropQuery(int query_id);
 
   /// Query ids handed out so far (initial queries get 0..n-1). Ids of
@@ -214,10 +217,10 @@ class StreamAggEngine {
 
   /// Final aggregate of query `query_index` for `epoch` (empty if none).
   /// Results survive adaptive runtime swaps and query churn: the index is
-  /// a stable query id (initial queries are 0..n-1), dropped queries keep
-  /// serving their archived results, and an epoch a mid-epoch churn swap
-  /// split serves both parts merged. The reference stays valid until the
-  /// next call that feeds records, changes queries or finishes.
+  /// a stable query id (initial queries are 0..n-1), and dropped queries
+  /// keep serving their archived results. A P x S engine serves what its
+  /// last barrier drained. The reference stays valid until the next call
+  /// that feeds records, changes queries or finishes.
   const EpochAggregate& EpochResult(int query_index, uint64_t epoch) const;
   /// Epochs with results for `query_index`, ascending.
   std::vector<uint64_t> Epochs(int query_index) const;
@@ -240,7 +243,7 @@ class StreamAggEngine {
   int reoptimizations() const { return reoptimizations_; }
   double last_optimize_millis() const { return last_optimize_millis_; }
   /// One ParsedQuery per query id (synthesized for def-built queries:
-  /// grouping attributes, count(*), and the declared metrics as outputs).
+  /// grouping attributes, count(*), and the sorted metrics as outputs).
   const std::vector<ParsedQuery>& parsed_queries() const { return parsed_; }
   /// Live (planned-for) queries — the dense count the plan and HFTA hold.
   /// Aliased ids share one slot, so this can be below the live id count.
@@ -272,13 +275,14 @@ class StreamAggEngine {
   ///     left in place.
   Status EpochBoundary(uint64_t next_epoch);
 
-  /// Builds (or rebuilds) the runtime for `plan_`, carrying the HFTA over.
+  /// Builds (or rebuilds) the runtime for `plan_`, writing into results_.
   Status InstallRuntime();
 
-  /// Rejects option combinations the engine cannot honor (num_shards or
-  /// num_producers < 1, queue capacity < 2, adaptive trend_epochs < 1 or
-  /// widening_slack outside [0, 1], ...). Messages name the offending field
-  /// and the value it held.
+  /// Rejects option combinations the engine cannot honor (memory_words not
+  /// > 0, epoch_seconds not >= 0, num_shards or num_producers < 1, queue
+  /// capacity < 2, adaptive trend_epochs < 1 or widening_slack outside
+  /// [0, 1], ...; NaN fails too). Messages name the offending field and the
+  /// value it held.
   static Status ValidateOptions(const Options& options);
 
   /// Registers a parsed query: alias, structural append (sampling phase),
@@ -287,26 +291,20 @@ class StreamAggEngine {
   Result<int> AddParsedQuery(ParsedQuery parsed);
 
   /// The retire step of adaptive swaps, churn swaps and Finish: one
-  /// FlushEpoch, then the live runtime's HFTA folds into the accumulated
-  /// results and its counters into total_counters_. Returns its
-  /// wall-clock (the swap events' merge_millis).
+  /// FlushEpoch, which leaves every result in results_, then the runtime's
+  /// counters fold into total_counters_. Returns its wall-clock (the swap
+  /// events' merge_millis).
   double RetireRuntime();
 
   /// FailedPrecondition once Finish() has run.
   Status CheckNotFinished() const;
 
-  /// Copies query id `query_id`'s per-epoch results (dense slot `dense`)
-  /// out of the accumulated HFTA — and, when `include_live` is set, merged
-  /// with the live runtime's HFTA — into retired_ so the id keeps serving
-  /// reads after its slot is gone.
-  void ArchiveQuery(int query_id, int dense, bool include_live);
-
   /// Records a churn event (telemetry section + flight-recorder instant).
   void RecordChurnEvent(QueryChurnEvent event);
 
   /// Erases dense slot `dense` from queries_/dense_refcount_, shifts every
-  /// handle above it down and remaps the accumulated HFTA to the surviving
-  /// slots (dropping the slot's results and the Add target cache).
+  /// handle above it down and remaps results_ to the surviving slots
+  /// (dropping the slot and every Add target).
   void RemoveDenseSlot(int dense);
 
   /// LFTA memory the optimizer may plan for: the budget split across
@@ -339,9 +337,6 @@ class StreamAggEngine {
         std::floor(timestamp / options_.epoch_seconds));
   }
 
-  /// The live runtime's HFTA (nullptr while sampling and after Finish).
-  const Hfta* LiveHfta() const;
-
   /// Attaches engine-level context to a runtime-built snapshot: total
   /// counters across swaps, the plan's predicted collision rates, and the
   /// re-optimization count.
@@ -361,7 +356,7 @@ class StreamAggEngine {
   /// Live ids per dense slot (aliases share a slot); parallel to queries_.
   std::vector<int> dense_refcount_;
   /// Archived per-epoch results of dropped query ids.
-  std::map<int, std::map<uint64_t, EpochAggregate>> retired_;
+  std::map<int, EpochResults> retired_;
   /// The shared record filter (the queries' common where clause).
   std::vector<AttributePredicate> shared_filters_;
   /// From-clause relation name ("" when built from defs) — the parse
@@ -379,10 +374,16 @@ class StreamAggEngine {
   // Live state.
   std::unique_ptr<RelationCatalog> catalog_;  // Snapshot behind plan_.
   std::unique_ptr<OptimizedPlan> plan_;
+  /// The engine's one HFTA: every live query's results, by dense slot, for
+  /// the engine's whole life. Every runtime writes into it (see
+  /// InstallRuntime), so it is declared before runtime_ and outlives it.
+  /// Slots are remapped (AddQuery, DropQuery) only between the retiring
+  /// runtime's final flush and the next install: no runtime ever writes
+  /// under a numbering other than its own plan's.
+  Hfta results_;
   /// The live runtime (nullptr while sampling and after Finish).
   std::unique_ptr<ShardedRuntime> runtime_;
   bool finished_ = false;
-  std::unique_ptr<Hfta> accumulated_hfta_;  // Results across runtime swaps.
   uint64_t current_epoch_ = 0;
   bool saw_record_ = false;
   /// Largest timestamp accepted so far (0 before the first record).
@@ -403,15 +404,6 @@ class StreamAggEngine {
   std::vector<QueryChurnEvent> churn_events_;
   /// What EpochResult returns for a dropped id with no archived epoch.
   EpochAggregate empty_aggregate_;
-  /// An epoch a mid-epoch churn swap split between accumulated_hfta_ and
-  /// the live runtime, merged at read time and keyed by (dense slot,
-  /// epoch). Rebuilt when the live HFTA's transfer count moves; cleared
-  /// whenever a runtime retires.
-  struct SplitEpoch {
-    uint64_t live_transfers = 0;
-    EpochAggregate merged;
-  };
-  mutable std::map<std::pair<int, uint64_t>, SplitEpoch> split_epochs_;
   /// Present iff Options::overload.enabled; survives runtime swaps (it is
   /// re-priced, not rebuilt, at InstallRuntime).
   std::unique_ptr<OverloadController> overload_controller_;

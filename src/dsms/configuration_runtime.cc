@@ -11,7 +11,7 @@ namespace streamagg {
 
 Result<std::unique_ptr<ConfigurationRuntime>> ConfigurationRuntime::Make(
     const Schema& schema, std::vector<RuntimeRelationSpec> specs,
-    double epoch_seconds, uint64_t seed) {
+    double epoch_seconds, Hfta* results, uint64_t seed) {
   if (specs.empty()) {
     return Status::InvalidArgument("configuration has no relations");
   }
@@ -65,28 +65,37 @@ Result<std::unique_ptr<ConfigurationRuntime>> ConfigurationRuntime::Make(
       return Status::InvalidArgument("phantom with query_index");
     }
   }
-  // query_index values must be exactly 0..num_queries-1, each once.
+  // query_index values must be exactly 0..num_queries-1, each once. Query
+  // i's states follow layout[i], and so must the HFTA they go to: its
+  // merges are positional.
   std::vector<bool> seen(static_cast<size_t>(num_queries), false);
+  std::vector<std::vector<MetricSpec>> layout(seen.size());
   for (const auto& s : specs) {
     if (!s.is_query) continue;
     if (s.query_index >= num_queries || seen[s.query_index]) {
       return Status::InvalidArgument("query_index values must be a permutation");
     }
     seen[s.query_index] = true;
+    layout[s.query_index] = s.query_metrics;
+  }
+  if (results != nullptr && results->layout() != layout) {
+    return Status::InvalidArgument(
+        "results HFTA must hold " + std::to_string(num_queries) +
+        " queries laid out by their specs' query_metrics");
   }
   return std::unique_ptr<ConfigurationRuntime>(new ConfigurationRuntime(
-      schema, std::move(specs), epoch_seconds, seed, num_queries));
+      schema, std::move(specs), epoch_seconds, results, seed,
+      std::move(layout)));
 }
 
 ConfigurationRuntime::ConfigurationRuntime(
     const Schema& schema, std::vector<RuntimeRelationSpec> specs,
-    double epoch_seconds, uint64_t seed, int num_queries)
+    double epoch_seconds, Hfta* results, uint64_t seed,
+    std::vector<std::vector<MetricSpec>> layout)
     : schema_(schema),
       specs_(std::move(specs)),
       children_(specs_.size()),
       epoch_seconds_(epoch_seconds) {
-  std::vector<std::vector<MetricSpec>> query_metrics(
-      static_cast<size_t>(num_queries));
   tables_.reserve(specs_.size());
   for (size_t i = 0; i < specs_.size(); ++i) {
     tables_.push_back(std::make_unique<LftaHashTable>(
@@ -97,11 +106,12 @@ ConfigurationRuntime::ConfigurationRuntime(
     } else {
       raw_relations_.push_back(static_cast<int>(i));
     }
-    if (specs_[i].is_query) {
-      query_metrics[specs_[i].query_index] = specs_[i].query_metrics;
-    }
   }
-  hfta_ = std::make_unique<Hfta>(std::move(query_metrics));
+  if (results == nullptr) {
+    owned_hfta_ = std::make_unique<Hfta>(std::move(layout));
+    results = owned_hfta_.get();
+  }
+  hfta_ = results;
   telemetry_.relations.resize(specs_.size());
   shed_accum_.resize(raw_relations_.size(), 0);
   shed_counts_.resize(raw_relations_.size(), 0);

@@ -180,9 +180,12 @@ class ConfigurationRuntime {
   /// Validates the specs (topological parent order, child attrs strictly
   /// contained in parent attrs, queries indexed 0..n-1 exactly once) and
   /// builds the tables. `epoch_seconds` <= 0 means a single unbounded epoch.
+  /// Evictions go to `results`, which must hold one slot per query laid
+  /// out by its spec's query_metrics and outlive the runtime; without it
+  /// the runtime owns its HFTA.
   static Result<std::unique_ptr<ConfigurationRuntime>> Make(
       const Schema& schema, std::vector<RuntimeRelationSpec> specs,
-      double epoch_seconds, uint64_t seed = 0x1f7a);
+      double epoch_seconds, Hfta* results = nullptr, uint64_t seed = 0x1f7a);
 
   /// At kFull, the batch_records/batch_ns histograms sample the first
   /// ProcessBatch call and every kBatchSampleInterval-th call after it.
@@ -212,7 +215,9 @@ class ConfigurationRuntime {
   void FlushEpoch();
 
   const RuntimeCounters& counters() const { return counters_; }
+  /// The HFTA evictions go to: the `results` given to Make, or its own.
   const Hfta& hfta() const { return *hfta_; }
+  Hfta* mutable_hfta() { return hfta_; }
   int num_relations() const { return static_cast<int>(specs_.size()); }
   const RuntimeRelationSpec& spec(int i) const { return specs_[i]; }
   const LftaHashTable& table(int i) const { return *tables_[i]; }
@@ -267,7 +272,8 @@ class ConfigurationRuntime {
  private:
   ConfigurationRuntime(const Schema& schema,
                        std::vector<RuntimeRelationSpec> specs,
-                       double epoch_seconds, uint64_t seed, int num_queries);
+                       double epoch_seconds, Hfta* results, uint64_t seed,
+                       std::vector<std::vector<MetricSpec>> layout);
 
   /// Probes relation `rel` with `key`/`state`; on collision propagates the
   /// evicted entry to the HFTA (if a query) and to all children. Templated
@@ -340,7 +346,8 @@ class ConfigurationRuntime {
   /// The one-record count-only contribution, shared by every metric-free
   /// probe.
   const AggregateState count_one_ = AggregateState::FromCount(1);
-  std::unique_ptr<Hfta> hfta_;
+  std::unique_ptr<Hfta> owned_hfta_;  ///< Null when Make was given results.
+  Hfta* hfta_;
   double epoch_seconds_;
   uint64_t current_epoch_ = 0;
   bool saw_record_ = false;

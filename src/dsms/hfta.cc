@@ -1,5 +1,7 @@
 #include "dsms/hfta.h"
 
+#include <utility>
+
 namespace streamagg {
 
 std::vector<uint64_t> Hfta::Epochs(int query_index) const {
@@ -29,9 +31,24 @@ void Hfta::MergeFrom(const Hfta& other) {
   transfers_ += other.transfers_;
 }
 
+void Hfta::DrainFrom(Hfta* other) {
+  // Splice the epochs this HFTA lacks, then merge those both hold.
+  for (int q = 0; q < num_queries() && q < other->num_queries(); ++q) {
+    per_query_[q].merge(other->per_query_[q]);
+  }
+  MergeFrom(*other);
+  // A fresh HFTA: no rows, no transfers, and no targets into spliced nodes.
+  *other = Hfta(other->metrics_);
+}
+
+EpochResults Hfta::TakeQuery(int query_index) {
+  targets_.slots[static_cast<size_t>(query_index)] = AddTarget{};
+  return std::exchange(per_query_[query_index], EpochResults{});
+}
+
 void Hfta::Remap(std::vector<std::vector<MetricSpec>> new_metrics,
                  const std::vector<int>& source) {
-  std::vector<std::map<uint64_t, EpochAggregate>> remapped(new_metrics.size());
+  std::vector<EpochResults> remapped(new_metrics.size());
   for (size_t i = 0; i < source.size() && i < remapped.size(); ++i) {
     const int from = source[i];
     if (from >= 0 && from < num_queries()) {
@@ -41,9 +58,7 @@ void Hfta::Remap(std::vector<std::vector<MetricSpec>> new_metrics,
   }
   per_query_ = std::move(remapped);
   metrics_ = std::move(new_metrics);
-  // The cached Add target pointed into the old per_query_ layout.
-  cached_agg_ = nullptr;
-  cached_query_ = -1;
+  targets_ = AddTargets(per_query_.size());
 }
 
 uint64_t Hfta::TotalCount(int query_index, uint64_t epoch) const {

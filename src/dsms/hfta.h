@@ -16,6 +16,9 @@ namespace streamagg {
 using EpochAggregate =
     std::unordered_map<GroupKey, AggregateState, GroupKeyHash>;
 
+/// Every epoch's aggregate of one query, in increasing epoch order.
+using EpochResults = std::map<uint64_t, EpochAggregate>;
+
 /// The high-level query node (paper Section 2.1): receives partial
 /// {group, state} entries evicted from the LFTA and combines entries for the
 /// same group and epoch into the final query answers. The HFTA runs in
@@ -30,51 +33,26 @@ class Hfta {
   /// One metric list per query; incoming states must follow it.
   explicit Hfta(std::vector<std::vector<MetricSpec>> per_query_metrics)
       : metrics_(std::move(per_query_metrics)),
-        per_query_(metrics_.size()) {}
-
-  // The Add cache points into per_query_; copies and moves must not carry
-  // it over (a copied cache would alias the source's maps).
-  Hfta(const Hfta& o)
-      : metrics_(o.metrics_),
-        per_query_(o.per_query_),
-        transfers_(o.transfers_) {}
-  Hfta& operator=(const Hfta& o) {
-    metrics_ = o.metrics_;
-    per_query_ = o.per_query_;
-    transfers_ = o.transfers_;
-    cached_agg_ = nullptr;
-    return *this;
-  }
-  Hfta(Hfta&& o) noexcept
-      : metrics_(std::move(o.metrics_)),
-        per_query_(std::move(o.per_query_)),
-        transfers_(o.transfers_) {}
-  Hfta& operator=(Hfta&& o) noexcept {
-    metrics_ = std::move(o.metrics_);
-    per_query_ = std::move(o.per_query_);
-    transfers_ = o.transfers_;
-    cached_agg_ = nullptr;
-    return *this;
-  }
+        per_query_(metrics_.size()),
+        targets_(metrics_.size()) {}
 
   /// Accepts one evicted entry for `query_index` in `epoch`, merging it
   /// with any partial state already held for the group. Each call models
-  /// one LFTA-to-HFTA transfer (cost c2 in the paper's model). Consecutive
-  /// transfers overwhelmingly target the same (query, epoch) — evictions
-  /// arrive from one runtime epoch at a time — so the per-(query, epoch)
-  /// aggregate is cached and the std::map lookup skipped while the target
-  /// stays the same. Safe because std::map mapped references are stable
-  /// under insertion and the only operation that reshapes per_query_
-  /// (Remap, on query churn) nulls the cache.
+  /// one LFTA-to-HFTA transfer (cost c2 in the paper's model). A query's
+  /// transfers overwhelmingly target its current epoch, while consecutive
+  /// transfers alternate between queries, so each query caches its last
+  /// target aggregate and skips the std::map lookup while the epoch stays
+  /// the same. Safe because std::map mapped references are stable under
+  /// insertion, and every operation that moves or drops a query's maps
+  /// (Remap, TakeQuery, DrainFrom, copy and move) resets the targets.
   void Add(int query_index, uint64_t epoch, const GroupKey& key,
            const AggregateState& state) {
-    if (cached_agg_ == nullptr || query_index != cached_query_ ||
-        epoch != cached_epoch_) {
-      cached_agg_ = &per_query_[query_index][epoch];
-      cached_query_ = query_index;
-      cached_epoch_ = epoch;
+    AddTarget& target = targets_.slots[static_cast<size_t>(query_index)];
+    if (target.aggregate == nullptr || target.epoch != epoch) {
+      target.aggregate = &per_query_[query_index][epoch];
+      target.epoch = epoch;
     }
-    auto [it, inserted] = cached_agg_->try_emplace(key, state);
+    auto [it, inserted] = target.aggregate->try_emplace(key, state);
     if (!inserted) it->second.Merge(state, metrics_[query_index]);
     ++transfers_;
   }
@@ -82,6 +60,10 @@ class Hfta {
   int num_queries() const { return static_cast<int>(per_query_.size()); }
   const std::vector<MetricSpec>& query_metrics(int query_index) const {
     return metrics_[query_index];
+  }
+  /// Every query's metric list, by query index.
+  const std::vector<std::vector<MetricSpec>>& layout() const {
+    return metrics_;
   }
 
   /// Total number of LFTA-to-HFTA transfers observed (c2 operations).
@@ -96,10 +78,6 @@ class Hfta {
     }
     return total;
   }
-  /// Telemetry gauge: epochs with any data held for `query_index`.
-  uint64_t EpochsHeld(int query_index) const {
-    return per_query_[query_index].size();
-  }
 
   /// Epochs for which `query_index` received any data, in increasing order.
   std::vector<uint64_t> Epochs(int query_index) const;
@@ -112,29 +90,52 @@ class Hfta {
   uint64_t TotalCount(int query_index, uint64_t epoch) const;
 
   /// Folds all of `other`'s results into this HFTA (same query set and
-  /// metric lists required). Used when a runtime is retired during adaptive
-  /// re-planning and its results must be preserved. Transfer counts are
-  /// accumulated as well.
+  /// metric lists required). Transfer counts are accumulated as well.
   void MergeFrom(const Hfta& other);
+
+  /// MergeFrom that empties `other`: its rows and transfer count move into
+  /// this HFTA, and it keeps its query slots. Epochs this HFTA lacks are
+  /// spliced over without copying. ShardedRuntime's barrier drains each
+  /// replica's private HFTA into the results this way.
+  void DrainFrom(Hfta* other);
+
+  /// Moves every epoch of `query_index` out and leaves the slot empty; a
+  /// later Add starts afresh. Archives a dropped query without a copy.
+  EpochResults TakeQuery(int query_index);
 
   /// Rewires the query slots after churn: slot `i` of the remapped HFTA
   /// adopts the results and metric list of old slot `source[i]`, or starts
   /// empty with metrics `new_metrics[i]` when `source[i]` is -1 (a freshly
   /// added query). Old slots not named by `source` are discarded (dropped
-  /// queries). Invalidates the Add target cache: the cache points into
-  /// per_query_, which this call reshapes, so a stale pointer would write a
-  /// dropped query's groups into freed storage (ISSUE 10 satellite fix).
+  /// queries). Resets every Add target: they point into the per-query maps
+  /// this call reshapes, so a stale one would write a dropped query's
+  /// groups into freed storage.
   void Remap(std::vector<std::vector<MetricSpec>> new_metrics,
              const std::vector<int>& source);
 
  private:
+  /// One query's cached Add target; see Add.
+  struct AddTarget {
+    EpochAggregate* aggregate = nullptr;
+    uint64_t epoch = 0;
+  };
+  /// One AddTarget per query slot. Copying or moving an HFTA never carries
+  /// them over (a copied one would alias the source's maps): these copy
+  /// operations, which moves also use, start every target empty.
+  struct AddTargets {
+    explicit AddTargets(size_t n) : slots(n) {}
+    AddTargets(const AddTargets& o) : slots(o.slots.size()) {}
+    AddTargets& operator=(const AddTargets& o) {
+      slots.assign(o.slots.size(), AddTarget{});
+      return *this;
+    }
+    std::vector<AddTarget> slots;
+  };
+
   std::vector<std::vector<MetricSpec>> metrics_;
-  std::vector<std::map<uint64_t, EpochAggregate>> per_query_;
+  std::vector<EpochResults> per_query_;
   uint64_t transfers_ = 0;
-  /// Last Add target; see Add. Never copied/moved between instances.
-  EpochAggregate* cached_agg_ = nullptr;
-  int cached_query_ = -1;
-  uint64_t cached_epoch_ = 0;
+  AddTargets targets_;
   EpochAggregate empty_;
 };
 

@@ -19,24 +19,24 @@ uint64_t SumBlockedPushes(const std::vector<ProducerTelemetry>& producers) {
 }  // namespace
 
 Status OverloadController::ValidateOptions(const Options& options) {
-  if (options.queue_blocked_fraction < 0.0) {
+  if (!(options.queue_blocked_fraction >= 0.0)) {
     return Status::InvalidArgument(
         "Options::overload.queue_blocked_fraction must be >= 0 (got " +
         std::to_string(options.queue_blocked_fraction) + ")");
   }
-  if (options.min_shed_fraction < 0.0 || options.min_shed_fraction > 1.0) {
+  if (!(options.min_shed_fraction >= 0.0 && options.min_shed_fraction <= 1.0)) {
     return Status::InvalidArgument(
         "Options::overload.min_shed_fraction must be in [0, 1] (got " +
         std::to_string(options.min_shed_fraction) + ")");
   }
-  if (options.max_shed_fraction < options.min_shed_fraction ||
-      options.max_shed_fraction > 1.0) {
+  if (!(options.max_shed_fraction >= options.min_shed_fraction &&
+        options.max_shed_fraction <= 1.0)) {
     return Status::InvalidArgument(
         "Options::overload.max_shed_fraction must be in [min_shed_fraction, "
         "1] (got " +
         std::to_string(options.max_shed_fraction) + ")");
   }
-  if (options.shed_step <= 0.0) {
+  if (!(options.shed_step > 0.0)) {
     return Status::InvalidArgument(
         "Options::overload.shed_step must be > 0 (got " +
         std::to_string(options.shed_step) + ")");
@@ -46,12 +46,12 @@ Status OverloadController::ValidateOptions(const Options& options) {
         "Options::overload.trend_epochs must be >= 1 (got " +
         std::to_string(options.trend_epochs) + ")");
   }
-  if (options.widening_slack < 0.0 || options.widening_slack > 1.0) {
+  if (!(options.widening_slack >= 0.0 && options.widening_slack <= 1.0)) {
     return Status::InvalidArgument(
         "Options::overload.widening_slack must be in [0, 1] (got " +
         std::to_string(options.widening_slack) + ")");
   }
-  if (options.imbalance_threshold < 1.0) {
+  if (!(options.imbalance_threshold >= 1.0)) {
     return Status::InvalidArgument(
         "Options::overload.imbalance_threshold must be >= 1 (got " +
         std::to_string(options.imbalance_threshold) + ")");

@@ -102,8 +102,8 @@ class OverloadController {
     std::vector<double> stripe_weights;
   };
 
-  /// Rejects out-of-range knobs; messages name the field and the value it
-  /// held ("Options::overload.<field> must be ... (got <value>)").
+  /// Rejects out-of-range knobs, NaN included; messages name the field and
+  /// the value it held ("Options::overload.<field> must be ... (got <value>)").
   static Status ValidateOptions(const Options& options);
 
   explicit OverloadController(Options options);

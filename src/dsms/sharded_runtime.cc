@@ -22,7 +22,7 @@ constexpr uint64_t kShardHashSeed = 0x5eedf00dcafe17ULL;
 
 Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Make(
     const Schema& schema, std::vector<RuntimeRelationSpec> specs,
-    double epoch_seconds, Options options, uint64_t seed) {
+    double epoch_seconds, Options options, Hfta* results, uint64_t seed) {
   if (options.num_shards < 1) {
     return Status::InvalidArgument(
         "Options::num_shards must be >= 1 (got " +
@@ -43,50 +43,61 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Make(
         "Options::rebalance_slots_per_shard must be >= 0 (got " +
         std::to_string(options.rebalance_slots_per_shard) + ")");
   }
+  const bool runs_inline =
+      options.num_shards == 1 && options.num_producers == 1;
   std::vector<std::unique_ptr<ConfigurationRuntime>> shards;
   shards.reserve(static_cast<size_t>(options.num_shards));
   for (int s = 0; s < options.num_shards; ++s) {
     // Every replica validates the same specs; the first failure reports.
+    // Inline, the one replica writes into (and checks) the results;
+    // otherwise each writes into its own HFTA, which every barrier drains.
     STREAMAGG_ASSIGN_OR_RETURN(
         std::unique_ptr<ConfigurationRuntime> shard,
-        ConfigurationRuntime::Make(schema, specs, epoch_seconds, seed));
+        ConfigurationRuntime::Make(schema, specs, epoch_seconds,
+                                   runs_inline ? results : nullptr, seed));
     shard->set_trace_id(s);  // Label the replica's flight-recorder events.
     shards.push_back(std::move(shard));
   }
+  // Off-inline, the results must match a replica's own HFTA's layout.
+  if (!runs_inline && results != nullptr &&
+      results->layout() != shards[0]->hfta().layout()) {
+    return Status::InvalidArgument(
+        "results HFTA must hold the specs' queries laid out by their "
+        "query_metrics");
+  }
   AttributeSet partition_attrs;
-  int num_queries = 0;
   for (const RuntimeRelationSpec& spec : specs) {
     if (spec.parent < 0) partition_attrs = partition_attrs.Union(spec.attrs);
-    if (spec.is_query) num_queries = std::max(num_queries, spec.query_index + 1);
   }
-  std::vector<std::vector<MetricSpec>> per_query_metrics(
-      static_cast<size_t>(num_queries));
-  for (const RuntimeRelationSpec& spec : specs) {
-    if (spec.is_query) per_query_metrics[spec.query_index] = spec.query_metrics;
-  }
-  return std::unique_ptr<ShardedRuntime>(new ShardedRuntime(
-      schema, std::move(shards), partition_attrs, std::move(per_query_metrics),
-      epoch_seconds, options));
+  return std::unique_ptr<ShardedRuntime>(
+      new ShardedRuntime(schema, std::move(shards), partition_attrs, results,
+                         epoch_seconds, options));
 }
 
 ShardedRuntime::ShardedRuntime(
     const Schema& schema,
     std::vector<std::unique_ptr<ConfigurationRuntime>> shards,
-    AttributeSet partition_attrs,
-    std::vector<std::vector<MetricSpec>> per_query_metrics,
-    double epoch_seconds, Options options)
+    AttributeSet partition_attrs, Hfta* results, double epoch_seconds,
+    Options options)
     : schema_(schema),
       shards_(std::move(shards)),
       partition_attrs_(partition_attrs),
-      per_query_metrics_(std::move(per_query_metrics)),
       epoch_seconds_(epoch_seconds),
       num_producers_(options.num_producers),
       pin_threads_(options.pin_threads),
-      inline_(shards_.size() == 1 && num_producers_ == 1) {
+      inline_(shards_.size() == 1 && num_producers_ == 1),
+      results_(results) {
   const size_t matrix = static_cast<size_t>(num_producers_) * shards_.size();
   ingest_stats_.resize(matrix);  // Read at every split; all zero inline.
-  if (inline_) return;
-  merged_hfta_ = std::make_unique<Hfta>(per_query_metrics_);
+  if (inline_) {
+    results_ = shards_[0]->mutable_hfta();  // The caller's, or its own.
+    return;
+  }
+  if (results_ == nullptr) {
+    // A copy of a fresh replica's HFTA: no rows, every query's metrics.
+    owned_results_ = std::make_unique<Hfta>(shards_[0]->hfta());
+    results_ = owned_results_.get();
+  }
   queues_.reserve(matrix);
   staging_.resize(matrix);
   if (options.rebalance_slots_per_shard > 0) {
@@ -462,7 +473,7 @@ void ShardedRuntime::Quiesce() {
 void ShardedRuntime::RunBarrier(Envelope::Kind kind) {
   // Driver-side barrier span (docs/tracing.md): covers staging delivery,
   // marker propagation, the wait for every shard's ack, and the snapshot
-  // rebuild — the wall-clock cost of one FlushEpoch/Quiesce barrier.
+  // drain — the wall-clock cost of one FlushEpoch/Quiesce barrier.
   STREAMAGG_TRACE(const uint64_t barrier_start =
                       FlightRecorder::Instance().enabled()
                           ? TelemetryNowNanos()
@@ -486,10 +497,11 @@ void ShardedRuntime::RunBarrier(Envelope::Kind kind) {
     barrier_cv_.wait(lock, [this] { return barrier_pending_ == 0; });
   }
   // All shards have drained their whole queue column up to the markers and
-  // acknowledged under the barrier mutex, so reading their state here is
-  // race-free: nothing else is in their queues (the driver is the only
-  // thread pushing, and the helpers are parked).
-  RebuildMergedSnapshot();
+  // acknowledged under the barrier mutex, so reading and draining their
+  // state here is race-free: nothing else is in their queues (the driver is
+  // the only thread pushing, and the helpers are parked). A worker's next
+  // pop orders its next write after the drain.
+  DrainReplicas();
   STREAMAGG_TRACE(if (barrier_start != 0) {
     FlightRecorder::Instance().RecordSpan(
         TraceEventType::kBarrier, barrier_start, shards_[0]->current_epoch(),
@@ -497,11 +509,10 @@ void ShardedRuntime::RunBarrier(Envelope::Kind kind) {
   });
 }
 
-void ShardedRuntime::RebuildMergedSnapshot() {
-  merged_hfta_ = std::make_unique<Hfta>(per_query_metrics_);
+void ShardedRuntime::DrainReplicas() {
   merged_counters_ = RuntimeCounters{};
   for (const auto& shard : shards_) {
-    merged_hfta_->MergeFrom(shard->hfta());
+    results_->DrainFrom(shard->mutable_hfta());
     merged_counters_.Add(shard->counters());
   }
 }

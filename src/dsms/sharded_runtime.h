@@ -40,11 +40,12 @@ struct ShardIngestStats {
 /// needs an MPMC queue or a lock). Records are partitioned by a hash of
 /// their projection onto the configuration's root (raw-relation)
 /// attributes, so a root group always lands on the same shard regardless
-/// of which producer routed it. Per-shard HFTA outputs are merged at an
-/// epoch barrier (FlushEpoch) into the same final aggregates the inline
-/// runtime produces — shard merge is order-insensitive because all
-/// supported aggregates are commutative. See docs/runtime.md for the full
-/// concurrency model.
+/// of which producer routed it. Each replica transfers into its own HFTA,
+/// and every barrier (FlushEpoch, Quiesce) drains those into the one
+/// results HFTA, giving the same final aggregates the inline runtime
+/// produces — shard merge is order-insensitive because all supported
+/// aggregates are commutative. See docs/runtime.md for the full concurrency
+/// model.
 ///
 /// Threading contract (single external driver thread):
 ///  * ProcessRecord / ProcessBatch / ProcessTrace / FlushEpoch / Quiesce
@@ -54,8 +55,8 @@ struct ShardIngestStats {
 ///    ProcessBatch stripes each epoch-run across them and joins before
 ///    returning, so the multi-producer fan-out is invisible to the caller.
 ///  * hfta() and counters() are live when the runtime runs inline; otherwise
-///    they return the snapshot merged at the last barrier and are stable
-///    (race-free) between barriers.
+///    they hold everything up to the last barrier and are stable (race-free)
+///    between barriers.
 ///  * shard(i) exposes a shard's runtime for inspection. Inline it is always
 ///    safe to read; otherwise only between a barrier (or construction) and
 ///    the next ProcessRecord/ProcessBatch, while the workers are quiescent.
@@ -113,9 +114,13 @@ class ShardedRuntime {
   /// num_shards, so planners should size specs with budget/num_shards
   /// (StreamAggEngine does; see core/engine.h). Producers do not replicate
   /// tables — only queues and staging buffers scale with num_producers.
+  /// Results go to `results` (one slot per query laid out by its spec's
+  /// query_metrics, outliving the runtime; StreamAggEngine passes its own),
+  /// else to an HFTA the runtime owns.
   static Result<std::unique_ptr<ShardedRuntime>> Make(
       const Schema& schema, std::vector<RuntimeRelationSpec> specs,
-      double epoch_seconds, Options options, uint64_t seed = 0x1f7a);
+      double epoch_seconds, Options options, Hfta* results = nullptr,
+      uint64_t seed = 0x1f7a);
 
   /// Stops and joins workers and producer threads, if any; queued records
   /// are processed first.
@@ -144,13 +149,13 @@ class ShardedRuntime {
 
   /// Flushes every shard's current epoch. Inline that is the replica's own
   /// FlushEpoch. Otherwise it is the epoch barrier: quiesces the producers,
-  /// drains every queue of the P x S matrix, flushes every shard, and
-  /// rebuilds the merged HFTA/counters snapshot, blocking the caller until
-  /// all shards have acknowledged.
+  /// drains every queue of the P x S matrix, flushes every shard, drains
+  /// every replica's HFTA into the results and rebuilds the counters
+  /// snapshot, blocking the caller until all shards have acknowledged.
   void FlushEpoch();
 
   /// Quiescence barrier *without* flushing: drains every queue of the
-  /// matrix and rebuilds the merged snapshot, but leaves each shard's LFTA
+  /// matrix and every replica's HFTA, but leaves each shard's LFTA
   /// tables mid-epoch (occupied). This is the barrier the adaptive engine
   /// snapshots and estimates statistics at — table occupancy is the
   /// group-count signal, and an epoch flush would destroy it. After the
@@ -159,10 +164,9 @@ class ShardedRuntime {
   /// nothing to drain, so it does nothing.
   void Quiesce();
 
-  /// Results across shards: live inline, else as of the last barrier.
-  const Hfta& hfta() const {
-    return inline_ ? shards_[0]->hfta() : *merged_hfta_;
-  }
+  /// The results HFTA (Make's `results`, or the runtime's own): live
+  /// inline, else complete up to the last barrier.
+  const Hfta& hfta() const { return *results_; }
   /// Counters across shards: live inline, else as of the last barrier.
   const RuntimeCounters& counters() const {
     return inline_ ? shards_[0]->counters() : merged_counters_;
@@ -262,8 +266,7 @@ class ShardedRuntime {
 
   ShardedRuntime(const Schema& schema,
                  std::vector<std::unique_ptr<ConfigurationRuntime>> shards,
-                 AttributeSet partition_attrs,
-                 std::vector<std::vector<MetricSpec>> per_query_metrics,
+                 AttributeSet partition_attrs, Hfta* results,
                  double epoch_seconds, Options options);
 
   int ShardOf(const Record& record) const;
@@ -287,17 +290,17 @@ class ShardedRuntime {
   void FlushStaging();
   /// Shared body of FlushEpoch/Quiesce: delivers staged records, pushes one
   /// `kind` marker down every queue of the matrix, waits for every shard's
-  /// acknowledgement, then rebuilds the merged snapshot.
+  /// acknowledgement, then drains the replicas (DrainReplicas).
   void RunBarrier(Envelope::Kind kind);
   void WorkerLoop(int shard);
   void ProducerLoop(int producer);
-  /// Rebuilds merged_hfta_/merged_counters_ from the quiescent shards.
-  void RebuildMergedSnapshot();
+  /// Drains every quiescent replica's HFTA into results_ and rebuilds
+  /// merged_counters_.
+  void DrainReplicas();
 
   Schema schema_;
   std::vector<std::unique_ptr<ConfigurationRuntime>> shards_;
   AttributeSet partition_attrs_;
-  std::vector<std::vector<MetricSpec>> per_query_metrics_;
   double epoch_seconds_ = 0.0;
   int num_producers_ = 1;
 
@@ -349,7 +352,8 @@ class ShardedRuntime {
   std::condition_variable barrier_cv_;
   int barrier_pending_ = 0;
 
-  std::unique_ptr<Hfta> merged_hfta_;
+  std::unique_ptr<Hfta> owned_results_;  ///< P x S without Make's results.
+  Hfta* results_;
   RuntimeCounters merged_counters_;
 };
 

@@ -704,12 +704,12 @@ TelemetrySnapshot BuildTelemetrySnapshot(const ShardedRuntime& runtime,
     producer.node = layout.producer_node[static_cast<size_t>(p)];
     s.producers.push_back(producer);
   }
-  // Replica HFTA rows over-count groups that straddle shards; the merged
-  // barrier snapshot holds the deduplicated per-query row counts.
-  const Hfta& merged = runtime.hfta();
-  s.hfta_groups.assign(static_cast<size_t>(merged.num_queries()), 0);
-  for (int q = 0; q < merged.num_queries(); ++q) {
-    s.hfta_groups[static_cast<size_t>(q)] = merged.TotalGroups(q);
+  // Every barrier drains the replica HFTAs into the results HFTA, which
+  // holds the deduplicated per-query row counts.
+  const Hfta& results = runtime.hfta();
+  s.hfta_groups.assign(static_cast<size_t>(results.num_queries()), 0);
+  for (int q = 0; q < results.num_queries(); ++q) {
+    s.hfta_groups[static_cast<size_t>(q)] = results.TotalGroups(q);
   }
   return s;
 }

@@ -107,16 +107,16 @@ struct ReplanEvent {
   int replanned_nodes = 0;      ///< Relations rebuilt by the optimizer.
   int pinned_nodes = 0;         ///< Relations kept from the old plan.
   double optimize_millis = 0.0;
-  /// Wall-clock of the barrier work around the swap: flushing the retiring
-  /// runtime and merging its HFTA into the accumulated results.
+  /// Wall-clock of the barrier work around the swap: the retiring runtime's
+  /// final flush (on P x S, with the replica HFTA drain). No HFTA merge.
   double merge_millis = 0.0;
 
   bool operator==(const ReplanEvent&) const = default;
 };
 
 /// One online query-churn event (StreamAggEngine::AddQuery/DropQuery), as
-/// recorded by the engine at the Quiesce barrier where the plan swap (or
-/// alias bump) happened. Schema in docs/observability.md §query_churn.
+/// recorded by the engine at the epoch-flush barrier where the plan swap
+/// (or alias bump) happened. Schema in docs/observability.md §query_churn.
 struct QueryChurnEvent {
   uint64_t epoch = 0;     ///< Epoch the engine was accumulating into.
   bool add = true;        ///< true = AddQuery, false = DropQuery.
@@ -130,8 +130,8 @@ struct QueryChurnEvent {
   int replanned_nodes = 0;  ///< Relations rebuilt for this churn event.
   int pinned_nodes = 0;     ///< Relations carried over untouched.
   double optimize_millis = 0.0;  ///< Planning wall-clock (0 for aliases).
-  /// Wall-clock of the barrier work: quiescing shards, flushing the
-  /// retiring runtime and merging its HFTA into the accumulated results.
+  /// Wall-clock of the barrier work: the retiring runtime's final flush (on
+  /// P x S, with the replica HFTA drain), plus an alias drop's result copy.
   double merge_millis = 0.0;
 
   bool operator==(const QueryChurnEvent&) const = default;
@@ -202,7 +202,8 @@ struct TelemetrySnapshot {
   std::vector<TableTelemetry> tables;
   std::vector<ShardTelemetry> shards;        ///< Empty for serial runtimes.
   std::vector<ProducerTelemetry> producers;  ///< Empty for serial runtimes.
-  /// Result rows held in the HFTA, per query (Hfta::TotalGroups).
+  /// Result rows held in the HFTA per live query (Hfta::TotalGroups); for
+  /// an engine, every row since the query was added, across swaps.
   std::vector<uint64_t> hfta_groups;
   /// Adaptive re-plans up to this snapshot, oldest first (engine-level;
   /// empty for raw runtime snapshots and non-adaptive engines).

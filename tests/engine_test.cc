@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <span>
@@ -860,6 +861,111 @@ TEST(StreamAggEngineChurnTest, PinnedPlanWithoutCountsRejectsLiveChurn) {
   EXPECT_TRUE((*engine)->IsLive(0));
 }
 
+TEST(StreamAggEngineChurnTest, HftaGroupsCountEveryRowHeldPerQuery) {
+  // Every runtime writes into the engine's one HFTA, so hfta_groups counts
+  // every row the engine holds for a live query — before and after a
+  // mid-epoch swap — not only the rows since the last swap.
+  const Trace trace = UniformTrace(500, 60000, 83);
+  StreamAggEngine::Options options = BaseOptions();
+  options.sample_size = 5000;
+  auto engine = StreamAggEngine::FromQueryDefs(
+      trace.schema(),
+      {QueryDef(*trace.schema().ParseAttributeSet("AB")),
+       QueryDef(*trace.schema().ParseAttributeSet("BC"))},
+      options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const auto expect_rows_match = [&](const std::string& label) {
+    const TelemetrySnapshot snapshot = (*engine)->telemetry();
+    ASSERT_EQ(snapshot.hfta_groups.size(),
+              static_cast<size_t>((*engine)->num_queries()))
+        << label;
+    for (int q = 0; q < (*engine)->num_query_ids(); ++q) {
+      ASSERT_TRUE((*engine)->IsLive(q));  // No drops: id == dense slot.
+      uint64_t rows = 0;
+      for (uint64_t epoch : (*engine)->Epochs(q)) {
+        rows += (*engine)->EpochResult(q, epoch).size();
+      }
+      EXPECT_GT(rows, 0u) << label << " query " << q;
+      EXPECT_EQ(snapshot.hfta_groups[static_cast<size_t>(q)], rows)
+          << label << " query " << q;
+    }
+  };
+  for (size_t i = 0; i < trace.size(); ++i) {
+    // 5 s into a 10 s trace: the middle of epoch 2 (epochs are 2 s), after
+    // two closed epochs.
+    if (i == trace.size() / 2) {
+      auto id = (*engine)->AddQuery(
+          QueryDef(*trace.schema().ParseAttributeSet("CD")));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ASSERT_EQ(*id, 2);
+    }
+    ASSERT_TRUE((*engine)->Process(trace.record(i)).ok());
+  }
+  ASSERT_EQ((*engine)->churn_events().size(), 1u);
+  EXPECT_FALSE((*engine)->churn_events().front().aliased);
+  expect_rows_match("before Finish");
+  ASSERT_TRUE((*engine)->Finish().ok());
+  expect_rows_match("after Finish");
+}
+
+TEST(StreamAggEngineChurnTest, UnsortedMetricListsMatchSortedOnes) {
+  // A QueryDef may list its metrics in any order and repeat one. The engine
+  // keeps each list sorted and deduplicated, the layout the runtimes' states
+  // follow, so its HFTA merges every metric under its own op: repeated
+  // evictions at 1x1 and the replica drain at 2x2 alike.
+  const Trace trace = UniformTrace(2000, 60000, 89);
+  const Schema& schema = trace.schema();
+  const MetricSpec sum_d{AggregateOp::kSum, 3};
+  const MetricSpec max_d{AggregateOp::kMax, 3};
+  const MetricSpec min_c{AggregateOp::kMin, 2};
+  for (int shards : {1, 2}) {
+    StreamAggEngine::Options options = BaseOptions();
+    options.memory_words = 3000.0;  // Small tables: many repeated evictions.
+    options.sample_size = 5000;
+    options.num_shards = shards;
+    options.num_producers = shards;
+    const auto run = [&](std::vector<MetricSpec> ab_metrics,
+                         std::vector<MetricSpec> cd_metrics) {
+      auto engine = StreamAggEngine::FromQueryDefs(
+          schema,
+          {QueryDef(*schema.ParseAttributeSet("AB"), std::move(ab_metrics)),
+           QueryDef(*schema.ParseAttributeSet("BC"))},
+          options);
+      EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+      for (size_t i = 0; i < trace.size(); ++i) {
+        if (i == trace.size() / 2) {
+          EXPECT_TRUE((*engine)
+                          ->AddQuery(QueryDef(*schema.ParseAttributeSet("CD"),
+                                              cd_metrics))
+                          .ok());
+        }
+        EXPECT_TRUE((*engine)->Process(trace.record(i)).ok());
+      }
+      EXPECT_TRUE((*engine)->Finish().ok());
+      return std::move(engine).value();
+    };
+    const auto unsorted = run({max_d, sum_d}, {max_d, min_c, max_d});
+    const auto sorted = run({sum_d, max_d}, {min_c, max_d});
+    for (int q = 0; q < 3; ++q) {
+      const std::vector<uint64_t> epochs = sorted->Epochs(q);
+      ASSERT_FALSE(epochs.empty());
+      ASSERT_EQ(unsorted->Epochs(q), epochs) << "shards=" << shards;
+      for (uint64_t epoch : epochs) {
+        const EpochAggregate& want = sorted->EpochResult(q, epoch);
+        const EpochAggregate& got = unsorted->EpochResult(q, epoch);
+        ASSERT_EQ(got.size(), want.size());
+        size_t differing = 0;
+        for (const auto& [key, state] : want) {
+          auto it = got.find(key);
+          if (it == got.end() || !(it->second == state)) ++differing;
+        }
+        EXPECT_EQ(differing, 0u)
+            << "shards=" << shards << " query " << q << " epoch " << epoch;
+      }
+    }
+  }
+}
+
 // --- ValidateOptions: one test per rejected combination, each message
 // naming Options::<field> and the offending value (PR 4/6 convention). ---
 
@@ -973,6 +1079,53 @@ TEST(EngineValidation, RejectsAdaptiveWideningSlackOutsideUnitRange) {
               std::string::npos)
         << engine.status().ToString();
   }
+}
+
+TEST(EngineValidation, RejectsNonPositiveOrNanMemoryWords) {
+  for (double words : {0.0, -40000.0, std::nan("")}) {
+    StreamAggEngine::Options options = BaseOptions();
+    options.memory_words = words;
+    auto engine = StreamAggEngine::FromQueryDefs(
+        *Schema::Default(2), {QueryDef(AttributeSet::Single(0))}, options);
+    ASSERT_FALSE(engine.ok()) << words;
+    EXPECT_NE(engine.status().ToString().find(
+                  "Options::memory_words must be > 0 (got " +
+                  std::to_string(words) + ")"),
+              std::string::npos)
+        << engine.status().ToString();
+  }
+}
+
+TEST(EngineValidation, RejectsNegativeOrNanEpochSeconds) {
+  const Schema schema = *Schema::Default(2);
+  for (double seconds : {-2.0, std::nan("")}) {
+    StreamAggEngine::Options options = BaseOptions();
+    options.epoch_seconds = seconds;
+    auto engine = StreamAggEngine::FromQueryDefs(
+        schema, {QueryDef(AttributeSet::Single(0))}, options);
+    ASSERT_FALSE(engine.ok()) << seconds;
+    EXPECT_NE(engine.status().ToString().find(
+                  "Options::epoch_seconds must be >= 0 (got " +
+                  std::to_string(seconds) + ")"),
+              std::string::npos)
+        << engine.status().ToString();
+    // From texts, the epoch that counts is the one the engine will use.
+    EXPECT_FALSE(StreamAggEngine::FromQueryTexts(
+                     schema, {"select A, count(*) from R group by A"}, options)
+                     .ok())
+        << seconds;
+    auto timed = StreamAggEngine::FromQueryTexts(
+        schema, {"select A, count(*) from R group by A, time/5"}, options);
+    ASSERT_TRUE(timed.ok()) << timed.status().ToString();
+    EXPECT_EQ((*timed)->epoch_seconds(), 5.0);
+  }
+  // 0 stays the epochless engine.
+  StreamAggEngine::Options options = BaseOptions();
+  options.epoch_seconds = 0.0;
+  auto epochless = StreamAggEngine::FromQueryDefs(
+      schema, {QueryDef(AttributeSet::Single(0))}, options);
+  ASSERT_TRUE(epochless.ok()) << epochless.status().ToString();
+  EXPECT_EQ((*epochless)->epoch_seconds(), 0.0);
 }
 
 TEST(EngineValidation, RejectsAdaptivePinnedPlanWithoutCounts) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+#include <vector>
+
 namespace streamagg {
 namespace {
 
@@ -133,6 +137,126 @@ TEST(HftaTest, RemapIdentityPlusFreshSlotKeepsResults) {
   hfta.Add(1, 2, Key1(3), AggregateState::FromCount(1));
   EXPECT_EQ(hfta.Result(0, 2).at(Key1(3)).count, 11u);
   EXPECT_EQ(hfta.Result(1, 2).at(Key1(3)).count, 1u);
+}
+
+TEST(HftaTest, TakeQueryEmptiesSlotAndLaterAddStartsFresh) {
+  Hfta hfta(2);
+  hfta.Add(0, 1, Key1(1), AggregateState::FromCount(2));
+  hfta.Add(0, 2, Key1(1), AggregateState::FromCount(3));  // Target: (0, 2).
+  hfta.Add(1, 2, Key1(4), AggregateState::FromCount(5));
+
+  EpochResults taken = hfta.TakeQuery(0);
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(taken.at(1).at(Key1(1)).count, 2u);
+  EXPECT_EQ(taken.at(2).at(Key1(1)).count, 3u);
+  EXPECT_TRUE(hfta.Epochs(0).empty());
+  EXPECT_EQ(hfta.TotalGroups(0), 0u);
+  EXPECT_EQ(hfta.Result(1, 2).at(Key1(4)).count, 5u);  // Untouched.
+
+  // Same (query, epoch) as the taken slot's last target: the Add must start
+  // a fresh aggregate, not write into the map the caller now owns.
+  hfta.Add(0, 2, Key1(1), AggregateState::FromCount(7));
+  EXPECT_EQ(hfta.Result(0, 2).at(Key1(1)).count, 7u);
+  EXPECT_EQ(taken.at(2).at(Key1(1)).count, 3u);
+  EXPECT_EQ(hfta.Epochs(0), std::vector<uint64_t>{2});
+}
+
+TEST(HftaTest, InterleavedAddsLandInTheirQueryAndEpoch) {
+  // Transfers alternate between queries while each query's epoch moves on
+  // at its own pace: every Add must reach its own (query, epoch).
+  Hfta hfta(3);
+  std::map<std::tuple<int, uint64_t, uint32_t>, uint64_t> expected;
+  for (uint32_t i = 0; i < 600; ++i) {
+    const int query = static_cast<int>(i % 3);
+    const uint64_t epoch = i / (7 + static_cast<uint32_t>(query) * 5);
+    const uint32_t group = i % 4;
+    const uint64_t count = 1 + i % 9;
+    hfta.Add(query, epoch, Key1(group), AggregateState::FromCount(count));
+    expected[{query, epoch, group}] += count;
+  }
+  EXPECT_EQ(hfta.transfers(), 600u);
+  size_t rows = 0;
+  for (int q = 0; q < 3; ++q) {
+    for (uint64_t epoch : hfta.Epochs(q)) {
+      for (const auto& [key, state] : hfta.Result(q, epoch)) {
+        EXPECT_EQ(state.count, (expected[{q, epoch, key.values[0]}]))
+            << "query " << q << " epoch " << epoch;
+        ++rows;
+      }
+    }
+  }
+  EXPECT_EQ(rows, expected.size());
+}
+
+TEST(HftaTest, RemapCopyAndMoveResetEveryTarget) {
+  const auto primed = [] {
+    Hfta hfta(2);
+    hfta.Add(0, 5, Key1(1), AggregateState::FromCount(1));
+    hfta.Add(1, 5, Key1(2), AggregateState::FromCount(2));
+    return hfta;
+  };
+
+  // Remap swapping the slots: a kept target would write slot 0's next
+  // group into the map that is now slot 1.
+  Hfta swapped = primed();
+  swapped.Add(0, 5, Key1(1), AggregateState::FromCount(1));  // Re-prime.
+  swapped.Remap({{}, {}}, {1, 0});
+  swapped.Add(0, 5, Key1(2), AggregateState::FromCount(10));
+  swapped.Add(1, 5, Key1(1), AggregateState::FromCount(20));
+  EXPECT_EQ(swapped.Result(0, 5).at(Key1(2)).count, 12u);
+  EXPECT_EQ(swapped.Result(0, 5).size(), 1u);
+  EXPECT_EQ(swapped.Result(1, 5).at(Key1(1)).count, 22u);
+  EXPECT_EQ(swapped.Result(1, 5).size(), 1u);
+
+  // Copy assignment and copy construction: each copy's Adds stay its own.
+  Hfta source = primed();
+  Hfta assigned(1);
+  assigned = source;
+  Hfta constructed(source);
+  assigned.Add(0, 5, Key1(1), AggregateState::FromCount(100));
+  constructed.Add(1, 5, Key1(2), AggregateState::FromCount(200));
+  source.Add(0, 5, Key1(1), AggregateState::FromCount(1000));
+  EXPECT_EQ(assigned.Result(0, 5).at(Key1(1)).count, 101u);
+  EXPECT_EQ(assigned.Result(1, 5).at(Key1(2)).count, 2u);
+  EXPECT_EQ(constructed.Result(0, 5).at(Key1(1)).count, 1u);
+  EXPECT_EQ(constructed.Result(1, 5).at(Key1(2)).count, 202u);
+  EXPECT_EQ(source.Result(0, 5).at(Key1(1)).count, 1001u);
+  EXPECT_EQ(source.Result(1, 5).at(Key1(2)).count, 2u);
+
+  // Move assignment: the destination keeps accumulating in place, and a
+  // source rebuilt afterwards starts empty.
+  Hfta moved(1);
+  moved = std::move(source);
+  moved.Add(0, 5, Key1(1), AggregateState::FromCount(4));
+  EXPECT_EQ(moved.Result(0, 5).at(Key1(1)).count, 1005u);
+  source = Hfta(2);
+  source.Add(0, 5, Key1(1), AggregateState::FromCount(8));
+  EXPECT_EQ(source.Result(0, 5).at(Key1(1)).count, 8u);
+  EXPECT_EQ(moved.Result(0, 5).at(Key1(1)).count, 1005u);
+}
+
+TEST(HftaTest, DrainFromMovesEveryRowAndEmptiesTheSource) {
+  Hfta results(2);
+  results.Add(0, 1, Key1(1), AggregateState::FromCount(1));
+  Hfta replica(2);
+  replica.Add(0, 1, Key1(1), AggregateState::FromCount(2));  // Shared epoch.
+  replica.Add(0, 2, Key1(3), AggregateState::FromCount(4));  // New epoch.
+  replica.Add(1, 2, Key1(5), AggregateState::FromCount(6));
+
+  results.DrainFrom(&replica);
+  EXPECT_EQ(results.Result(0, 1).at(Key1(1)).count, 3u);
+  EXPECT_EQ(results.Result(0, 2).at(Key1(3)).count, 4u);
+  EXPECT_EQ(results.Result(1, 2).at(Key1(5)).count, 6u);
+  EXPECT_EQ(results.transfers(), 4u);
+  EXPECT_EQ(replica.num_queries(), 2);
+  EXPECT_EQ(replica.transfers(), 0u);
+  EXPECT_TRUE(replica.Epochs(0).empty());
+  EXPECT_TRUE(replica.Epochs(1).empty());
+
+  // The replica's next Add for its last target starts afresh there.
+  replica.Add(1, 2, Key1(5), AggregateState::FromCount(1));
+  EXPECT_EQ(replica.Result(1, 2).at(Key1(5)).count, 1u);
+  EXPECT_EQ(results.Result(1, 2).at(Key1(5)).count, 6u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -394,6 +395,27 @@ TEST(OverloadValidation, MessagesNameFieldAndValue) {
   options = {};
   options.rebalance_slots_per_shard = 0;
   expect_rejected(options, "rebalance_slots_per_shard", "(got 0)");
+
+  // NaN fails every range compare; each double field must still reject it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  options = {};
+  options.queue_blocked_fraction = nan;
+  expect_rejected(options, "queue_blocked_fraction", "(got nan)");
+  options = {};
+  options.min_shed_fraction = nan;
+  expect_rejected(options, "min_shed_fraction", "(got nan)");
+  options = {};
+  options.max_shed_fraction = nan;
+  expect_rejected(options, "max_shed_fraction", "(got nan)");
+  options = {};
+  options.shed_step = nan;
+  expect_rejected(options, "shed_step", "(got nan)");
+  options = {};
+  options.widening_slack = nan;
+  expect_rejected(options, "widening_slack", "(got nan)");
+  options = {};
+  options.imbalance_threshold = nan;
+  expect_rejected(options, "imbalance_threshold", "(got nan)");
 
   EXPECT_TRUE(OverloadController::ValidateOptions({}).ok());
 }

@@ -376,5 +376,107 @@ TEST(ShardedRuntimeTest, EngineValidationCoversProducerCombinations) {
   EXPECT_TRUE(StreamAggEngine::FromQueryDefs(schema, queries, options).ok());
 }
 
+TEST(ShardedRuntimeTest, ExternalResultsMatchInlineAtEveryBarrier) {
+  // A 2 x 4 runtime writes into a results HFTA it does not own: every
+  // barrier drains the replicas into it, so after each epoch's FlushEpoch
+  // it equals the inline runtime epoch for epoch, and the replicas hold no
+  // rows.
+  const Trace trace = ZipfTrace(0x5a);
+  const std::vector<RuntimeRelationSpec> specs =
+      SpecsFor(trace.schema(), "ABCD(AB BCD(BC BD CD))");
+  auto inline_runtime = ShardedRuntime::Make(trace.schema(), specs, 3.0, {});
+  ASSERT_TRUE(inline_runtime.ok());
+  ASSERT_TRUE((*inline_runtime)->runs_inline());
+  const int num_queries = (*inline_runtime)->hfta().num_queries();
+  Hfta results(num_queries);
+  ShardedRuntime::Options options;
+  options.num_producers = 2;
+  options.num_shards = 4;
+  auto sharded =
+      ShardedRuntime::Make(trace.schema(), specs, 3.0, options, &results);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  EXPECT_EQ(&(*sharded)->hfta(), &results);
+
+  const std::span<const Record> records(trace.records());
+  size_t begin = 0;
+  while (begin < records.size() && !HasFailure()) {
+    const auto epoch_of = [](const Record& r) {
+      return static_cast<uint64_t>(r.timestamp / 3.0);
+    };
+    size_t end = begin;
+    while (end < records.size() &&
+           epoch_of(records[end]) == epoch_of(records[begin])) {
+      ++end;
+    }
+    const std::span<const Record> run = records.subspan(begin, end - begin);
+    (*inline_runtime)->ProcessBatch(run);
+    (*inline_runtime)->FlushEpoch();
+    (*sharded)->ProcessBatch(run);
+    (*sharded)->FlushEpoch();
+    const std::string label = "after epoch " + std::to_string(epoch_of(run[0]));
+    const Hfta& expected = (*inline_runtime)->hfta();
+    for (int q = 0; q < num_queries; ++q) {
+      ASSERT_EQ(results.Epochs(q), expected.Epochs(q)) << label;
+      for (uint64_t epoch : expected.Epochs(q)) {
+        EXPECT_TRUE(results.Result(q, epoch) == expected.Result(q, epoch))
+            << label << " query " << q << " epoch " << epoch;
+      }
+      for (int s = 0; s < (*sharded)->num_shards(); ++s) {
+        EXPECT_EQ((*sharded)->shard(s).hfta().TotalGroups(q), 0u)
+            << label << " shard " << s << " query " << q;
+      }
+    }
+    // Every transfer any replica made has been drained, exactly once.
+    EXPECT_EQ(results.transfers(),
+              (*sharded)->counters().total_transfers())
+        << label;
+    begin = end;
+  }
+  EXPECT_GT(begin, 0u);
+}
+
+TEST(ShardedRuntimeTest, RejectsResultsWithOtherLayout) {
+  const Trace trace = ZipfTrace(0x5b);
+  std::vector<RuntimeRelationSpec> specs =
+      SpecsFor(trace.schema(), "ABCD(AB BCD(BC BD CD))");
+  // Query 2 sums and maxes D; the results list the two the other way round.
+  const MetricSpec sum_d{AggregateOp::kSum, 3};
+  const MetricSpec max_d{AggregateOp::kMax, 3};
+  for (RuntimeRelationSpec& spec : specs) {
+    spec.metrics = {sum_d, max_d};
+    if (spec.is_query && spec.query_index == 2) {
+      spec.query_metrics = {sum_d, max_d};
+    }
+  }
+  std::vector<std::vector<MetricSpec>> swapped(4);
+  swapped[2] = {max_d, sum_d};
+  Hfta too_few(1);  // The configuration has four queries.
+  Hfta misordered(swapped);
+  for (int shards : {1, 2}) {
+    ShardedRuntime::Options options;
+    options.num_shards = shards;
+    const Status count =
+        ShardedRuntime::Make(trace.schema(), specs, 3.0, options, &too_few)
+            .status();
+    const Status layout =
+        ShardedRuntime::Make(trace.schema(), specs, 3.0, options, &misordered)
+            .status();
+    for (const Status& status : {count, layout}) {
+      EXPECT_NE(status.ToString().find("results HFTA must hold"),
+                std::string::npos)
+          << "shards=" << shards << ": " << status.ToString();
+      EXPECT_NE(status.ToString().find("query_metrics"), std::string::npos)
+          << "shards=" << shards << ": " << status.ToString();
+    }
+  }
+  swapped[2] = {sum_d, max_d};
+  Hfta matching(swapped);
+  ShardedRuntime::Options options;
+  options.num_shards = 2;
+  EXPECT_TRUE(
+      ShardedRuntime::Make(trace.schema(), specs, 3.0, options, &matching)
+          .ok());
+}
+
 }  // namespace
 }  // namespace streamagg
