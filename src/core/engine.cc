@@ -309,10 +309,6 @@ Status StreamAggEngine::InstallRuntime() {
   runtime_options.num_producers = options_.num_producers;
   runtime_options.queue_capacity = options_.shard_queue_capacity;
   runtime_options.pin_threads = options_.pin_threads;
-  if (options_.overload.enabled && options_.overload.rebalance) {
-    runtime_options.rebalance_slots_per_shard =
-        options_.overload.rebalance_slots_per_shard;
-  }
   STREAMAGG_ASSIGN_OR_RETURN(
       std::unique_ptr<ShardedRuntime> runtime,
       ShardedRuntime::Make(schema_, std::move(specs), options_.epoch_seconds,
@@ -474,30 +470,15 @@ Status StreamAggEngine::EpochBoundary(
     }
   }
 
-  // Shed plan and rebalance, against whatever runtime the re-plan left in
-  // place. The runtime is still quiescent behind the capture's barrier:
-  // SetShedPlan and ApplyIngestLayout are driver-only operations specified
-  // for exactly this point.
+  // Shed plan, against whatever runtime the re-plan left in place. The
+  // runtime is still quiescent behind the capture's barrier: SetShedPlan is
+  // a driver-only operation specified for exactly this point.
   if (overload_controller_ == nullptr) return Status::OK();
   if (overload_controller_->UpdateShedPlan(history)) {
     STREAMAGG_RETURN_NOT_OK(
         runtime_->SetShedPlan(overload_controller_->shed_plan()));
     STREAMAGG_TRACE(
         TraceShedPlanInstall(*overload_controller_, current_epoch_));
-  }
-  if (runtime_->num_slots() > 0) {
-    OverloadController::IngestLayout layout =
-        overload_controller_->DecideRebalance(
-            history, runtime_->SlotRecords(), runtime_->slot_shards(),
-            runtime_->num_shards(), runtime_->num_producers());
-    if (layout.changed) {
-      STREAMAGG_TRACE(const uint32_t slots =
-                          static_cast<uint32_t>(layout.slot_shards.size()));
-      STREAMAGG_RETURN_NOT_OK(runtime_->ApplyIngestLayout(
-          std::move(layout.slot_shards), std::move(layout.stripe_weights)));
-      STREAMAGG_TRACE(FlightRecorder::Instance().RecordInstant(
-          TraceEventType::kRebalance, current_epoch_, slots));
-    }
   }
   return Status::OK();
 }
@@ -963,6 +944,8 @@ TelemetrySnapshot StreamAggEngine::telemetry() const {
   }
   TelemetrySnapshot snapshot = BuildTelemetrySnapshot(*runtime_, schema_);
   AnnotateSnapshot(&snapshot);
+  snapshot.replans = replan_events_;
+  snapshot.query_churn = churn_events_;
   return snapshot;
 }
 
@@ -970,8 +953,6 @@ void StreamAggEngine::AnnotateSnapshot(TelemetrySnapshot* snapshot) const {
   snapshot->counters = counters();
   snapshot->reoptimizations = reoptimizations_;
   snapshot->epoch = current_epoch_;
-  snapshot->replans = replan_events_;
-  snapshot->query_churn = churn_events_;
   for (size_t i = 0;
        i < snapshot->tables.size() && i < planned_rates_.size(); ++i) {
     snapshot->tables[i].predicted_collision_rate = planned_rates_[i];
@@ -1016,8 +997,6 @@ void StreamAggEngine::AnnotateSnapshot(TelemetrySnapshot* snapshot) const {
     shed.accuracy_loss = overload_controller_->accuracy_loss();
     shed.cycles_saved_per_record =
         overload_controller_->cycles_saved_per_record();
-    shed.rebalances =
-        static_cast<uint64_t>(overload_controller_->rebalances());
   }
 }
 
@@ -1038,7 +1017,10 @@ void StreamAggEngine::CaptureEpochSnapshot(uint64_t completed_epoch) {
   // timestamps, and the multi-producer driver inserts its boundary barrier
   // on the next dispatch.
   runtime_->Quiesce();
-  TelemetrySnapshot snapshot = telemetry();
+  // Without the event lists, which telemetry() carries, a capture costs the
+  // same at every epoch of an unbounded run.
+  TelemetrySnapshot snapshot = BuildTelemetrySnapshot(*runtime_, schema_);
+  AnnotateSnapshot(&snapshot);
   snapshot.epoch = completed_epoch;
   telemetry_history_.push_back(std::move(snapshot));
   size_t limit = options_.telemetry_history_cap;

@@ -106,12 +106,11 @@ class StreamAggEngine {
     /// Adaptive engines keep at least trend_epochs + 1 snapshots.
     size_t telemetry_history_cap = 64;
     /// Overload controller (dsms/overload_controller.h, docs/overload.md):
-    /// cost-priced load shedding at the raw-relation probes plus ingest
-    /// rebalancing, judged at epoch boundaries from the telemetry history
-    /// (epoch snapshots are forced on, like `adaptive`). Requires
-    /// telemetry_level above kOff — the controller reads the blocked-push
-    /// counters that tier maintains. Composes with `adaptive` and any
-    /// num_producers x num_shards split.
+    /// cost-priced load shedding at the raw-relation probes, judged at
+    /// epoch boundaries from the telemetry history (epoch snapshots are
+    /// forced on, like `adaptive`). Requires telemetry_level above kOff —
+    /// the controller reads the blocked-push counters that tier maintains.
+    /// Composes with `adaptive` and any num_producers x num_shards split.
     OverloadController::Options overload;
   };
 
@@ -236,7 +235,9 @@ class StreamAggEngine {
   /// must be quiescent (after Finish()); a 1 x 1 engine answers any time.
   TelemetrySnapshot telemetry() const;
   /// Per-epoch snapshots captured when Options::telemetry_epoch_snapshots
-  /// is set; each is labeled with the epoch it completed.
+  /// is set; each is labeled with the epoch it completed. Their `replans`
+  /// and `query_churn` lists are empty, so a capture does not grow with run
+  /// length: telemetry() and churn_events() carry every event.
   const std::vector<TelemetrySnapshot>& telemetry_history() const {
     return telemetry_history_;
   }
@@ -268,11 +269,9 @@ class StreamAggEngine {
   ///     drifted subtrees are re-planned with the rest pinned, a ReplanEvent
   ///     is recorded and the new runtime installed (which re-prices the
   ///     shed plan);
-  ///  3. shed plan and rebalance (overload only) — the controller re-judges
-  ///     its shed target against the history and, when the runtime routes
-  ///     through a slot table, decides an ingest-layout rebalance; both
-  ///     install at the capture's barrier, into whatever runtime step 2
-  ///     left in place.
+  ///  3. shed plan (overload only) — the controller re-judges its shed
+  ///     target against the history and installs a changed plan at the
+  ///     capture's barrier, into whatever runtime step 2 left in place.
   Status EpochBoundary(uint64_t next_epoch);
 
   /// Builds (or rebuilds) the runtime for `plan_`, writing into results_.
@@ -338,8 +337,9 @@ class StreamAggEngine {
   }
 
   /// Attaches engine-level context to a runtime-built snapshot: total
-  /// counters across swaps, the plan's predicted collision rates, and the
-  /// re-optimization count.
+  /// counters across swaps, the plan's predicted collision rates, the
+  /// re-optimization count and the shedding view. Not the event lists,
+  /// which only telemetry() copies in.
   void AnnotateSnapshot(TelemetrySnapshot* snapshot) const;
 
   /// Appends the current snapshot to telemetry_history() (when enabled),
@@ -397,8 +397,8 @@ class StreamAggEngine {
   /// order). Empty when no catalog is available.
   std::vector<double> planned_rates_;
   std::vector<TelemetrySnapshot> telemetry_history_;
-  /// Every adaptive re-plan so far, oldest first; copied into snapshots by
-  /// AnnotateSnapshot so the JSON export carries the re-plan lifecycle.
+  /// Every adaptive re-plan so far, oldest first; copied into telemetry()
+  /// so the JSON export carries the re-plan lifecycle.
   std::vector<ReplanEvent> replan_events_;
   /// Every query add/drop so far, oldest first (snapshot `query_churn`).
   std::vector<QueryChurnEvent> churn_events_;

@@ -24,7 +24,11 @@ void Hfta::MergeFrom(const Hfta& other) {
     for (const auto& [epoch, groups] : other.per_query_[q]) {
       for (const auto& [key, state] : groups) {
         auto [it, inserted] = per_query_[q][epoch].try_emplace(key, state);
-        if (!inserted) it->second.Merge(state, metrics_[q]);
+        if (inserted) {
+          ++rows_[q];
+        } else {
+          it->second.Merge(state, metrics_[q]);
+        }
       }
     }
   }
@@ -32,9 +36,16 @@ void Hfta::MergeFrom(const Hfta& other) {
 }
 
 void Hfta::DrainFrom(Hfta* other) {
-  // Splice the epochs this HFTA lacks, then merge those both hold.
+  // Splice the epochs this HFTA lacks, then merge those both hold. The
+  // spliced rows are the source's count less what stays behind for the
+  // merge, which counts its own insertions.
   for (int q = 0; q < num_queries() && q < other->num_queries(); ++q) {
     per_query_[q].merge(other->per_query_[q]);
+    uint64_t left = 0;
+    for (const auto& [epoch, groups] : other->per_query_[q]) {
+      left += groups.size();
+    }
+    rows_[q] += other->rows_[q] - left;
   }
   MergeFrom(*other);
   // A fresh HFTA: no rows, no transfers, and no targets into spliced nodes.
@@ -43,20 +54,24 @@ void Hfta::DrainFrom(Hfta* other) {
 
 EpochResults Hfta::TakeQuery(int query_index) {
   targets_.slots[static_cast<size_t>(query_index)] = AddTarget{};
+  rows_[query_index] = 0;
   return std::exchange(per_query_[query_index], EpochResults{});
 }
 
 void Hfta::Remap(std::vector<std::vector<MetricSpec>> new_metrics,
                  const std::vector<int>& source) {
   std::vector<EpochResults> remapped(new_metrics.size());
+  std::vector<uint64_t> rows(new_metrics.size(), 0);
   for (size_t i = 0; i < source.size() && i < remapped.size(); ++i) {
     const int from = source[i];
     if (from >= 0 && from < num_queries()) {
       remapped[i] = std::move(per_query_[from]);
       new_metrics[i] = metrics_[from];
+      rows[i] = std::exchange(rows_[from], 0);
     }
   }
   per_query_ = std::move(remapped);
+  rows_ = std::move(rows);
   metrics_ = std::move(new_metrics);
   targets_ = AddTargets(per_query_.size());
 }

@@ -34,6 +34,7 @@ class Hfta {
   explicit Hfta(std::vector<std::vector<MetricSpec>> per_query_metrics)
       : metrics_(std::move(per_query_metrics)),
         per_query_(metrics_.size()),
+        rows_(metrics_.size(), 0),
         targets_(metrics_.size()) {}
 
   /// Accepts one evicted entry for `query_index` in `epoch`, merging it
@@ -53,7 +54,11 @@ class Hfta {
       target.epoch = epoch;
     }
     auto [it, inserted] = target.aggregate->try_emplace(key, state);
-    if (!inserted) it->second.Merge(state, metrics_[query_index]);
+    if (inserted) {
+      ++rows_[query_index];
+    } else {
+      it->second.Merge(state, metrics_[query_index]);
+    }
     ++transfers_;
   }
 
@@ -70,13 +75,10 @@ class Hfta {
   uint64_t transfers() const { return transfers_; }
 
   /// Telemetry gauge: distinct (group, epoch) result rows currently held
-  /// for `query_index` — the HFTA's memory pressure for that query.
+  /// for `query_index` — the HFTA's memory pressure for that query. O(1):
+  /// every operation that inserts, moves or drops rows keeps the count.
   uint64_t TotalGroups(int query_index) const {
-    uint64_t total = 0;
-    for (const auto& [epoch, agg] : per_query_[query_index]) {
-      total += agg.size();
-    }
-    return total;
+    return rows_[query_index];
   }
 
   /// Epochs for which `query_index` received any data, in increasing order.
@@ -134,6 +136,8 @@ class Hfta {
 
   std::vector<std::vector<MetricSpec>> metrics_;
   std::vector<EpochResults> per_query_;
+  /// Rows held per query: the sum of its epochs' sizes (TotalGroups).
+  std::vector<uint64_t> rows_;
   uint64_t transfers_ = 0;
   AddTargets targets_;
   EpochAggregate empty_;

@@ -51,16 +51,6 @@ Status OverloadController::ValidateOptions(const Options& options) {
         "Options::overload.widening_slack must be in [0, 1] (got " +
         std::to_string(options.widening_slack) + ")");
   }
-  if (!(options.imbalance_threshold >= 1.0)) {
-    return Status::InvalidArgument(
-        "Options::overload.imbalance_threshold must be >= 1 (got " +
-        std::to_string(options.imbalance_threshold) + ")");
-  }
-  if (options.rebalance_slots_per_shard < 1) {
-    return Status::InvalidArgument(
-        "Options::overload.rebalance_slots_per_shard must be >= 1 (got " +
-        std::to_string(options.rebalance_slots_per_shard) + ")");
-  }
   return Status::OK();
 }
 
@@ -237,113 +227,6 @@ double OverloadController::cycles_saved_per_record() const {
     saved += f * prices_[i].cycles_per_record;
   }
   return saved;
-}
-
-OverloadController::IngestLayout OverloadController::DecideRebalance(
-    std::span<const TelemetrySnapshot> history,
-    const std::vector<uint64_t>& slot_records,
-    const std::vector<int>& slot_shards, int num_shards, int num_producers) {
-  IngestLayout out;
-  if (!options_.rebalance || slot_shards.empty() || num_shards < 2 ||
-      slot_records.size() != slot_shards.size()) {
-    return out;
-  }
-  if (last_slot_records_.size() != slot_records.size()) {
-    last_slot_records_.assign(slot_records.size(), 0);
-    imbalance_window_.clear();
-  }
-  // Per-epoch slot loads: tallies are monotone (producer-owned counters),
-  // so consecutive differences recover this epoch's routing.
-  std::vector<uint64_t> delta(slot_records.size(), 0);
-  uint64_t total = 0;
-  for (size_t i = 0; i < slot_records.size(); ++i) {
-    delta[i] = slot_records[i] >= last_slot_records_[i]
-                   ? slot_records[i] - last_slot_records_[i]
-                   : slot_records[i];
-    total += delta[i];
-  }
-  last_slot_records_ = slot_records;
-  if (total == 0) {
-    imbalance_window_.clear();
-    return out;
-  }
-  std::vector<uint64_t> shard_load(static_cast<size_t>(num_shards), 0);
-  for (size_t i = 0; i < delta.size(); ++i) {
-    shard_load[static_cast<size_t>(slot_shards[i])] += delta[i];
-  }
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(num_shards);
-  const uint64_t worst =
-      *std::max_element(shard_load.begin(), shard_load.end());
-  imbalance_window_.push_back(static_cast<double>(worst) / mean);
-  const size_t k = static_cast<size_t>(std::max(1, options_.trend_epochs));
-  while (imbalance_window_.size() > k) {
-    imbalance_window_.erase(imbalance_window_.begin());
-  }
-  if (imbalance_window_.size() < k ||
-      !SustainedTrend(std::span<const double>(imbalance_window_),
-                      options_.imbalance_threshold,
-                      options_.widening_slack)) {
-    return out;
-  }
-  // Sustained imbalance: re-assign slots, heaviest first, each to the
-  // currently lightest shard (longest-processing-time heuristic — within
-  // 4/3 of the optimal makespan, and deterministic).
-  std::vector<size_t> order(delta.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&delta](size_t a, size_t b) {
-    if (delta[a] != delta[b]) return delta[a] > delta[b];
-    return a < b;
-  });
-  out.slot_shards.assign(slot_shards.size(), 0);
-  std::vector<uint64_t> assigned(static_cast<size_t>(num_shards), 0);
-  for (size_t slot : order) {
-    int lightest = 0;
-    for (int s = 1; s < num_shards; ++s) {
-      if (assigned[static_cast<size_t>(s)] <
-          assigned[static_cast<size_t>(lightest)]) {
-        lightest = s;
-      }
-    }
-    out.slot_shards[slot] = lightest;
-    assigned[static_cast<size_t>(lightest)] += delta[slot];
-  }
-  // Stripe weights from the last epoch's per-producer blocked fractions: a
-  // producer that spent the epoch blocking gets a proportionally smaller
-  // stripe of each run.
-  if (num_producers > 1 && !history.empty() &&
-      history.back().producers.size() ==
-          static_cast<size_t>(num_producers)) {
-    const TelemetrySnapshot& cur = history.back();
-    const TelemetrySnapshot* prev =
-        history.size() > 1 &&
-                history[history.size() - 2].producers.size() ==
-                    cur.producers.size()
-            ? &history[history.size() - 2]
-            : nullptr;
-    std::vector<double> weights(static_cast<size_t>(num_producers), 1.0);
-    bool any = false;
-    for (size_t p = 0; p < weights.size(); ++p) {
-      const ProducerTelemetry& now = cur.producers[p];
-      const uint64_t prev_blocked =
-          prev != nullptr ? prev->producers[p].blocked_pushes : 0;
-      const uint64_t prev_records =
-          prev != nullptr ? prev->producers[p].records : 0;
-      if (now.blocked_pushes < prev_blocked || now.records <= prev_records) {
-        continue;  // Swap reset or idle producer: keep weight 1.
-      }
-      const double fraction =
-          static_cast<double>(now.blocked_pushes - prev_blocked) /
-          static_cast<double>(now.records - prev_records);
-      if (fraction > 0.0) any = true;
-      weights[p] = 1.0 / (1.0 + fraction);
-    }
-    if (any) out.stripe_weights = std::move(weights);
-  }
-  out.changed = true;
-  ++rebalances_;
-  imbalance_window_.clear();
-  return out;
 }
 
 }  // namespace streamagg

@@ -14,7 +14,7 @@
 
 namespace streamagg {
 
-/// Cost-priced load shedding plus ingest rebalancing (docs/overload.md).
+/// Cost-priced load shedding (docs/overload.md).
 ///
 /// The controller runs on the engine's driver thread at epoch boundaries,
 /// after the epoch snapshot was captured (sharded runtimes are quiescent
@@ -32,19 +32,11 @@ namespace streamagg {
 /// shed probe saves — against an accuracy weight (the fraction of query
 /// tables living in that tree). Shedding is allocated greedily to the trees
 /// that save the most cycles per unit of accuracy lost.
-///
-/// The same controller also self-rebalances the sharded ingest front end:
-/// when the per-shard record load stays imbalanced beyond
-/// `imbalance_threshold` for `trend_epochs` epochs, it recomputes the
-/// slot -> shard map (longest-processing-time assignment of slot loads) and
-/// the producer stripe weights (producers that blocked get less of each
-/// run), for the engine to install at the non-flushing Quiesce barrier via
-/// ShardedRuntime::ApplyIngestLayout.
 class OverloadController {
  public:
   struct Options {
     /// Master switch. Off (default) compiles down to the pre-existing
-    /// engine behavior: no pricing, no shed plan, no rebalancing.
+    /// engine behavior: no pricing, no shed plan.
     bool enabled = false;
     /// Watermark on the per-epoch blocked-push fraction (blocked envelope
     /// pushes / records ingested that epoch). 0 disables the signal.
@@ -70,14 +62,6 @@ class OverloadController {
     /// (SustainedTrend's slack): a plateau keeps triggering, a decaying
     /// spike does not.
     double widening_slack = 0.25;
-    /// Enable slot-map / stripe-weight rebalancing (sharded runtimes only).
-    bool rebalance = true;
-    /// Rebalance when the busiest shard's per-epoch record load exceeds
-    /// this multiple of the mean for trend_epochs consecutive epochs.
-    double imbalance_threshold = 1.5;
-    /// Routing slots per shard handed to ShardedRuntime (its
-    /// Options::rebalance_slots_per_shard); >= 1 keeps remaps fine-grained.
-    int rebalance_slots_per_shard = 8;
   };
 
   /// What one raw relation's probe is worth: shedding a record there saves
@@ -92,14 +76,6 @@ class OverloadController {
     double accuracy_weight = 0.0;
 
     bool operator==(const RelationPrice&) const = default;
-  };
-
-  /// A rebalance decision: `changed` false means keep the current layout.
-  struct IngestLayout {
-    bool changed = false;
-    std::vector<int> slot_shards;
-    /// Empty = even stripe split.
-    std::vector<double> stripe_weights;
   };
 
   /// Rejects out-of-range knobs, NaN included; messages name the field and
@@ -141,18 +117,6 @@ class OverloadController {
   /// Eq-7 cycles the current plan saves per offered record.
   double cycles_saved_per_record() const;
 
-  /// Judges per-shard load imbalance from the slot tallies and, on a
-  /// sustained verdict, returns a new slot map (LPT assignment of per-slot
-  /// loads) plus stripe weights derived from each producer's blocked-push
-  /// fraction. `slot_records` / `slot_shards` are the runtime's current
-  /// SlotRecords()/slot_shards(); empty slots disable rebalancing.
-  IngestLayout DecideRebalance(std::span<const TelemetrySnapshot> history,
-                               const std::vector<uint64_t>& slot_records,
-                               const std::vector<int>& slot_shards,
-                               int num_shards, int num_producers);
-  /// Rebalances decided so far.
-  int rebalances() const { return rebalances_; }
-
  private:
   /// Greedy allocation of `fraction` of the total per-record cost across
   /// relations, cheapest accuracy per saved cycle first, every relation
@@ -163,11 +127,6 @@ class OverloadController {
   std::vector<RelationPrice> prices_;
   double target_fraction_ = 0.0;
   ShedPlan plan_;
-  /// Slot tallies at the previous rebalance decision (per-epoch deltas).
-  std::vector<uint64_t> last_slot_records_;
-  /// Recent per-epoch imbalance ratios (bounded by trend_epochs).
-  std::vector<double> imbalance_window_;
-  int rebalances_ = 0;
 };
 
 }  // namespace streamagg

@@ -38,11 +38,6 @@ Result<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Make(
         "Options::queue_capacity must be >= 2 (got " +
         std::to_string(options.queue_capacity) + ")");
   }
-  if (options.rebalance_slots_per_shard < 0) {
-    return Status::InvalidArgument(
-        "Options::rebalance_slots_per_shard must be >= 0 (got " +
-        std::to_string(options.rebalance_slots_per_shard) + ")");
-  }
   const bool runs_inline =
       options.num_shards == 1 && options.num_producers == 1;
   std::vector<std::unique_ptr<ConfigurationRuntime>> shards;
@@ -100,19 +95,6 @@ ShardedRuntime::ShardedRuntime(
   }
   queues_.reserve(matrix);
   staging_.resize(matrix);
-  if (options.rebalance_slots_per_shard > 0) {
-    // Identity-preserving initial map: slot i -> i % S means
-    // slot_shards_[h % (kS)] == h % S (S divides the slot count), so routing
-    // stays bit-identical to the plain path until a rebalance fires.
-    const size_t slots = static_cast<size_t>(options.rebalance_slots_per_shard) *
-                         shards_.size();
-    slot_shards_.resize(slots);
-    for (size_t i = 0; i < slots; ++i) {
-      slot_shards_[i] = static_cast<int>(i % shards_.size());
-    }
-    slot_records_.resize(static_cast<size_t>(num_producers_) * slots, 0);
-  }
-  stripe_end_.resize(static_cast<size_t>(num_producers_), 0);
   for (size_t i = 0; i < matrix; ++i) {
     queues_.push_back(
         std::make_unique<SpscQueue<Envelope>>(options.queue_capacity));
@@ -163,17 +145,11 @@ ShardedRuntime::~ShardedRuntime() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-uint64_t ShardedRuntime::RouteHash(const Record& record) const {
-  const GroupKey key = GroupKey::Project(record, partition_attrs_);
-  return HashWords(key.values.data(), key.size, kShardHashSeed);
-}
-
 int ShardedRuntime::ShardOf(const Record& record) const {
-  if (!slot_shards_.empty()) {
-    return slot_shards_[RouteHash(record) % slot_shards_.size()];
-  }
   if (shards_.size() == 1) return 0;
-  return static_cast<int>(RouteHash(record) % shards_.size());
+  const GroupKey key = GroupKey::Project(record, partition_attrs_);
+  const uint64_t hash = HashWords(key.values.data(), key.size, kShardHashSeed);
+  return static_cast<int>(hash % shards_.size());
 }
 
 void ShardedRuntime::PushBlocking(int producer, int shard,
@@ -312,18 +288,7 @@ void ShardedRuntime::ProducerLoop(int producer) {
 }
 
 void ShardedRuntime::Stage(int producer, const Record& record) {
-  int shard;
-  if (slot_shards_.empty()) {
-    shard = ShardOf(record);
-  } else {
-    const size_t slot = RouteHash(record) % slot_shards_.size();
-    shard = slot_shards_[slot];
-    STREAMAGG_TELEMETRY_COUNTERS(
-        if (telemetry_level_ != TelemetryLevel::kOff)
-            ++slot_records_[static_cast<size_t>(producer) *
-                                slot_shards_.size() +
-                            slot];);
-  }
+  const int shard = ShardOf(record);
   const size_t index = QueueIndex(producer, shard);
   STREAMAGG_TELEMETRY_COUNTERS(
       if (telemetry_level_ != TelemetryLevel::kOff)
@@ -407,50 +372,21 @@ void ShardedRuntime::DispatchRun(std::span<const Record> records) {
     StageSpan(0, records);
     return;
   }
-  // Contiguous stripes preserve per-producer timestamp order. Even split
-  // by default, spreading the remainder over the leading stripes; with
-  // stripe weights installed (ApplyIngestLayout), stripe p gets a share
-  // proportional to weights[p] — slower producers (the ones the pressure
-  // history showed blocking) get less of each run.
-  size_t* const stripe_end = stripe_end_.data();
-  if (stripe_weights_.empty()) {
-    const size_t base = records.size() / p_count;
-    const size_t extra = records.size() % p_count;
-    size_t offset = 0;
-    for (size_t p = 0; p < p_count; ++p) {
-      offset += base + (p < extra ? 1 : 0);
-      stripe_end[p] = offset;
-    }
-  } else {
-    double total = 0.0;
-    for (double w : stripe_weights_) total += w;
-    double cum = 0.0;
-    size_t prev = 0;
-    for (size_t p = 0; p < p_count; ++p) {
-      cum += stripe_weights_[p];
-      size_t end = p + 1 == p_count
-                       ? records.size()
-                       : static_cast<size_t>(std::llround(
-                             static_cast<double>(records.size()) * cum /
-                             total));
-      end = std::clamp(end, prev, records.size());
-      stripe_end[p] = end;
-      prev = end;
-    }
-  }
-  const size_t driver_size = stripe_end[0];
+  // Contiguous even stripes preserve per-producer timestamp order; the
+  // first `extra` stripes take one record more.
+  const size_t base = records.size() / p_count;
+  const size_t extra = records.size() % p_count;
+  const auto begin = [&](size_t p) { return p * base + std::min(p, extra); };
   for (size_t p = 1; p < p_count; ++p) {
-    const size_t begin = stripe_end[p - 1];
-    const size_t size = stripe_end[p] - begin;
     ProducerSlot& slot = *producer_slots_[p - 1];
     {
       std::lock_guard<std::mutex> lock(slot.mutex);
-      slot.task = records.subspan(begin, size);
+      slot.task = records.subspan(begin(p), begin(p + 1) - begin(p));
       ++slot.gen;
     }
     slot.cv.notify_all();
   }
-  StageSpan(0, records.first(driver_size));
+  StageSpan(0, records.first(begin(1)));
   for (size_t p = 1; p < p_count; ++p) {
     ProducerSlot& slot = *producer_slots_[p - 1];
     std::unique_lock<std::mutex> lock(slot.mutex);
@@ -563,52 +499,6 @@ uint64_t ShardedRuntime::shed_count(int i) const {
   uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->shed_count(i);
   return total;
-}
-
-std::vector<uint64_t> ShardedRuntime::SlotRecords() const {
-  std::vector<uint64_t> totals(slot_shards_.size(), 0);
-  for (int p = 0; p < num_producers_; ++p) {
-    for (size_t s = 0; s < totals.size(); ++s) {
-      totals[s] +=
-          slot_records_[static_cast<size_t>(p) * totals.size() + s];
-    }
-  }
-  return totals;
-}
-
-Status ShardedRuntime::ApplyIngestLayout(std::vector<int> slot_shards,
-                                         std::vector<double> stripe_weights) {
-  if (slot_shards.size() != slot_shards_.size()) {
-    return Status::InvalidArgument(
-        "ApplyIngestLayout slot map must have " +
-        std::to_string(slot_shards_.size()) + " entries (got " +
-        std::to_string(slot_shards.size()) + ")");
-  }
-  for (int shard : slot_shards) {
-    if (shard < 0 || shard >= num_shards()) {
-      return Status::InvalidArgument(
-          "ApplyIngestLayout slot target must be in [0, " +
-          std::to_string(num_shards()) + ") (got " + std::to_string(shard) +
-          ")");
-    }
-  }
-  if (!stripe_weights.empty() &&
-      stripe_weights.size() != static_cast<size_t>(num_producers_)) {
-    return Status::InvalidArgument(
-        "ApplyIngestLayout stripe weights must be empty or have " +
-        std::to_string(num_producers_) + " entries (got " +
-        std::to_string(stripe_weights.size()) + ")");
-  }
-  for (double w : stripe_weights) {
-    if (!(w > 0.0)) {
-      return Status::InvalidArgument(
-          "ApplyIngestLayout stripe weights must be > 0 (got " +
-          std::to_string(w) + ")");
-    }
-  }
-  slot_shards_ = std::move(slot_shards);
-  stripe_weights_ = std::move(stripe_weights);
-  return Status::OK();
 }
 
 }  // namespace streamagg

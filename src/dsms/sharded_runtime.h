@@ -89,16 +89,6 @@ class ShardedRuntime {
     /// never pinned — it belongs to the caller. Pinning is best-effort;
     /// failures degrade to unpinned threads. Unused inline.
     bool pin_threads = false;
-    /// 0 (default) routes records with a plain `hash % num_shards`. A value
-    /// k >= 1 routes through a remappable slot table of k * num_shards
-    /// slots instead (`slot = hash % slots; shard = slot_shards[slot]`),
-    /// which the overload controller can re-assign at a Quiesce barrier to
-    /// move hot slots off an overloaded shard (docs/overload.md). The
-    /// initial map is slot i -> i % num_shards, which makes routing
-    /// bit-identical to the plain path until a rebalance actually fires
-    /// (num_shards divides the slot count, so slot % S == hash % S). Inline
-    /// there is nothing to route, so no slot table is built.
-    int rebalance_slots_per_shard = 0;
   };
 
   /// Records per queue envelope: the hand-off granularity. Batching
@@ -214,25 +204,6 @@ class ShardedRuntime {
   /// shards. Same quiescence contract as shard().
   uint64_t shed_count(int i) const;
 
-  /// Slot-map routing state (empty / 0 when rebalancing is disabled).
-  int num_slots() const { return static_cast<int>(slot_shards_.size()); }
-  const std::vector<int>& slot_shards() const { return slot_shards_; }
-  /// Records routed through each slot, summed over producers. Same
-  /// quiescence contract as shard_stats().
-  std::vector<uint64_t> SlotRecords() const;
-  /// Per-producer stripe weights of DispatchRun (empty = even split).
-  const std::vector<double>& stripe_weights() const { return stripe_weights_; }
-
-  /// Swaps the ingest layout: a new slot -> shard map (size num_slots(),
-  /// values in [0, num_shards)) and/or new producer stripe weights (empty
-  /// for an even split, else num_producers() positive weights). Driver-only
-  /// at a quiescent barrier (after Quiesce/FlushEpoch, before the next
-  /// ProcessBatch). Mid-epoch remaps are result-correct: groups that
-  /// straddle shards merge in the HFTA exactly like the ones hash
-  /// partitioning already splits across epochs. See docs/overload.md.
-  Status ApplyIngestLayout(std::vector<int> slot_shards,
-                           std::vector<double> stripe_weights);
-
  private:
   /// One queue entry: a batch of up to kEnvelopeBatch records, or a control
   /// command for the worker. A worker acts on kFlush/kStop only once it has
@@ -269,10 +240,9 @@ class ShardedRuntime {
                  AttributeSet partition_attrs, Hfta* results,
                  double epoch_seconds, Options options);
 
+  /// The shard a record routes to: the kShardHashSeed hash of its root
+  /// projection, mod num_shards.
   int ShardOf(const Record& record) const;
-  /// Partition hash of a record (the kShardHashSeed hash over its root
-  /// projection); shared by the plain and slot-map routing paths.
-  uint64_t RouteHash(const Record& record) const;
   size_t QueueIndex(int producer, int shard) const {
     return static_cast<size_t>(producer) * shards_.size() +
            static_cast<size_t>(shard);
@@ -313,19 +283,6 @@ class ShardedRuntime {
   /// Per-(producer, shard) ingest telemetry, laid out like queues_; each
   /// row is owned by its producer thread.
   std::vector<ShardIngestStats> ingest_stats_;
-  /// Slot -> shard routing map (empty when Options::rebalance_slots_per_shard
-  /// is 0); written only by the driver at quiescent barriers
-  /// (ApplyIngestLayout), read by producers while routing.
-  std::vector<int> slot_shards_;
-  /// Per-(producer, slot) routing tallies, row-major by producer; each row
-  /// is owned by its producer thread (same discipline as ingest_stats_).
-  std::vector<uint64_t> slot_records_;
-  /// Per-producer stripe weights for DispatchRun (empty = even split);
-  /// driver-only state, both written and read on the driver thread.
-  std::vector<double> stripe_weights_;
-  /// DispatchRun scratch: cumulative stripe boundaries (size P, driver-only,
-  /// hoisted so the per-run path never allocates).
-  std::vector<size_t> stripe_end_;
   /// Producer-side copy of the telemetry tier (gates the gauges above; the
   /// shard replicas hold their own atomic copy).
   TelemetryLevel telemetry_level_ = TelemetryLevel::kFull;
@@ -336,7 +293,7 @@ class ShardedRuntime {
   AffinityLayout layout_;
   bool pin_threads_ = false;
 
-  /// 1 x 1: no threads, queues, staging or slot table (runs_inline()).
+  /// 1 x 1: no threads, queues or staging (runs_inline()).
   const bool inline_;
 
   /// Epoch tracking on the driver (multi-producer path only): an epoch

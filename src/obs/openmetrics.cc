@@ -335,9 +335,6 @@ std::string TelemetryToOpenMetrics(const TelemetrySnapshot& snapshot) {
     EmitCounter(&out, "streamagg_shedding_offered_records",
                 "Records offered to the engine pre-shedding.",
                 shed.offered_records);
-    EmitCounter(&out, "streamagg_shedding_rebalances",
-                "Ingest-layout rebalances applied by the controller.",
-                shed.rebalances);
     std::vector<Sample> price, fraction, dropped;
     for (const SheddingRelationTelemetry& r : shed.relations) {
       price.push_back({Label("relation", r.relation), FormatDouble(r.price)});

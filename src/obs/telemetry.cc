@@ -29,23 +29,6 @@ JsonValue HistogramToJson(const LogHistogram& h) {
   return out;
 }
 
-LogHistogram HistogramFromJson(const JsonValue& v) {
-  std::array<uint64_t, LogHistogram::kNumBuckets> counts{};
-  const JsonValue& buckets = v.Get("buckets");
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    const JsonValue& pair = buckets.at(i);
-    if (pair.size() != 2) continue;
-    const uint64_t b = pair.at(0).AsUint64();
-    if (b < static_cast<uint64_t>(LogHistogram::kNumBuckets)) {
-      counts[static_cast<size_t>(b)] = pair.at(1).AsUint64();
-    }
-  }
-  return LogHistogram::FromRaw(counts, v.Get("count").AsUint64(),
-                               v.Get("sum").AsUint64(),
-                               v.Get("min").AsUint64(),
-                               v.Get("max").AsUint64());
-}
-
 JsonValue CountersToJson(const RuntimeCounters& c) {
   JsonValue out = JsonValue::Object();
   out.Set("records", JsonValue::Number(c.records));
@@ -56,19 +39,6 @@ JsonValue CountersToJson(const RuntimeCounters& c) {
   out.Set("epochs_flushed", JsonValue::Number(c.epochs_flushed));
   out.Set("shed_probes", JsonValue::Number(c.shed_probes));
   return out;
-}
-
-RuntimeCounters CountersFromJson(const JsonValue& v) {
-  RuntimeCounters c;
-  c.records = v.Get("records").AsUint64();
-  c.intra_probes = v.Get("intra_probes").AsUint64();
-  c.intra_transfers = v.Get("intra_transfers").AsUint64();
-  c.flush_probes = v.Get("flush_probes").AsUint64();
-  c.flush_transfers = v.Get("flush_transfers").AsUint64();
-  c.epochs_flushed = v.Get("epochs_flushed").AsUint64();
-  // Absent in snapshots serialized before the overload controller.
-  if (v.Has("shed_probes")) c.shed_probes = v.Get("shed_probes").AsUint64();
-  return c;
 }
 
 JsonValue TableToJson(const TableTelemetry& t) {
@@ -94,31 +64,6 @@ JsonValue TableToJson(const TableTelemetry& t) {
   return out;
 }
 
-TableTelemetry TableFromJson(const JsonValue& v) {
-  TableTelemetry t;
-  t.relation = v.Get("relation").AsString();
-  t.is_query = v.Get("is_query").AsBool();
-  t.query_index = static_cast<int>(v.Get("query_index").AsInt64());
-  t.parent = static_cast<int>(v.Get("parent").AsInt64());
-  t.num_buckets = v.Get("buckets").AsUint64();
-  t.occupied = v.Get("occupied").AsUint64();
-  t.occupied_hwm = v.Get("occupied_hwm").AsUint64();
-  t.probes = v.Get("probes").AsUint64();
-  t.inserts = v.Get("inserts").AsUint64();
-  t.updates = v.Get("updates").AsUint64();
-  t.collisions = v.Get("collisions").AsUint64();
-  t.intra_evictions = v.Get("intra_evictions").AsUint64();
-  t.flush_evictions = v.Get("flush_evictions").AsUint64();
-  t.hfta_transfers = v.Get("hfta_transfers").AsUint64();
-  t.flushed_entries = v.Get("flushed_entries").AsUint64();
-  t.observed_collision_rate = v.Get("x_observed").AsDouble();
-  t.predicted_collision_rate = v.Has("x_predicted")
-                                   ? v.Get("x_predicted").AsDouble()
-                                   : TableTelemetry::kNoPrediction;
-  t.flush_occupancy = HistogramFromJson(v.Get("flush_occupancy"));
-  return t;
-}
-
 JsonValue ReplanToJson(const ReplanEvent& e) {
   JsonValue out = JsonValue::Object();
   out.Set("epoch", JsonValue::Number(e.epoch));
@@ -131,19 +76,6 @@ JsonValue ReplanToJson(const ReplanEvent& e) {
   out.Set("optimize_millis", JsonValue::Number(e.optimize_millis));
   out.Set("merge_millis", JsonValue::Number(e.merge_millis));
   return out;
-}
-
-ReplanEvent ReplanFromJson(const JsonValue& v) {
-  ReplanEvent e;
-  e.epoch = v.Get("epoch").AsUint64();
-  e.trigger_relation = v.Get("trigger_relation").AsString();
-  e.drift = v.Get("drift").AsDouble();
-  e.replanned_nodes = static_cast<int>(v.Get("replanned_nodes").AsInt64());
-  e.pinned_nodes = static_cast<int>(v.Get("pinned_nodes").AsInt64());
-  e.optimize_millis = v.Get("optimize_millis").AsDouble();
-  // Absent in events serialized before swap-latency tracking.
-  if (v.Has("merge_millis")) e.merge_millis = v.Get("merge_millis").AsDouble();
-  return e;
 }
 
 JsonValue ChurnToJson(const QueryChurnEvent& e) {
@@ -164,21 +96,6 @@ JsonValue ChurnToJson(const QueryChurnEvent& e) {
   return out;
 }
 
-QueryChurnEvent ChurnFromJson(const JsonValue& v) {
-  QueryChurnEvent e;
-  e.epoch = v.Get("epoch").AsUint64();
-  e.add = v.Get("action").AsString() == "add";
-  e.query_id = static_cast<int>(v.Get("query_id").AsInt64());
-  e.relation = v.Get("relation").AsString();
-  e.grafted = v.Get("grafted").AsBool();
-  e.aliased = v.Get("aliased").AsBool();
-  e.replanned_nodes = static_cast<int>(v.Get("replanned_nodes").AsInt64());
-  e.pinned_nodes = static_cast<int>(v.Get("pinned_nodes").AsInt64());
-  e.optimize_millis = v.Get("optimize_millis").AsDouble();
-  e.merge_millis = v.Get("merge_millis").AsDouble();
-  return e;
-}
-
 JsonValue SheddingToJson(const SheddingTelemetry& s) {
   JsonValue out = JsonValue::Object();
   out.Set("enabled", JsonValue::Bool(s.enabled));
@@ -189,7 +106,6 @@ JsonValue SheddingToJson(const SheddingTelemetry& s) {
   out.Set("accuracy_loss", JsonValue::Number(s.accuracy_loss));
   out.Set("cycles_saved_per_record",
           JsonValue::Number(s.cycles_saved_per_record));
-  out.Set("rebalances", JsonValue::Number(s.rebalances));
   JsonValue relations = JsonValue::Array();
   for (const SheddingRelationTelemetry& r : s.relations) {
     JsonValue obj = JsonValue::Object();
@@ -203,27 +119,144 @@ JsonValue SheddingToJson(const SheddingTelemetry& s) {
   return out;
 }
 
-SheddingTelemetry SheddingFromJson(const JsonValue& v) {
-  SheddingTelemetry s;
-  s.enabled = v.Get("enabled").AsBool();
-  s.target_fraction = v.Get("target_fraction").AsDouble();
-  s.offered_records = v.Get("offered_records").AsUint64();
-  s.shed_probes = v.Get("shed_probes").AsUint64();
-  s.shed_fraction = v.Get("shed_fraction").AsDouble();
-  s.accuracy_loss = v.Get("accuracy_loss").AsDouble();
-  s.cycles_saved_per_record = v.Get("cycles_saved_per_record").AsDouble();
-  s.rebalances = v.Get("rebalances").AsUint64();
-  const JsonValue& relations = v.Get("relations");
-  for (size_t i = 0; i < relations.size(); ++i) {
-    const JsonValue& obj = relations.at(i);
-    SheddingRelationTelemetry r;
-    r.relation = obj.Get("relation").AsString();
-    r.price = obj.Get("price").AsDouble();
-    r.shed_fraction = obj.Get("shed_fraction").AsDouble();
-    r.shed_records = obj.Get("shed_records").AsUint64();
-    s.relations.push_back(std::move(r));
+// FromJsonLine's one rule, applied by Read: a member takes the value at
+// `key` when the key is present and keeps its default otherwise, so a line
+// from an older (or newer) build restores what it carries and nothing else.
+// Every struct reader fills a default-constructed object.
+void ReadValue(const JsonValue& v, uint64_t* out) { *out = v.AsUint64(); }
+void ReadValue(const JsonValue& v, int* out) {
+  *out = static_cast<int>(v.AsInt64());
+}
+void ReadValue(const JsonValue& v, double* out) { *out = v.AsDouble(); }
+void ReadValue(const JsonValue& v, bool* out) { *out = v.AsBool(); }
+void ReadValue(const JsonValue& v, std::string* out) { *out = v.AsString(); }
+void ReadValue(const JsonValue& v, LogHistogram* out);
+void ReadValue(const JsonValue& v, RuntimeCounters* out);
+void ReadValue(const JsonValue& v, TableTelemetry* out);
+void ReadValue(const JsonValue& v, ShardTelemetry* out);
+void ReadValue(const JsonValue& v, ProducerTelemetry* out);
+void ReadValue(const JsonValue& v, ReplanEvent* out);
+void ReadValue(const JsonValue& v, QueryChurnEvent* out);
+void ReadValue(const JsonValue& v, SheddingRelationTelemetry* out);
+void ReadValue(const JsonValue& v, SheddingTelemetry* out);
+
+/// One element per array entry, each read into a default-constructed T.
+template <typename T>
+void ReadValue(const JsonValue& v, std::vector<T>* out) {
+  out->assign(v.size(), T{});
+  for (size_t i = 0; i < v.size(); ++i) ReadValue(v.at(i), &(*out)[i]);
+}
+
+template <typename T>
+void Read(const JsonValue& object, const char* key, T* out) {
+  if (object.Has(key)) ReadValue(object.Get(key), out);
+}
+
+void ReadValue(const JsonValue& v, LogHistogram* out) {
+  std::array<uint64_t, LogHistogram::kNumBuckets> counts{};
+  const JsonValue& buckets = v.Get("buckets");
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    const JsonValue& pair = buckets.at(i);
+    if (pair.size() != 2) continue;
+    const uint64_t b = pair.at(0).AsUint64();
+    if (b < static_cast<uint64_t>(LogHistogram::kNumBuckets)) {
+      counts[static_cast<size_t>(b)] = pair.at(1).AsUint64();
+    }
   }
-  return s;
+  *out = LogHistogram::FromRaw(counts, v.Get("count").AsUint64(),
+                               v.Get("sum").AsUint64(),
+                               v.Get("min").AsUint64(),
+                               v.Get("max").AsUint64());
+}
+
+void ReadValue(const JsonValue& v, RuntimeCounters* c) {
+  Read(v, "records", &c->records);
+  Read(v, "intra_probes", &c->intra_probes);
+  Read(v, "intra_transfers", &c->intra_transfers);
+  Read(v, "flush_probes", &c->flush_probes);
+  Read(v, "flush_transfers", &c->flush_transfers);
+  Read(v, "epochs_flushed", &c->epochs_flushed);
+  Read(v, "shed_probes", &c->shed_probes);
+}
+
+void ReadValue(const JsonValue& v, TableTelemetry* t) {
+  Read(v, "relation", &t->relation);
+  Read(v, "is_query", &t->is_query);
+  Read(v, "query_index", &t->query_index);
+  Read(v, "parent", &t->parent);
+  Read(v, "buckets", &t->num_buckets);
+  Read(v, "occupied", &t->occupied);
+  Read(v, "occupied_hwm", &t->occupied_hwm);
+  Read(v, "probes", &t->probes);
+  Read(v, "inserts", &t->inserts);
+  Read(v, "updates", &t->updates);
+  Read(v, "collisions", &t->collisions);
+  Read(v, "intra_evictions", &t->intra_evictions);
+  Read(v, "flush_evictions", &t->flush_evictions);
+  Read(v, "hfta_transfers", &t->hfta_transfers);
+  Read(v, "flushed_entries", &t->flushed_entries);
+  Read(v, "x_observed", &t->observed_collision_rate);
+  Read(v, "x_predicted", &t->predicted_collision_rate);
+  Read(v, "flush_occupancy", &t->flush_occupancy);
+}
+
+void ReadValue(const JsonValue& v, ShardTelemetry* shard) {
+  Read(v, "records", &shard->records);
+  Read(v, "queue_depth_hwm", &shard->queue_depth_hwm);
+  Read(v, "blocked_pushes", &shard->blocked_pushes);
+  Read(v, "cpu", &shard->cpu);
+  Read(v, "node", &shard->node);
+}
+
+void ReadValue(const JsonValue& v, ProducerTelemetry* producer) {
+  Read(v, "records", &producer->records);
+  Read(v, "queue_depth_hwm", &producer->queue_depth_hwm);
+  Read(v, "blocked_pushes", &producer->blocked_pushes);
+  Read(v, "cpu", &producer->cpu);
+  Read(v, "node", &producer->node);
+}
+
+void ReadValue(const JsonValue& v, ReplanEvent* e) {
+  Read(v, "epoch", &e->epoch);
+  Read(v, "trigger_relation", &e->trigger_relation);
+  Read(v, "drift", &e->drift);
+  Read(v, "replanned_nodes", &e->replanned_nodes);
+  Read(v, "pinned_nodes", &e->pinned_nodes);
+  Read(v, "optimize_millis", &e->optimize_millis);
+  Read(v, "merge_millis", &e->merge_millis);
+}
+
+void ReadValue(const JsonValue& v, QueryChurnEvent* e) {
+  Read(v, "epoch", &e->epoch);
+  std::string action = e->add ? "add" : "drop";
+  Read(v, "action", &action);
+  e->add = action == "add";
+  Read(v, "query_id", &e->query_id);
+  Read(v, "relation", &e->relation);
+  Read(v, "grafted", &e->grafted);
+  Read(v, "aliased", &e->aliased);
+  Read(v, "replanned_nodes", &e->replanned_nodes);
+  Read(v, "pinned_nodes", &e->pinned_nodes);
+  Read(v, "optimize_millis", &e->optimize_millis);
+  Read(v, "merge_millis", &e->merge_millis);
+}
+
+void ReadValue(const JsonValue& v, SheddingRelationTelemetry* r) {
+  Read(v, "relation", &r->relation);
+  Read(v, "price", &r->price);
+  Read(v, "shed_fraction", &r->shed_fraction);
+  Read(v, "shed_records", &r->shed_records);
+}
+
+void ReadValue(const JsonValue& v, SheddingTelemetry* s) {
+  Read(v, "enabled", &s->enabled);
+  Read(v, "target_fraction", &s->target_fraction);
+  Read(v, "offered_records", &s->offered_records);
+  Read(v, "shed_probes", &s->shed_probes);
+  Read(v, "shed_fraction", &s->shed_fraction);
+  Read(v, "accuracy_loss", &s->accuracy_loss);
+  Read(v, "cycles_saved_per_record", &s->cycles_saved_per_record);
+  Read(v, "relations", &s->relations);
 }
 
 std::string FormatHistogramLine(const char* name, const LogHistogram& h) {
@@ -272,7 +305,6 @@ void SheddingTelemetry::MergeFrom(const SheddingTelemetry& other) {
   accuracy_loss = std::max(accuracy_loss, other.accuracy_loss);
   cycles_saved_per_record =
       std::max(cycles_saved_per_record, other.cycles_saved_per_record);
-  rebalances += other.rebalances;
   if (relations.size() < other.relations.size()) {
     relations.resize(other.relations.size());
   }
@@ -401,78 +433,23 @@ Result<TelemetrySnapshot> TelemetrySnapshot::FromJsonLine(
     return Status::InvalidArgument("telemetry snapshot must be a JSON object");
   }
   TelemetrySnapshot s;
-  s.epoch = root.Get("epoch").AsUint64();
-  s.num_shards = static_cast<int>(root.Get("num_shards").AsInt64());
-  // Absent in snapshots serialized before the multi-producer front end.
-  s.num_producers = root.Has("num_producers")
-                        ? static_cast<int>(root.Get("num_producers").AsInt64())
-                        : 1;
-  s.reoptimizations = static_cast<int>(root.Get("reoptimizations").AsInt64());
-  s.counters = CountersFromJson(root.Get("counters"));
-  const JsonValue& table_array = root.Get("tables");
-  for (size_t i = 0; i < table_array.size(); ++i) {
-    s.tables.push_back(TableFromJson(table_array.at(i)));
-  }
-  const JsonValue& shard_array = root.Get("shards");
-  for (size_t i = 0; i < shard_array.size(); ++i) {
-    const JsonValue& obj = shard_array.at(i);
-    ShardTelemetry shard;
-    shard.records = obj.Get("records").AsUint64();
-    shard.queue_depth_hwm = obj.Get("queue_depth_hwm").AsUint64();
-    // Absent in snapshots serialized before the overload controller.
-    if (obj.Has("blocked_pushes")) {
-      shard.blocked_pushes = obj.Get("blocked_pushes").AsUint64();
-    }
-    // Placement fields are absent in pre-affinity snapshots.
-    if (obj.Has("cpu")) shard.cpu = static_cast<int>(obj.Get("cpu").AsInt64());
-    if (obj.Has("node")) {
-      shard.node = static_cast<int>(obj.Get("node").AsInt64());
-    }
-    s.shards.push_back(shard);
-  }
-  if (root.Has("producers")) {
-    const JsonValue& producer_array = root.Get("producers");
-    for (size_t i = 0; i < producer_array.size(); ++i) {
-      const JsonValue& obj = producer_array.at(i);
-      ProducerTelemetry producer;
-      producer.records = obj.Get("records").AsUint64();
-      producer.queue_depth_hwm = obj.Get("queue_depth_hwm").AsUint64();
-      // Absent in snapshots serialized before the overload controller.
-      if (obj.Has("blocked_pushes")) {
-        producer.blocked_pushes = obj.Get("blocked_pushes").AsUint64();
-      }
-      producer.cpu = static_cast<int>(obj.Get("cpu").AsInt64());
-      producer.node = static_cast<int>(obj.Get("node").AsInt64());
-      s.producers.push_back(producer);
-    }
-  }
-  const JsonValue& groups = root.Get("hfta_groups");
-  for (size_t q = 0; q < groups.size(); ++q) {
-    s.hfta_groups.push_back(groups.at(q).AsUint64());
-  }
-  // Absent in snapshots serialized before drift-driven re-planning.
-  if (root.Has("replans")) {
-    const JsonValue& replan_array = root.Get("replans");
-    for (size_t i = 0; i < replan_array.size(); ++i) {
-      s.replans.push_back(ReplanFromJson(replan_array.at(i)));
-    }
-  }
-  // Absent before query churn existed and while no churn happened.
-  if (root.Has("query_churn")) {
-    const JsonValue& churn_array = root.Get("query_churn");
-    for (size_t i = 0; i < churn_array.size(); ++i) {
-      s.query_churn.push_back(ChurnFromJson(churn_array.at(i)));
-    }
-  }
-  // Absent whenever the overload controller was off (or pre-dates it).
-  if (root.Has("shedding")) {
-    s.shedding = SheddingFromJson(root.Get("shedding"));
-  }
+  Read(root, "epoch", &s.epoch);
+  Read(root, "num_shards", &s.num_shards);
+  Read(root, "num_producers", &s.num_producers);
+  Read(root, "reoptimizations", &s.reoptimizations);
+  Read(root, "counters", &s.counters);
+  Read(root, "tables", &s.tables);
+  Read(root, "shards", &s.shards);
+  Read(root, "producers", &s.producers);
+  Read(root, "hfta_groups", &s.hfta_groups);
+  Read(root, "replans", &s.replans);
+  Read(root, "query_churn", &s.query_churn);
+  Read(root, "shedding", &s.shedding);
   const JsonValue& histograms = root.Get("histograms");
-  s.batch_records = HistogramFromJson(histograms.Get("batch_records"));
-  s.batch_ns = HistogramFromJson(histograms.Get("batch_ns"));
-  s.flush_ns = HistogramFromJson(histograms.Get("flush_ns"));
-  s.epoch_gap_ns = HistogramFromJson(histograms.Get("epoch_gap_ns"));
+  Read(histograms, "batch_records", &s.batch_records);
+  Read(histograms, "batch_ns", &s.batch_ns);
+  Read(histograms, "flush_ns", &s.flush_ns);
+  Read(histograms, "epoch_gap_ns", &s.epoch_gap_ns);
   return s;
 }
 
@@ -570,14 +547,13 @@ std::string TelemetrySnapshot::ToTable() const {
   if (shedding.enabled) {
     std::snprintf(buffer, sizeof(buffer),
                   "shedding: target %.3f | shed %llu/%llu probes (%.4f) | "
-                  "accuracy loss %.4f | saves %.1f cyc/rec | rebalances %llu\n",
+                  "accuracy loss %.4f | saves %.1f cyc/rec\n",
                   shedding.target_fraction,
                   static_cast<unsigned long long>(shedding.shed_probes),
                   static_cast<unsigned long long>(shedding.offered_records *
                                                   shedding.relations.size()),
                   shedding.shed_fraction, shedding.accuracy_loss,
-                  shedding.cycles_saved_per_record,
-                  static_cast<unsigned long long>(shedding.rebalances));
+                  shedding.cycles_saved_per_record);
     out += buffer;
     for (const SheddingRelationTelemetry& r : shedding.relations) {
       std::snprintf(buffer, sizeof(buffer),

@@ -174,8 +174,6 @@ struct SheddingTelemetry {
   double accuracy_loss = 0.0;
   /// Eq-7 cycles the current plan saves per offered record.
   double cycles_saved_per_record = 0.0;
-  /// Ingest-layout rebalances the controller has applied so far.
-  uint64_t rebalances = 0;
   std::vector<SheddingRelationTelemetry> relations;
 
   /// Folds another engine's view in: counts sum, fractions recompute from
@@ -229,9 +227,10 @@ struct TelemetrySnapshot {
 
   /// One compact JSON object (no newline); schema in docs/observability.md.
   std::string ToJsonLine() const;
-  /// Parses a ToJsonLine object. Keys it does not know are ignored, so
-  /// lines from older builds still parse — including the per-table fields
-  /// and the histogram of the retired sort-drain probe mode.
+  /// Parses a ToJsonLine object. A missing key keeps the member's default,
+  /// and keys it does not know are ignored, so lines from older builds
+  /// still parse — including the per-table fields and the histogram of the
+  /// retired sort-drain probe mode, and the retired shedding `rebalances`.
   static Result<TelemetrySnapshot> FromJsonLine(const std::string& line);
 
   /// Multi-line human-readable rendering (streamagg_cli --stats).

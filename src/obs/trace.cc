@@ -57,8 +57,6 @@ const char* TraceEventName(TraceEventType type) {
       return "replan_swap";
     case TraceEventType::kShedPlanInstall:
       return "shed_plan_install";
-    case TraceEventType::kRebalance:
-      return "rebalance";
     case TraceEventType::kQueryChurn:
       return "query_churn";
   }
@@ -271,9 +269,6 @@ JsonValue EventArgs(const TraceEvent& e) {
     case TraceEventType::kShedPlanInstall:
       args.Set("target_permille", JsonValue::Number(uint64_t{e.arg0}));
       args.Set("shedding_relations", JsonValue::Number(uint64_t{e.arg1}));
-      break;
-    case TraceEventType::kRebalance:
-      args.Set("slots", JsonValue::Number(uint64_t{e.arg0}));
       break;
     case TraceEventType::kQueryChurn:
       args.Set("action", JsonValue::Str(e.arg0 != 0 ? "add" : "drop"));

@@ -39,8 +39,9 @@ namespace streamagg {
 
 /// The event catalog (docs/tracing.md §2). Spans carry a nonzero duration;
 /// instants mark a point in time. Payload args are type-specific. Values 7
-/// and 10 belonged to the retired sort-drain probe mode's events and stay
-/// unused, so every other type keeps its number:
+/// and 10 belonged to the retired sort-drain probe mode's events, and 9 to
+/// the retired ingest rebalance; they stay unused, so every other type keeps
+/// its number:
 enum class TraceEventType : uint8_t {
   kEpochBoundary = 0,  ///< instant: engine epoch advanced (arg0 = next epoch).
   kEpochFlush = 1,     ///< span: ConfigurationRuntime::FlushEpoch (arg0 = shard).
@@ -50,7 +51,6 @@ enum class TraceEventType : uint8_t {
   kTrendAssess = 5,    ///< instant: AdaptiveController verdict (arg0 = should_replan, arg1 = max table, arg2 = drift permille).
   kReplanSwap = 6,     ///< span: re-plan + runtime swap (arg0 = replanned nodes, arg1 = pinned nodes).
   kShedPlanInstall = 8,  ///< instant: shed plan installed (arg0 = target permille, arg1 = shedding relations).
-  kRebalance = 9,        ///< instant: ingest layout applied (arg0 = slots).
   kQueryChurn = 11,      ///< instant: query added/dropped (arg0 = 1 add / 0 drop, arg1 = query id, arg2 = 1 when grafted).
 };
 

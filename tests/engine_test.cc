@@ -908,6 +908,53 @@ TEST(StreamAggEngineChurnTest, HftaGroupsCountEveryRowHeldPerQuery) {
   expect_rows_match("after Finish");
 }
 
+TEST(StreamAggEngineChurnTest, HistorySnapshotsCarryNoEventLists) {
+  // One add or drop per epoch with snapshots on. A history capture does not
+  // copy the churn (or re-plan) log, so it costs the same at every epoch;
+  // telemetry() and churn_events() still carry every event.
+  const Trace trace = UniformTrace(500, 60000, 97);
+  const Schema& schema = trace.schema();
+  StreamAggEngine::Options options = BaseOptions();
+  options.sample_size = 2000;
+  options.epoch_seconds = 1.0;
+  options.telemetry_epoch_snapshots = true;
+  auto engine = StreamAggEngine::FromQueryDefs(
+      schema,
+      {QueryDef(*schema.ParseAttributeSet("A")),
+       QueryDef(*schema.ParseAttributeSet("B"))},
+      options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  uint64_t epoch = 0;
+  int added = -1;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const auto e = static_cast<uint64_t>(std::floor(trace.record(i).timestamp));
+    if (e != epoch) {
+      epoch = e;
+      if (added < 0) {
+        auto id = (*engine)->AddQuery(QueryDef(*schema.ParseAttributeSet("C")));
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        added = *id;
+      } else {
+        ASSERT_TRUE((*engine)->DropQuery(added).ok());
+        added = -1;
+      }
+    }
+    ASSERT_TRUE((*engine)->Process(trace.record(i)).ok());
+  }
+  ASSERT_TRUE((*engine)->Finish().ok());
+
+  const size_t events = (*engine)->churn_events().size();
+  ASSERT_GE(events, 8u);
+  EXPECT_EQ((*engine)->telemetry().query_churn.size(), events);
+  const std::vector<TelemetrySnapshot>& history =
+      (*engine)->telemetry_history();
+  ASSERT_GE(history.size(), 8u);
+  for (const TelemetrySnapshot& snapshot : history) {
+    EXPECT_TRUE(snapshot.query_churn.empty()) << "epoch " << snapshot.epoch;
+    EXPECT_TRUE(snapshot.replans.empty()) << "epoch " << snapshot.epoch;
+  }
+}
+
 TEST(StreamAggEngineChurnTest, UnsortedMetricListsMatchSortedOnes) {
   // A QueryDef may list its metrics in any order and repeat one. The engine
   // keeps each list sorted and deduplicated, the layout the runtimes' states

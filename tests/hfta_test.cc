@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -257,6 +258,90 @@ TEST(HftaTest, DrainFromMovesEveryRowAndEmptiesTheSource) {
   replica.Add(1, 2, Key1(5), AggregateState::FromCount(1));
   EXPECT_EQ(replica.Result(1, 2).at(Key1(5)).count, 1u);
   EXPECT_EQ(results.Result(1, 2).at(Key1(5)).count, 6u);
+}
+
+/// Rows `hfta` holds for `query`, summed over its epochs: what TotalGroups
+/// must report without walking them.
+uint64_t SummedEpochSizes(const Hfta& hfta, int query) {
+  uint64_t rows = 0;
+  for (uint64_t epoch : hfta.Epochs(query)) {
+    rows += hfta.Result(query, epoch).size();
+  }
+  return rows;
+}
+
+void ExpectTotalGroupsMatch(const Hfta& hfta, const std::string& label) {
+  for (int q = 0; q < hfta.num_queries(); ++q) {
+    EXPECT_EQ(hfta.TotalGroups(q), SummedEpochSizes(hfta, q))
+        << label << " query " << q;
+  }
+}
+
+TEST(HftaTest, TotalGroupsTracksEveryRowOperation) {
+  Hfta hfta(2);
+  ExpectTotalGroupsMatch(hfta, "empty");
+  hfta.Add(0, 1, Key1(1), AggregateState::FromCount(1));
+  hfta.Add(0, 1, Key1(1), AggregateState::FromCount(1));  // Merge: no row.
+  hfta.Add(0, 1, Key1(2), AggregateState::FromCount(1));
+  hfta.Add(0, 2, Key1(1), AggregateState::FromCount(1));
+  hfta.Add(1, 2, Key1(9), AggregateState::FromCount(1));
+  EXPECT_EQ(hfta.TotalGroups(0), 3u);
+  ExpectTotalGroupsMatch(hfta, "Add");
+
+  // MergeFrom: one shared row, one new row in a shared epoch, one new epoch.
+  Hfta other(2);
+  other.Add(0, 1, Key1(1), AggregateState::FromCount(1));
+  other.Add(0, 1, Key1(3), AggregateState::FromCount(1));
+  other.Add(0, 4, Key1(1), AggregateState::FromCount(1));
+  hfta.MergeFrom(other);
+  EXPECT_EQ(hfta.TotalGroups(0), 5u);
+  ExpectTotalGroupsMatch(hfta, "MergeFrom");
+  ExpectTotalGroupsMatch(other, "MergeFrom source");
+
+  // DrainFrom with overlapping epochs: 1 and 2 are held on both sides (the
+  // replica's epoch 2 row for key 5 is new, its key 1 row is not), and
+  // epoch 3 splices over.
+  Hfta overlapping(2);
+  overlapping.Add(0, 1, Key1(2), AggregateState::FromCount(1));
+  overlapping.Add(0, 2, Key1(1), AggregateState::FromCount(1));
+  overlapping.Add(0, 2, Key1(5), AggregateState::FromCount(1));
+  overlapping.Add(0, 3, Key1(1), AggregateState::FromCount(1));
+  overlapping.Add(1, 2, Key1(9), AggregateState::FromCount(1));
+  hfta.DrainFrom(&overlapping);
+  EXPECT_EQ(hfta.TotalGroups(0), 7u);
+  ExpectTotalGroupsMatch(hfta, "DrainFrom overlapping");
+  ExpectTotalGroupsMatch(overlapping, "drained overlapping");
+
+  // DrainFrom with disjoint epochs: every epoch splices over whole.
+  Hfta disjoint(2);
+  disjoint.Add(0, 7, Key1(1), AggregateState::FromCount(1));
+  disjoint.Add(0, 7, Key1(2), AggregateState::FromCount(1));
+  disjoint.Add(1, 8, Key1(1), AggregateState::FromCount(1));
+  hfta.DrainFrom(&disjoint);
+  EXPECT_EQ(hfta.TotalGroups(0), 9u);
+  EXPECT_EQ(hfta.TotalGroups(1), 2u);
+  ExpectTotalGroupsMatch(hfta, "DrainFrom disjoint");
+  ExpectTotalGroupsMatch(disjoint, "drained disjoint");
+
+  // Remap: slot 1 moves to 0, slot 0 is dropped, a fresh slot 1 starts
+  // empty and counts its own rows.
+  hfta.Remap({{}, {}}, {1, -1});
+  EXPECT_EQ(hfta.TotalGroups(0), 2u);
+  EXPECT_EQ(hfta.TotalGroups(1), 0u);
+  hfta.Add(1, 9, Key1(4), AggregateState::FromCount(1));
+  ExpectTotalGroupsMatch(hfta, "Remap");
+
+  // TakeQuery empties the slot; later Adds count from zero.
+  const EpochResults taken = hfta.TakeQuery(0);
+  EXPECT_EQ(taken.size(), 2u);
+  EXPECT_EQ(hfta.TotalGroups(0), 0u);
+  hfta.Add(0, 9, Key1(4), AggregateState::FromCount(1));
+  EXPECT_EQ(hfta.TotalGroups(0), 1u);
+  ExpectTotalGroupsMatch(hfta, "TakeQuery");
+
+  // Copies carry the counts with the rows.
+  const Hfta copy = hfta;
+  ExpectTotalGroupsMatch(copy, "copy");
 }
 
 }  // namespace

@@ -68,7 +68,6 @@ TelemetrySnapshot MakeSnapshot() {
   snap.shedding.shed_fraction = 0.375;
   snap.shedding.accuracy_loss = 0.25;
   snap.shedding.cycles_saved_per_record = 1.5;
-  snap.shedding.rebalances = 2;
   snap.shedding.relations.push_back(
       SheddingRelationTelemetry{"ABCD", 12.5, 0.5, 30000});
   snap.shedding.relations.push_back(
@@ -183,7 +182,8 @@ TEST(OpenMetricsTest, EmptySnapshotPassesGrammarAndKeepsCoreFamilies) {
 
 TEST(OpenMetricsTest, ExportsNoSortDrainFamilies) {
   // The retired sort-drain probe mode leaves no family behind: no per-table
-  // probe-mode gauge or sort tallies, and no drain histogram.
+  // probe-mode gauge or sort tallies, and no drain histogram. Nor does the
+  // retired ingest rebalance leave its shedding counter.
   const std::string text = TelemetryToOpenMetrics(MakeSnapshot());
   ValidateOpenMetrics(text);
   for (const std::string& line : Lines(text)) {
@@ -191,6 +191,8 @@ TEST(OpenMetricsTest, ExportsNoSortDrainFamilies) {
         << line;
     EXPECT_EQ(line.find("streamagg_table_sort_"), std::string::npos) << line;
     EXPECT_EQ(line.find("streamagg_sort_"), std::string::npos) << line;
+    EXPECT_EQ(line.find("streamagg_shedding_rebalances"), std::string::npos)
+        << line;
   }
 }
 

@@ -2,8 +2,8 @@
 // docs/overload.md): Eq-7 pricing credited to feeding-tree roots, greedy
 // shed allocation by cycles per unit of accuracy, the sustained-trend
 // widening/relief state machine (a single-epoch spike must never trigger),
-// exact error-diffusion shed counts at the runtime, LPT slot rebalancing,
-// and the field+value convention of every validation message.
+// exact error-diffusion shed counts at the runtime, and the field+value
+// convention of every validation message.
 
 #include "dsms/overload_controller.h"
 
@@ -284,73 +284,6 @@ TEST(OverloadShedding, RuntimeShedCountsAreExact) {
   EXPECT_EQ((*runtime)->counters().shed_probes, total_shed);
 }
 
-TEST(OverloadRebalance, SustainedImbalanceTriggersLptReassignment) {
-  OverloadController::Options options;
-  options.enabled = true;
-  options.trend_epochs = 2;
-  options.imbalance_threshold = 1.5;
-  OverloadController controller(options);
-
-  const std::vector<int> slot_shards = {0, 1, 0, 1};
-  const std::vector<TelemetrySnapshot> history;
-
-  // Epoch 1: shard 0 carries 850 of 1000 records (ratio 1.7) — over the
-  // threshold, but one epoch is not a trend.
-  auto layout = controller.DecideRebalance(history, {800, 100, 50, 50},
-                                           slot_shards, /*num_shards=*/2,
-                                           /*num_producers=*/1);
-  EXPECT_FALSE(layout.changed);
-  EXPECT_EQ(controller.rebalances(), 0);
-
-  // Epoch 2: same skew again — now it is sustained. LPT assigns the
-  // heaviest slot (0) to one shard and everything else to the other.
-  layout = controller.DecideRebalance(history, {1600, 200, 100, 100},
-                                      slot_shards, 2, 1);
-  ASSERT_TRUE(layout.changed);
-  EXPECT_EQ(layout.slot_shards, (std::vector<int>{0, 1, 1, 1}));
-  EXPECT_TRUE(layout.stripe_weights.empty());  // One producer: even split.
-  EXPECT_EQ(controller.rebalances(), 1);
-}
-
-TEST(OverloadRebalance, StripeWeightsShrinkBlockedProducers) {
-  OverloadController::Options options;
-  options.enabled = true;
-  options.trend_epochs = 1;
-  options.imbalance_threshold = 1.5;
-  OverloadController controller(options);
-
-  // Producer 0 blocked on half its pushes last epoch; producer 1 never did.
-  std::vector<TelemetrySnapshot> history;
-  TelemetrySnapshot before;
-  before.producers = {ProducerTelemetry{1000, 0, 0, -1, -1},
-                      ProducerTelemetry{1000, 0, 0, -1, -1}};
-  TelemetrySnapshot after;
-  after.producers = {ProducerTelemetry{2000, 0, 500, -1, -1},
-                     ProducerTelemetry{2000, 0, 0, -1, -1}};
-  history.push_back(before);
-  history.push_back(after);
-
-  auto layout = controller.DecideRebalance(history, {900, 50, 25, 25},
-                                           {0, 1, 0, 1}, /*num_shards=*/2,
-                                           /*num_producers=*/2);
-  ASSERT_TRUE(layout.changed);
-  ASSERT_EQ(layout.stripe_weights.size(), 2u);
-  EXPECT_NEAR(layout.stripe_weights[0], 1.0 / 1.5, 1e-12);
-  EXPECT_DOUBLE_EQ(layout.stripe_weights[1], 1.0);
-}
-
-TEST(OverloadRebalance, SingleShardNeverRebalances) {
-  OverloadController::Options options;
-  options.enabled = true;
-  options.trend_epochs = 1;
-  OverloadController controller(options);
-  const auto layout = controller.DecideRebalance({}, {1000, 0}, {0, 0},
-                                                 /*num_shards=*/1,
-                                                 /*num_producers=*/1);
-  EXPECT_FALSE(layout.changed);
-  EXPECT_EQ(controller.rebalances(), 0);
-}
-
 TEST(OverloadValidation, MessagesNameFieldAndValue) {
   const auto expect_rejected = [](const OverloadController::Options& options,
                                   const std::string& field,
@@ -388,14 +321,6 @@ TEST(OverloadValidation, MessagesNameFieldAndValue) {
   options.widening_slack = -1.0;
   expect_rejected(options, "widening_slack", "(got -1.000000)");
 
-  options = {};
-  options.imbalance_threshold = 0.5;
-  expect_rejected(options, "imbalance_threshold", "(got 0.500000)");
-
-  options = {};
-  options.rebalance_slots_per_shard = 0;
-  expect_rejected(options, "rebalance_slots_per_shard", "(got 0)");
-
   // NaN fails every range compare; each double field must still reject it.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   options = {};
@@ -413,9 +338,6 @@ TEST(OverloadValidation, MessagesNameFieldAndValue) {
   options = {};
   options.widening_slack = nan;
   expect_rejected(options, "widening_slack", "(got nan)");
-  options = {};
-  options.imbalance_threshold = nan;
-  expect_rejected(options, "imbalance_threshold", "(got nan)");
 
   EXPECT_TRUE(OverloadController::ValidateOptions({}).ok());
 }

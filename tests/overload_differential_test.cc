@@ -3,10 +3,9 @@
 // results AND counters against the same engine without the controller, on
 // every producer x shard split of the acceptance matrix. With a forced shed
 // floor the drop counts must be exact (error diffusion, no RNG), the
-// reported shed fraction must equal the actual dropped-record count, and a
-// mid-run ingest-layout swap must never change answers. Engine scenarios
-// run at several batch sizes; with one producer a batched engine keeps the
-// per-record engine's exact record.
+// reported shed fraction must equal the actual dropped-record count. Engine
+// scenarios run at several batch sizes; with one producer a batched engine
+// keeps the per-record engine's exact record.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include "core/engine.h"
 #include "dsms/overload_controller.h"
 #include "dsms/reference_aggregator.h"
-#include "dsms/sharded_runtime.h"
 #include "engine_parity.h"
 #include "obs/telemetry.h"
 #include "stream/zipf_generator.h"
@@ -115,8 +113,6 @@ TEST(OverloadDifferentialTest, IdleControllerIsBitIdenticalOnAllSplits) {
   // controller runs its whole epoch-boundary loop (pressure judging, plan
   // rebuilds, telemetry annotation) yet must never shed — results AND
   // operation counters stay bit-identical to an engine without it.
-  // Rebalancing is off so the routing path is byte-for-byte the baseline's
-  // (the slot map engages only under overload.rebalance).
   const Trace trace = ZipfTrace(HarnessSeed() + 0x0d1);
   const std::vector<QueryDef> queries = TwoQueries(trace.schema());
 
@@ -130,7 +126,6 @@ TEST(OverloadDifferentialTest, IdleControllerIsBitIdenticalOnAllSplits) {
     overload.overload.queue_blocked_fraction = 1e9;  // Never reachable.
     overload.overload.epoch_gap_watermark_ns = 0;    // Signal disabled.
     overload.overload.min_shed_fraction = 0.0;
-    overload.overload.rebalance = false;
 
     std::unique_ptr<StreamAggEngine> per_record;
     for (size_t batch : kBatchSizes) {
@@ -272,52 +267,6 @@ TEST(OverloadDifferentialTest, SustainedOverloadShedsAndAccountsExactly) {
     EXPECT_GT(shedding.shed_fraction, 0.499);
     EXPECT_LE(shedding.shed_fraction, 0.5);
   }
-}
-
-TEST(OverloadDifferentialTest, MidRunIngestRemapKeepsResultsExact) {
-  // An ingest-layout swap at a Quiesce barrier — new slot map AND skewed
-  // stripe weights, mid-epoch — must never change answers: HFTA merge is
-  // per (query, epoch, group), so a group whose slot moved simply
-  // accumulates partial states on two shards.
-  const Trace trace = ZipfTrace(HarnessSeed() + 0x0d4);
-  const Schema& schema = trace.schema();
-  auto config = Configuration::Parse(schema, "ABCD(AB BCD(BC BD CD))");
-  ASSERT_TRUE(config.ok());
-  auto specs = config->ToRuntimeSpecs(
-      std::vector<double>(config->num_nodes(), 128.0));
-  ASSERT_TRUE(specs.ok());
-
-  ShardedRuntime::Options options;
-  options.num_shards = 4;
-  options.num_producers = 2;
-  options.rebalance_slots_per_shard = 4;
-  auto sharded = ShardedRuntime::Make(schema, *specs, 3.0, options);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  ASSERT_EQ((*sharded)->num_slots(), 16);
-
-  const std::span<const Record> records(trace.records());
-  const size_t half = records.size() / 2;
-  (*sharded)->ProcessBatch(records.subspan(0, half));
-  (*sharded)->Quiesce();
-
-  // Rotate every slot one shard over and skew the stripes 1:3.
-  std::vector<int> remap((*sharded)->slot_shards());
-  for (int& shard : remap) shard = (shard + 1) % options.num_shards;
-  ASSERT_TRUE((*sharded)->ApplyIngestLayout(remap, {0.5, 1.5}).ok());
-
-  (*sharded)->ProcessBatch(records.subspan(half));
-  (*sharded)->FlushEpoch();
-
-  const std::vector<QueryDef> queries = config->QueryDefs();
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const auto expected = ComputeReferenceAggregate(
-        trace, queries[qi].group_by, 3.0, queries[qi].metrics);
-    std::string diagnostic;
-    EXPECT_TRUE(AggregatesEqual(expected, (*sharded)->hfta(),
-                                static_cast<int>(qi), &diagnostic))
-        << "query " << qi << ": " << diagnostic;
-  }
-  EXPECT_EQ((*sharded)->counters().records, trace.size());
 }
 
 }  // namespace

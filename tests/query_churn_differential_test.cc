@@ -337,7 +337,6 @@ TEST(QueryChurnDifferentialTest, ChurnWithIdleOverloadControllerIsExact) {
   options.overload.queue_blocked_fraction = 1e9;  // Never reachable.
   options.overload.epoch_gap_watermark_ns = 0;    // Signal disabled.
   options.overload.min_shed_fraction = 0.0;
-  options.overload.rebalance = false;
   for (size_t batch : kBatchSizes) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
     auto engine = StreamAggEngine::FromQueryDefs(schema, initial, options);

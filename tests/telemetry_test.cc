@@ -225,7 +225,6 @@ TelemetrySnapshot HandCraftedSnapshot() {
   snap.shedding.shed_fraction = 0.375;
   snap.shedding.accuracy_loss = 0.25;
   snap.shedding.cycles_saved_per_record = 1.5;
-  snap.shedding.rebalances = 2;
   snap.shedding.relations.push_back(
       SheddingRelationTelemetry{"ABCD", 12.5, 0.5, 30000});
   snap.shedding.relations.push_back(
@@ -376,6 +375,44 @@ TEST(TelemetrySnapshotTest, FromJsonLineIgnoresRetiredSortDrainFields) {
   EXPECT_EQ(again, expected.ToJsonLine());
   EXPECT_EQ(again.find("probe_mode"), std::string::npos) << again;
   EXPECT_EQ(again.find("\"sort_"), std::string::npos) << again;
+
+  // A line written before ingest rebalancing was retired: its shedding
+  // section carries a rebalance count, which parses as an unknown key and
+  // does not come back out.
+  const std::string shedding_line =
+      R"({"epoch":7,"num_shards":1,"num_producers":1,"reoptimizations":0,)"
+      R"("counters":{"records":0,"intra_probes":0,"intra_transfers":0,)"
+      R"("flush_probes":0,"flush_transfers":0,"epochs_flushed":0,)"
+      R"("shed_probes":0},"tables":[],"shards":[],"producers":[],)"
+      R"("hfta_groups":[],"replans":[],"shedding":{"enabled":true,)"
+      R"("target_fraction":0.25,"offered_records":1000,"shed_probes":250,)"
+      R"("shed_fraction":0.125,"accuracy_loss":0.0625,)"
+      R"("cycles_saved_per_record":1.5,"rebalances":3,"relations":[{)"
+      R"("relation":"AB","price":2.5,"shed_fraction":0.25,)"
+      R"("shed_records":250}]},"histograms":{"batch_records":{"count":0,)"
+      R"("sum":0,"min":0,"max":0,"buckets":[]},"batch_ns":{"count":0,)"
+      R"("sum":0,"min":0,"max":0,"buckets":[]},"flush_ns":{"count":0,)"
+      R"("sum":0,"min":0,"max":0,"buckets":[]},"epoch_gap_ns":{"count":0,)"
+      R"("sum":0,"min":0,"max":0,"buckets":[]}}})";
+  TelemetrySnapshot shedding_expected;
+  shedding_expected.epoch = 7;
+  SheddingTelemetry& shedding = shedding_expected.shedding;
+  shedding.enabled = true;
+  shedding.target_fraction = 0.25;
+  shedding.offered_records = 1000;
+  shedding.shed_probes = 250;
+  shedding.shed_fraction = 0.125;
+  shedding.accuracy_loss = 0.0625;
+  shedding.cycles_saved_per_record = 1.5;
+  shedding.relations.push_back(
+      SheddingRelationTelemetry{"AB", 2.5, 0.25, 250});
+  auto shedding_restored = TelemetrySnapshot::FromJsonLine(shedding_line);
+  ASSERT_TRUE(shedding_restored.ok()) << shedding_restored.status().ToString();
+  EXPECT_TRUE(*shedding_restored == shedding_expected);
+  const std::string shedding_again = shedding_restored->ToJsonLine();
+  EXPECT_EQ(shedding_again, shedding_expected.ToJsonLine());
+  EXPECT_EQ(shedding_again.find("rebalances"), std::string::npos)
+      << shedding_again;
 }
 
 TEST(TelemetrySnapshotTest, SheddingSectionAbsentWhenDisabled) {
@@ -397,14 +434,12 @@ TEST(TelemetrySnapshotTest, SheddingMergeSumsCountsAndRecomputesFraction) {
   a.target_fraction = 0.25;
   a.offered_records = 1000;
   a.shed_probes = 500;
-  a.rebalances = 1;
   a.relations.push_back(SheddingRelationTelemetry{"AB", 2.0, 0.25, 500});
   SheddingTelemetry b;
   b.enabled = true;
   b.target_fraction = 0.5;
   b.offered_records = 3000;
   b.shed_probes = 1500;
-  b.rebalances = 2;
   b.relations.push_back(SheddingRelationTelemetry{"AB", 2.0, 0.5, 1500});
 
   a.MergeFrom(b);
@@ -412,7 +447,6 @@ TEST(TelemetrySnapshotTest, SheddingMergeSumsCountsAndRecomputesFraction) {
   EXPECT_DOUBLE_EQ(a.target_fraction, 0.5);
   EXPECT_EQ(a.offered_records, 4000u);
   EXPECT_EQ(a.shed_probes, 2000u);
-  EXPECT_EQ(a.rebalances, 3u);
   ASSERT_EQ(a.relations.size(), 1u);
   EXPECT_EQ(a.relations[0].shed_records, 2000u);
   // The realized fraction recomputes from the summed counts: 2000 drops
@@ -431,7 +465,6 @@ TEST(TelemetrySnapshotTest, SnapshotMergeCarriesSheddingAndHistograms) {
   EXPECT_EQ(a.epoch_gap_ns.count(), 2 * gap_count);
   EXPECT_EQ(a.shedding.offered_records, 2 * b.shedding.offered_records);
   EXPECT_EQ(a.shedding.shed_probes, 2 * b.shedding.shed_probes);
-  EXPECT_EQ(a.shedding.rebalances, 2 * b.shedding.rebalances);
   ASSERT_EQ(a.shedding.relations.size(), b.shedding.relations.size());
   for (size_t i = 0; i < a.shedding.relations.size(); ++i) {
     EXPECT_EQ(a.shedding.relations[i].shed_records,
@@ -524,6 +557,40 @@ TEST(TelemetrySnapshotTest, ChurnActionSerializesAsString) {
   const std::string line = HandCraftedSnapshot().ToJsonLine();
   EXPECT_NE(line.find("\"action\":\"add\""), std::string::npos) << line;
   EXPECT_NE(line.find("\"action\":\"drop\""), std::string::npos) << line;
+}
+
+TEST(TelemetrySnapshotTest, FromJsonLineKeepsDefaultsForMissingKeys) {
+  // One rule for every key: a missing key keeps the member's default, so an
+  // empty object restores a default snapshot (num_shards 1, not 0)...
+  auto empty = TelemetrySnapshot::FromJsonLine("{}");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(*empty == TelemetrySnapshot{});
+  EXPECT_EQ(empty->num_shards, 1);
+
+  // ...and an empty object in any array restores a default element: a
+  // table is no phantom claiming query 0 fed by table 0, and a producer
+  // keeps the unpinned placement.
+  auto elements = TelemetrySnapshot::FromJsonLine(
+      R"({"tables":[{}],"shards":[{}],"producers":[{}],"replans":[{}],)"
+      R"("query_churn":[{}],"shedding":{"relations":[{}]}})");
+  ASSERT_TRUE(elements.ok()) << elements.status().ToString();
+  TelemetrySnapshot expected;
+  expected.tables.emplace_back();
+  expected.shards.emplace_back();
+  expected.producers.emplace_back();
+  expected.replans.emplace_back();
+  expected.query_churn.emplace_back();
+  expected.shedding.relations.emplace_back();
+  EXPECT_TRUE(*elements == expected);
+  ASSERT_EQ(elements->tables.size(), 1u);
+  EXPECT_EQ(elements->tables[0].query_index, -1);
+  EXPECT_EQ(elements->tables[0].parent, -1);
+  EXPECT_FALSE(elements->tables[0].has_prediction());
+  ASSERT_EQ(elements->producers.size(), 1u);
+  EXPECT_EQ(elements->producers[0].cpu, -1);
+  EXPECT_EQ(elements->producers[0].node, -1);
+  ASSERT_EQ(elements->query_churn.size(), 1u);
+  EXPECT_EQ(elements->query_churn[0].query_id, -1);
 }
 
 TEST(TelemetrySnapshotTest, FromJsonLineRejectsGarbage) {

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <set>
 #include <span>
 #include <string>
@@ -79,14 +80,14 @@ TEST(TraceRingTest, WrapAroundKeepsNewestEvents) {
 
 TEST(TraceRingTest, SnapshotAppendsAndClearDrops) {
   TraceRing ring(8, 0);
-  ring.Append(MakeEvent(TraceEventType::kRebalance, 10, 0, 1, 4));
+  ring.Append(MakeEvent(TraceEventType::kShedPlanInstall, 10, 0, 1, 4));
   ring.Append(MakeEvent(TraceEventType::kEpochFlush, 20, 5, 1));
 
   std::vector<TraceEvent> out;
   out.push_back(MakeEvent(TraceEventType::kBarrier, 1, 1, 0));  // Pre-existing.
   ring.Snapshot(&out);
   ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[1].type, TraceEventType::kRebalance);
+  EXPECT_EQ(out[1].type, TraceEventType::kShedPlanInstall);
   EXPECT_EQ(out[1].arg0, 4u);
   EXPECT_EQ(out[2].type, TraceEventType::kEpochFlush);
   EXPECT_EQ(out[2].duration_ns, 5u);
@@ -189,8 +190,8 @@ TEST(FlightRecorderTest, ThreadsGetDistinctTidsAndRingsAreReused) {
   // grows by at most one ring total.
   for (int i = 0; i < 2; ++i) {
     std::thread t([&rec, i] {
-      rec.RecordInstant(TraceEventType::kRebalance, /*epoch=*/uint64_t(i),
-                        /*arg0=*/uint32_t(i));
+      rec.RecordInstant(TraceEventType::kShedPlanInstall,
+                        /*epoch=*/uint64_t(i), /*arg0=*/uint32_t(i));
     });
     t.join();
   }
@@ -205,6 +206,37 @@ TEST(FlightRecorderTest, ThreadsGetDistinctTidsAndRingsAreReused) {
 
 // ---------------------------------------------------------------------------
 // Chrome trace-event export
+
+TEST(TraceCatalogTest, DocsTableNamesEveryEventType) {
+  // docs/tracing.md §2 is the catalog operators read: its table names every
+  // event the recorder can emit, by its Chrome-export name, and nothing
+  // else. Rows look like "| `name` | kind | payload | emitted by |".
+  const std::string path = std::string(STREAMAGG_DOCS_DIR) + "/tracing.md";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::set<std::string> documented;
+  bool in_catalog = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("## ", 0) == 0) {
+      in_catalog = line.rfind("## 2. Event catalog", 0) == 0;
+      continue;
+    }
+    if (!in_catalog || line.rfind("| `", 0) != 0) continue;
+    const size_t end = line.find('`', 3);
+    ASSERT_NE(end, std::string::npos) << line;
+    EXPECT_TRUE(documented.insert(line.substr(3, end - 3)).second)
+        << "duplicate row: " << line;
+  }
+  std::set<std::string> defined;
+  for (int value = 0; value < 256; ++value) {
+    const std::string name =
+        TraceEventName(static_cast<TraceEventType>(value));
+    if (name != "unknown") defined.insert(name);
+  }
+  ASSERT_FALSE(defined.empty());
+  EXPECT_EQ(documented, defined);
+}
 
 TEST(TraceToChromeJsonTest, SchemaParsesAndCarriesEventFields) {
   std::vector<TraceEvent> events;
