@@ -138,25 +138,19 @@ Result<std::unique_ptr<StreamAggEngine>> StreamAggEngine::FromPinnedPlan(
   STREAMAGG_ASSIGN_OR_RETURN(
       std::unique_ptr<StreamAggEngine> engine,
       FromQueryDefs(schema, std::move(queries), options));
-  // Statistics snapshot for the adaptive path. When no counts are given,
-  // derive a degenerate catalog from the plan itself is impossible, so
-  // require counts whenever adaptivity is requested.
-  if (options.adaptive) {
-    if (catalog_counts.empty()) {
-      return Status::InvalidArgument(
-          "Options::adaptive requires catalog counts for pinned-plan "
-          "engines (got adaptive=true with 0 catalog counts)");
-    }
+  // Statistics snapshot for model predictions, churn and the adaptive path.
+  // A catalog cannot be derived from the plan itself, so adaptivity
+  // requires counts; counts that are given must make a valid catalog.
+  if (options.adaptive && catalog_counts.empty()) {
+    return Status::InvalidArgument(
+        "Options::adaptive requires catalog counts for pinned-plan "
+        "engines (got adaptive=true with 0 catalog counts)");
+  }
+  if (!catalog_counts.empty()) {
     STREAMAGG_ASSIGN_OR_RETURN(
         RelationCatalog catalog,
         RelationCatalog::Synthetic(schema, std::move(catalog_counts)));
     engine->catalog_ = std::make_unique<RelationCatalog>(std::move(catalog));
-  } else if (!catalog_counts.empty()) {
-    auto catalog =
-        RelationCatalog::Synthetic(schema, std::move(catalog_counts));
-    if (catalog.ok()) {
-      engine->catalog_ = std::make_unique<RelationCatalog>(std::move(*catalog));
-    }
   }
   engine->plan_ = std::make_unique<OptimizedPlan>(std::move(plan));
   STREAMAGG_RETURN_NOT_OK(engine->InstallRuntime());
@@ -575,6 +569,13 @@ Status StreamAggEngine::CheckNotFinished() const {
       "the engine has finished; it takes no more records or queries");
 }
 
+void StreamAggEngine::DrainPending() const {
+  if (num_pending_ == 0) return;
+  const size_t n = num_pending_;
+  num_pending_ = 0;
+  runtime_->ProcessBatch(std::span<const Record>(pending_.data(), n));
+}
+
 Status StreamAggEngine::Process(const Record& record) {
   STREAMAGG_RETURN_NOT_OK(CheckNotFinished());
   const std::span<const Record> one(&record, 1);
@@ -583,12 +584,31 @@ Status StreamAggEngine::Process(const Record& record) {
   // (the F of the LFTA's Filter-Transform-Aggregate); filtered records are
   // also excluded from statistics.
   if (!PassesFilters(shared_filters_, record)) return Status::OK();
-  return planned() ? Ingest(one) : Sample(record);
+  if (!planned()) return Sample(record);
+  // Several producers take each record at once, as the sample replay does:
+  // a drained buffer would be striped across them.
+  if (options_.num_producers > 1) return Ingest(one);
+  // The engine's first record and a record of a new epoch go to Ingest with
+  // the buffer. Ingest sets current_epoch_ and, for a new epoch, runs the
+  // boundary step between the buffered records and this one. So the buffer
+  // only ever holds records of current_epoch_, and DrainPending needs no
+  // boundary step.
+  const bool opens_epoch =
+      options_.epoch_seconds > 0.0 &&
+      (!saw_record_ || EpochOf(record.timestamp) != current_epoch_);
+  pending_[num_pending_++] = record;
+  if (num_pending_ < pending_.size() && !opens_epoch) return Status::OK();
+  const std::span<const Record> run(pending_.data(), num_pending_);
+  // Empty the buffer before Ingest: the boundary step's capture reads
+  // counters(), which drains.
+  num_pending_ = 0;
+  return Ingest(run);
 }
 
 Status StreamAggEngine::ProcessBatch(std::span<const Record> records) {
   STREAMAGG_RETURN_NOT_OK(CheckNotFinished());
   STREAMAGG_RETURN_NOT_OK(CheckTimestamps(records));
+  DrainPending();
   // Sampling buffers record by record; planning may land mid-batch.
   size_t i = 0;
   for (; i < records.size() && !planned(); ++i) {
@@ -616,6 +636,7 @@ Status StreamAggEngine::ProcessBatch(std::span<const Record> records) {
 
 Status StreamAggEngine::Finish() {
   if (finished_) return Status::OK();
+  DrainPending();
   if (!planned() && sample_ != nullptr && sample_->size() > 0) {
     // Short stream: plan from whatever was collected.
     STREAMAGG_RETURN_NOT_OK(PlanFromSample());
@@ -633,6 +654,7 @@ Status StreamAggEngine::Finish() {
 }
 
 Result<int> StreamAggEngine::AddQuery(const std::string& text) {
+  DrainPending();
   STREAMAGG_RETURN_NOT_OK(CheckNotFinished());
   QueryParseContext context;
   if (!relation_name_.empty()) context.relations.push_back(relation_name_);
@@ -666,6 +688,7 @@ Result<int> StreamAggEngine::AddQuery(const std::string& text) {
 }
 
 Result<int> StreamAggEngine::AddQuery(QueryDef def) {
+  DrainPending();
   STREAMAGG_RETURN_NOT_OK(CheckNotFinished());
   if (def.group_by.empty() ||
       !def.group_by.IsSubsetOf(schema_.AllAttributes())) {
@@ -780,6 +803,7 @@ Result<int> StreamAggEngine::AddParsedQuery(ParsedQuery parsed) {
 }
 
 Status StreamAggEngine::DropQuery(int query_id) {
+  DrainPending();
   STREAMAGG_RETURN_NOT_OK(CheckNotFinished());
   if (query_id < 0 || query_id >= num_query_ids()) {
     return Status::InvalidArgument("unknown query id " +
@@ -899,6 +923,7 @@ std::string StreamAggEngine::ConfigurationText() const {
 
 const EpochAggregate& StreamAggEngine::EpochResult(int query_index,
                                               uint64_t epoch) const {
+  DrainPending();
   // query_index is a stable id; translate to the dense slot the plan and
   // HFTA hold. Dropped ids serve their archived results.
   if (query_index < 0 || query_index >= num_query_ids()) {
@@ -915,6 +940,7 @@ const EpochAggregate& StreamAggEngine::EpochResult(int query_index,
 }
 
 std::vector<uint64_t> StreamAggEngine::Epochs(int query_index) const {
+  DrainPending();
   if (query_index < 0 || query_index >= num_query_ids()) return {};
   const int dense = handles_[static_cast<size_t>(query_index)];
   if (dense >= 0) return results_.Epochs(dense);
@@ -927,6 +953,7 @@ std::vector<uint64_t> StreamAggEngine::Epochs(int query_index) const {
 }
 
 RuntimeCounters StreamAggEngine::counters() const {
+  DrainPending();
   // total_counters_ may already include part of the live runtime's history
   // (a retire whose swap then failed); add only the remainder. A P x S
   // runtime's counters are its last barrier's snapshot.
@@ -938,6 +965,7 @@ RuntimeCounters StreamAggEngine::counters() const {
 }
 
 TelemetrySnapshot StreamAggEngine::telemetry() const {
+  DrainPending();
   if (runtime_ == nullptr) {
     // Finished, or still sampling with nothing to report yet.
     return final_snapshot_ != nullptr ? *final_snapshot_ : TelemetrySnapshot{};

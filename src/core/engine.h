@@ -1,6 +1,7 @@
 #ifndef STREAMAGG_CORE_ENGINE_H_
 #define STREAMAGG_CORE_ENGINE_H_
 
+#include <array>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -27,10 +28,15 @@ namespace streamagg {
 ///      to measure group counts and flow lengths.
 ///   2. *Planning* — the optimizer chooses phantoms and allocates memory;
 ///      the buffered records are replayed into the runtime.
-///   3. *Running* — records flow straight through. At every epoch boundary
+///   3. *Running* — records flow through the batched kernel (Process
+///      gathers them in a 64-record buffer first). At every epoch boundary
 ///      the engine (optionally) checks the AdaptiveController and, on
 ///      drift, re-plans from statistics estimated out of the live tables —
 ///      never storing the stream.
+///
+/// An engine is externally synchronized: one thread at a time may call it,
+/// the `const` reads included, because those drain Process's buffer into
+/// the runtime before they answer.
 class StreamAggEngine {
  public:
   struct Options {
@@ -135,7 +141,16 @@ class StreamAggEngine {
       const Schema& schema, OptimizedPlan plan,
       std::map<uint32_t, uint64_t> catalog_counts, Options options);
 
-  /// Feeds one record: a batch of one (see ProcessBatch).
+  /// Feeds one record. The finished, timestamp, filter and sampling checks
+  /// run at the call (a rejected record changes nothing). Once planned, the
+  /// record is appended to a buffer that holds up to 63 records of the
+  /// current epoch; the buffer goes to the batched path when it is full or
+  /// when a record opens a new epoch, so the boundary step runs in the call
+  /// that carries the new epoch's first record and the closed epoch is
+  /// served when it returns. Every other call drains the buffer first, so
+  /// no caller sees it. With num_producers > 1 each record goes to the
+  /// runtime at once: a drained buffer would be striped across producers,
+  /// and the counters would depend on how the threads interleave.
   Status Process(const Record& record);
 
   /// Feeds a batch of records. Timestamps must be finite, non-negative and
@@ -144,9 +159,10 @@ class StreamAggEngine {
   /// is cut at epoch boundaries, the boundary step (snapshot capture,
   /// adaptive re-plan, overload controller) runs between the runs, and each
   /// run goes to the live runtime's batched path. With num_producers 1 any
-  /// batch split gives the results, counters and events of per-record
-  /// feeding; with more producers only the results. Other errors are
-  /// internal planning failures (e.g. the budget cannot host the tables).
+  /// split of the stream into Process and ProcessBatch calls gives the
+  /// results, counters and events of per-record feeding; with more
+  /// producers only the results. Other errors are internal planning
+  /// failures (e.g. the budget cannot host the tables).
   Status ProcessBatch(std::span<const Record> records);
 
   /// Completes the current epoch (call at end of stream). A finished
@@ -217,20 +233,24 @@ class StreamAggEngine {
   /// Final aggregate of query `query_index` for `epoch` (empty if none).
   /// Results survive adaptive runtime swaps and query churn: the index is
   /// a stable query id (initial queries are 0..n-1), and dropped queries
-  /// keep serving their archived results. A P x S engine serves what its
-  /// last barrier drained. The reference stays valid until the next call
-  /// that feeds records, changes queries or finishes.
+  /// keep serving their archived results. Drains Process's buffer first. A
+  /// P x S engine serves what its last barrier drained. The reference stays
+  /// valid until the next call that feeds records, changes queries or
+  /// finishes.
   const EpochAggregate& EpochResult(int query_index, uint64_t epoch) const;
-  /// Epochs with results for `query_index`, ascending.
+  /// Epochs with results for `query_index`, ascending. Drains Process's
+  /// buffer first.
   std::vector<uint64_t> Epochs(int query_index) const;
 
-  /// Aggregated operation counters across all runtimes so far.
+  /// Aggregated operation counters across all runtimes so far. Drains
+  /// Process's buffer first, so every accepted record is counted.
   RuntimeCounters counters() const;
 
   /// Point-in-time telemetry: per-table occupancy/collision stats paired
   /// with the cost model's predicted collision rates for the live plan
   /// (the paper's model-vs-actual comparison), engine-total counters, and
-  /// latency histograms. While sampling, returns an empty snapshot; after
+  /// latency histograms. Drains Process's buffer first, so tables and
+  /// counters agree. While sampling, returns an empty snapshot; after
   /// Finish(), returns the final pre-teardown snapshot. A P x S engine
   /// must be quiescent (after Finish()); a 1 x 1 engine answers any time.
   TelemetrySnapshot telemetry() const;
@@ -330,6 +350,11 @@ class StreamAggEngine {
   /// epoch run, with the boundary step between runs.
   Status Ingest(std::span<const Record> records);
 
+  /// Hands Process's buffered records to the runtime. They all belong to
+  /// current_epoch_, so no boundary step is due and the runtime's batched
+  /// path takes them directly; the reads can therefore drain too.
+  void DrainPending() const;
+
   /// Defined for every timestamp CheckTimestamps accepts.
   uint64_t EpochOf(double timestamp) const {
     return static_cast<uint64_t>(
@@ -383,6 +408,10 @@ class StreamAggEngine {
   Hfta results_;
   /// The live runtime (nullptr while sampling and after Finish).
   std::unique_ptr<ShardedRuntime> runtime_;
+  /// Process's records not yet handed to runtime_: filtered, accepted and
+  /// of current_epoch_ (see Process). Mutable because the reads drain it.
+  mutable std::array<Record, 64> pending_;
+  mutable size_t num_pending_ = 0;
   bool finished_ = false;
   uint64_t current_epoch_ = 0;
   bool saw_record_ = false;

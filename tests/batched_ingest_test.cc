@@ -367,23 +367,32 @@ TEST(BatchedIngestAllocationTest, SteadyStateEngineBatchAllocatesNothing) {
   });
   ASSERT_GE(steady.size(), 64u);
   steady.resize(64);
-  const RuntimeCounters before = engine->counters();
 
-  const uint64_t allocations_before =
-      g_allocations.load(std::memory_order_relaxed);
-  for (int pass = 0; pass < 1024; ++pass) {
-    ASSERT_TRUE(engine->ProcessBatch(steady).ok());
+  // The same passes fed as ProcessBatch(64) calls, then as 64 Process
+  // calls each, which go through the engine's record buffer.
+  for (const bool per_record : {false, true}) {
+    SCOPED_TRACE(per_record ? "Process" : "ProcessBatch(64)");
+    const RuntimeCounters before = engine->counters();
+    const uint64_t allocations_before =
+        g_allocations.load(std::memory_order_relaxed);
+    for (int pass = 0; pass < 1024; ++pass) {
+      if (per_record) {
+        for (const Record& r : steady) ASSERT_TRUE(engine->Process(r).ok());
+      } else {
+        ASSERT_TRUE(engine->ProcessBatch(steady).ok());
+      }
+    }
+    const uint64_t allocations_after =
+        g_allocations.load(std::memory_order_relaxed);
+
+    // Sanity: every record hit a resident group, with no eviction.
+    const RuntimeCounters after = engine->counters();
+    EXPECT_EQ(after.records - before.records, 1024u * steady.size());
+    EXPECT_EQ(after.intra_transfers, before.intra_transfers);
+    EXPECT_EQ(after.epochs_flushed, before.epochs_flushed);
+    EXPECT_EQ(allocations_after - allocations_before, 0u)
+        << "steady-state engine feeding allocated";
   }
-  const uint64_t allocations_after =
-      g_allocations.load(std::memory_order_relaxed);
-
-  // Sanity: every record hit a resident group, with no eviction.
-  const RuntimeCounters after = engine->counters();
-  EXPECT_EQ(after.records - before.records, 1024u * steady.size());
-  EXPECT_EQ(after.intra_transfers, before.intra_transfers);
-  EXPECT_EQ(after.epochs_flushed, before.epochs_flushed);
-  EXPECT_EQ(allocations_after - allocations_before, 0u)
-      << "steady-state engine ProcessBatch allocated";
 }
 
 }  // namespace

@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "dsms/reference_aggregator.h"
+#include "engine_parity.h"
 #include "stream/uniform_generator.h"
 
 namespace streamagg {
@@ -643,6 +645,154 @@ TEST(StreamAggEngineTest, FinishedEngineRejectsFeedAndChurn) {
   }
 }
 
+// --- Process buffers records; every other call drains them ---------------
+
+/// Asserts that `buffered` answers every read as `direct` does: counters,
+/// each table's probes and collisions, and per id its epochs and its result
+/// for `epoch`. Each read drains Process's buffer on its own, so only the
+/// first read of a round can see a buffered record: `first` picks which
+/// read that is.
+void ExpectSameReads(const StreamAggEngine& buffered,
+                     const StreamAggEngine& direct, uint64_t epoch,
+                     int first) {
+  for (int k = 0; k < 4; ++k) {
+    switch ((first + k) % 4) {
+      case 0:
+        EXPECT_TRUE(buffered.counters() == direct.counters()) << "counters";
+        break;
+      case 1: {
+        const TelemetrySnapshot got = buffered.telemetry();
+        const TelemetrySnapshot want = direct.telemetry();
+        ASSERT_EQ(got.tables.size(), want.tables.size());
+        for (size_t t = 0; t < got.tables.size(); ++t) {
+          EXPECT_EQ(got.tables[t].probes, want.tables[t].probes)
+              << got.tables[t].relation;
+          EXPECT_EQ(got.tables[t].collisions, want.tables[t].collisions)
+              << got.tables[t].relation;
+        }
+        break;
+      }
+      case 2:
+        for (int q = 0; q < direct.num_query_ids(); ++q) {
+          EXPECT_EQ(buffered.Epochs(q), direct.Epochs(q)) << "query " << q;
+        }
+        break;
+      case 3:
+        for (int q = 0; q < direct.num_query_ids(); ++q) {
+          EXPECT_TRUE(buffered.EpochResult(q, epoch) ==
+                      direct.EpochResult(q, epoch))
+              << "query " << q;
+        }
+        break;
+    }
+  }
+}
+
+TEST(StreamAggEngineTest, ReadsSeeEveryRecordProcessAccepted) {
+  // Process holds up to 63 records of the epoch in flight; every read and
+  // churn call must drain them first. A twin fed the same records by
+  // one-record ProcessBatch calls holds none back, so after every call the
+  // two must answer each read alike, across epoch boundaries and churn. The
+  // tight budget makes the query tables evict from an epoch's first
+  // records, so the in-flight epoch's results move with almost every one.
+  const Schema schema = *Schema::Default(4);
+  auto gen = std::move(UniformGenerator::Make(schema, 3000, 53)).value();
+  const Trace trace = Trace::Generate(*gen, 6000, 6.0);
+  StreamAggEngine::Options options = BaseOptions();
+  options.epoch_seconds = 1.0;  // 1000 records per epoch.
+  options.sample_size = 800;
+  options.memory_words = 4000.0;
+  options.telemetry_epoch_snapshots = true;
+  const std::vector<QueryDef> queries = {
+      QueryDef(*schema.ParseAttributeSet("AB")),
+      QueryDef(*schema.ParseAttributeSet("BC")),
+      QueryDef(*schema.ParseAttributeSet("CD"))};
+  auto buffered =
+      std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
+          .value();
+  auto direct =
+      std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
+          .value();
+
+  const size_t kAddAfter = 2500;   // Epoch 2.
+  const size_t kDropAfter = 4300;  // Epoch 4.
+  for (size_t i = 0; i < trace.size() && !HasFailure(); ++i) {
+    const Record& r = trace.records()[i];
+    ASSERT_TRUE(buffered->Process(r).ok());
+    ASSERT_TRUE(direct->ProcessBatch(std::span<const Record>(&r, 1)).ok());
+    const uint64_t epoch = static_cast<uint64_t>(r.timestamp);
+    SCOPED_TRACE("after record " + std::to_string(i));
+    ExpectSameReads(*buffered, *direct, epoch, static_cast<int>(i % 4));
+    if (i == kAddAfter) {
+      const QueryDef added(*schema.ParseAttributeSet("BD"));
+      auto id = buffered->AddQuery(added);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      EXPECT_EQ(*id, *direct->AddQuery(added));
+      ExpectSameReads(*buffered, *direct, epoch, 0);
+    }
+    if (i == kDropAfter) {
+      ASSERT_TRUE(buffered->DropQuery(0).ok());
+      ASSERT_TRUE(direct->DropQuery(0).ok());
+      ExpectSameReads(*buffered, *direct, epoch, 0);
+    }
+  }
+  ASSERT_TRUE(buffered->planned());
+  // The window really crossed boundaries, and the history agrees too.
+  EXPECT_GE(direct->telemetry_history().size(), 4u);
+  ExpectSameEngineRecord(*buffered, *direct, "final");
+}
+
+TEST(StreamAggEngineTest, MidEpochReadKeepsPinnedBoundarySteps) {
+  // A pinned-plan engine is live from its first record. A read that drains
+  // every record of its first epoch must not cost the next epoch its
+  // boundary step: the snapshots must match a twin fed by one-record
+  // ProcessBatch calls with no read, whichever epoch the stream starts in.
+  const Trace source = UniformTrace(500, 4000, 59);
+  const Schema& schema = source.schema();
+  const std::vector<QueryDef> queries = {
+      QueryDef(*schema.ParseAttributeSet("AB")),
+      QueryDef(*schema.ParseAttributeSet("CD"))};
+  TraceStats stats(&source);
+  const RelationCatalog catalog =
+      RelationCatalog::FromTrace(&stats, /*clustered=*/false);
+  const OptimizedPlan plan = *Optimizer().Optimize(catalog, queries, 30000.0);
+  StreamAggEngine::Options options = BaseOptions();
+  options.epoch_seconds = 1.0;
+  options.telemetry_epoch_snapshots = true;
+
+  for (const double start : {0.0, 5.0}) {
+    SCOPED_TRACE("stream starts at " + std::to_string(start) + " s");
+    // 30 records in the first half of the first epoch, then 3000 over the
+    // next three epochs.
+    std::vector<Record> records(source.records().begin(),
+                                source.records().begin() + 3030);
+    for (size_t i = 0; i < records.size(); ++i) {
+      records[i].timestamp =
+          i < 30 ? start + 0.5 * static_cast<double>(i) / 30.0
+                 : start + 1.0 + 3.0 * static_cast<double>(i - 30) / 3000.0;
+    }
+    auto reader =
+        std::move(StreamAggEngine::FromPinnedPlan(schema, plan, {}, options))
+            .value();
+    auto twin =
+        std::move(StreamAggEngine::FromPinnedPlan(schema, plan, {}, options))
+            .value();
+    for (size_t i = 0; i < records.size(); ++i) {
+      ASSERT_TRUE(reader->Process(records[i]).ok());
+      ASSERT_TRUE(
+          twin->ProcessBatch(std::span<const Record>(&records[i], 1)).ok());
+      if (i == 29) {
+        EXPECT_EQ(reader->counters().records, 30u);
+      }
+    }
+
+    const std::vector<TelemetrySnapshot>& want = twin->telemetry_history();
+    ASSERT_EQ(want.size(), 3u);
+    EXPECT_EQ(want.front().epoch, static_cast<uint64_t>(start));
+    ExpectSameEngineRecord(*reader, *twin, "reader vs twin");
+  }
+}
+
 // --- Online query churn (docs/query_frontend.md §4) ----------------------
 
 TEST(StreamAggEngineChurnTest, AddQueryFromTextMidStream) {
@@ -1196,6 +1346,62 @@ TEST(EngineValidation, RejectsAdaptivePinnedPlanWithoutCounts) {
   EXPECT_NE(engine.status().ToString().find(
                 "Options::adaptive requires catalog counts for pinned-plan "
                 "engines (got adaptive=true with 0 catalog counts)"),
+            std::string::npos)
+      << engine.status().ToString();
+}
+
+/// Builds a non-adaptive pinned-plan engine for query AB over a 4-attribute
+/// schema with `counts` as its catalog counts.
+Result<std::unique_ptr<StreamAggEngine>> PinnedPlanWithCounts(
+    std::map<uint32_t, uint64_t> counts) {
+  const Schema schema = *Schema::Default(4);
+  auto catalog = RelationCatalog::Synthetic(
+      schema, {{AttributeSet::Single(0).mask(), 100},
+               {AttributeSet::Single(1).mask(), 100},
+               {AttributeSet::Single(2).mask(), 100},
+               {AttributeSet::Single(3).mask(), 100}});
+  OptimizedPlan plan = *Optimizer().Optimize(
+      *catalog,
+      std::vector<QueryDef>{QueryDef(*schema.ParseAttributeSet("AB"))},
+      20000.0);
+  return StreamAggEngine::FromPinnedPlan(schema, std::move(plan),
+                                         std::move(counts), BaseOptions());
+}
+
+// Counts given without adaptivity still feed model predictions and churn
+// planning, so counts that make no valid catalog are rejected, not dropped.
+TEST(EngineValidation, RejectsPinnedPlanCountsMissingAnAttribute) {
+  auto engine = PinnedPlanWithCounts({{AttributeSet::Single(0).mask(), 100},
+                                      {AttributeSet::Single(1).mask(), 100},
+                                      {AttributeSet::Single(2).mask(), 100}});
+  ASSERT_FALSE(engine.ok());
+  EXPECT_NE(engine.status().ToString().find(
+                "synthetic catalog needs a group count for every single "
+                "attribute (missing D)"),
+            std::string::npos)
+      << engine.status().ToString();
+}
+
+TEST(EngineValidation, RejectsPinnedPlanZeroCount) {
+  auto engine = PinnedPlanWithCounts({{AttributeSet::Single(0).mask(), 100},
+                                      {AttributeSet::Single(1).mask(), 100},
+                                      {AttributeSet::Single(2).mask(), 100},
+                                      {AttributeSet::Single(3).mask(), 0}});
+  ASSERT_FALSE(engine.ok());
+  EXPECT_NE(engine.status().ToString().find("zero group count"),
+            std::string::npos)
+      << engine.status().ToString();
+}
+
+TEST(EngineValidation, RejectsPinnedPlanCountsOutsideTheSchema) {
+  auto engine = PinnedPlanWithCounts({{AttributeSet::Single(0).mask(), 100},
+                                      {AttributeSet::Single(1).mask(), 100},
+                                      {AttributeSet::Single(2).mask(), 100},
+                                      {AttributeSet::Single(3).mask(), 100},
+                                      {AttributeSet::Single(5).mask(), 100}});
+  ASSERT_FALSE(engine.ok());
+  EXPECT_NE(engine.status().ToString().find(
+                "group count for set outside schema"),
             std::string::npos)
       << engine.status().ToString();
 }
