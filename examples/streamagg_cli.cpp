@@ -119,10 +119,16 @@ bool LoadChurnScript(const std::string& path,
     const size_t hash = raw.find('#');
     if (hash != std::string::npos) raw.erase(hash);
     std::istringstream line(raw);
+    if ((line >> std::ws).eof()) continue;  // blank / comment-only
     ChurnAction action;
     action.line = line_no;
+    if (line.peek() == '-' || !(line >> action.epoch)) {
+      std::fprintf(stderr, "error: %s:%d: expected an epoch number\n",
+                   path.c_str(), line_no);
+      return false;
+    }
     std::string verb;
-    if (!(line >> action.epoch >> verb)) continue;  // blank / comment-only
+    line >> verb;
     if (verb == "add") {
       std::getline(line, action.sql);
       const size_t start = action.sql.find_first_not_of(" \t");
@@ -142,7 +148,8 @@ bool LoadChurnScript(const std::string& path,
       action.add = false;
     } else {
       std::fprintf(stderr, "error: %s:%d: expected add or drop, got %s\n",
-                   path.c_str(), line_no, verb.c_str());
+                   path.c_str(), line_no,
+                   verb.empty() ? "nothing" : verb.c_str());
       return false;
     }
     actions->push_back(std::move(action));

@@ -2,261 +2,191 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 
 #include "obs/json.h"
+#include "obs/telemetry_fields.h"
 
 namespace streamagg {
 
 namespace {
 
-JsonValue HistogramToJson(const LogHistogram& h) {
-  JsonValue out = JsonValue::Object();
-  out.Set("count", JsonValue::Number(h.count()));
-  out.Set("sum", JsonValue::Number(h.sum()));
-  out.Set("min", JsonValue::Number(h.min()));
-  out.Set("max", JsonValue::Number(h.max()));
-  // Sparse [bucket, count] pairs: telemetry histograms are typically
-  // concentrated in a handful of adjacent power-of-two buckets.
-  JsonValue buckets = JsonValue::Array();
-  for (int b = 0; b < LogHistogram::kNumBuckets; ++b) {
-    if (h.bucket_count(b) == 0) continue;
-    JsonValue pair = JsonValue::Array();
-    pair.Append(JsonValue::Number(static_cast<uint64_t>(b)));
-    pair.Append(JsonValue::Number(h.bucket_count(b)));
-    buckets.Append(std::move(pair));
-  }
-  out.Set("buckets", std::move(buckets));
-  return out;
-}
+namespace tf = telemetry_fields;
 
-JsonValue CountersToJson(const RuntimeCounters& c) {
-  JsonValue out = JsonValue::Object();
-  out.Set("records", JsonValue::Number(c.records));
-  out.Set("intra_probes", JsonValue::Number(c.intra_probes));
-  out.Set("intra_transfers", JsonValue::Number(c.intra_transfers));
-  out.Set("flush_probes", JsonValue::Number(c.flush_probes));
-  out.Set("flush_transfers", JsonValue::Number(c.flush_transfers));
-  out.Set("epochs_flushed", JsonValue::Number(c.epochs_flushed));
-  out.Set("shed_probes", JsonValue::Number(c.shed_probes));
-  return out;
-}
+// A histogram's JSON object: these four totals, then sparse [bucket, count]
+// pairs (telemetry histograms are typically concentrated in a handful of
+// adjacent power-of-two buckets).
+constexpr const char* kHistogramTotals[] = {"count", "sum", "min", "max"};
+constexpr const char* kHistogramBuckets = "buckets";
 
-JsonValue TableToJson(const TableTelemetry& t) {
-  JsonValue out = JsonValue::Object();
-  out.Set("relation", JsonValue::Str(t.relation));
-  out.Set("is_query", JsonValue::Bool(t.is_query));
-  out.Set("query_index", JsonValue::Number(static_cast<int64_t>(t.query_index)));
-  out.Set("parent", JsonValue::Number(static_cast<int64_t>(t.parent)));
-  out.Set("buckets", JsonValue::Number(t.num_buckets));
-  out.Set("occupied", JsonValue::Number(t.occupied));
-  out.Set("occupied_hwm", JsonValue::Number(t.occupied_hwm));
-  out.Set("probes", JsonValue::Number(t.probes));
-  out.Set("inserts", JsonValue::Number(t.inserts));
-  out.Set("updates", JsonValue::Number(t.updates));
-  out.Set("collisions", JsonValue::Number(t.collisions));
-  out.Set("intra_evictions", JsonValue::Number(t.intra_evictions));
-  out.Set("flush_evictions", JsonValue::Number(t.flush_evictions));
-  out.Set("hfta_transfers", JsonValue::Number(t.hfta_transfers));
-  out.Set("flushed_entries", JsonValue::Number(t.flushed_entries));
-  out.Set("x_observed", JsonValue::Number(t.observed_collision_rate));
-  out.Set("x_predicted", JsonValue::Number(t.predicted_collision_rate));
-  out.Set("flush_occupancy", HistogramToJson(t.flush_occupancy));
-  return out;
-}
-
-JsonValue ReplanToJson(const ReplanEvent& e) {
-  JsonValue out = JsonValue::Object();
-  out.Set("epoch", JsonValue::Number(e.epoch));
-  out.Set("trigger_relation", JsonValue::Str(e.trigger_relation));
-  out.Set("drift", JsonValue::Number(e.drift));
-  out.Set("replanned_nodes",
-          JsonValue::Number(static_cast<int64_t>(e.replanned_nodes)));
-  out.Set("pinned_nodes",
-          JsonValue::Number(static_cast<int64_t>(e.pinned_nodes)));
-  out.Set("optimize_millis", JsonValue::Number(e.optimize_millis));
-  out.Set("merge_millis", JsonValue::Number(e.merge_millis));
-  return out;
-}
-
-JsonValue ChurnToJson(const QueryChurnEvent& e) {
-  JsonValue out = JsonValue::Object();
-  out.Set("epoch", JsonValue::Number(e.epoch));
-  // A string action keeps the export greppable (CI churn drill).
-  out.Set("action", JsonValue::Str(e.add ? "add" : "drop"));
-  out.Set("query_id", JsonValue::Number(static_cast<int64_t>(e.query_id)));
-  out.Set("relation", JsonValue::Str(e.relation));
-  out.Set("grafted", JsonValue::Bool(e.grafted));
-  out.Set("aliased", JsonValue::Bool(e.aliased));
-  out.Set("replanned_nodes",
-          JsonValue::Number(static_cast<int64_t>(e.replanned_nodes)));
-  out.Set("pinned_nodes",
-          JsonValue::Number(static_cast<int64_t>(e.pinned_nodes)));
-  out.Set("optimize_millis", JsonValue::Number(e.optimize_millis));
-  out.Set("merge_millis", JsonValue::Number(e.merge_millis));
-  return out;
-}
-
-JsonValue SheddingToJson(const SheddingTelemetry& s) {
-  JsonValue out = JsonValue::Object();
-  out.Set("enabled", JsonValue::Bool(s.enabled));
-  out.Set("target_fraction", JsonValue::Number(s.target_fraction));
-  out.Set("offered_records", JsonValue::Number(s.offered_records));
-  out.Set("shed_probes", JsonValue::Number(s.shed_probes));
-  out.Set("shed_fraction", JsonValue::Number(s.shed_fraction));
-  out.Set("accuracy_loss", JsonValue::Number(s.accuracy_loss));
-  out.Set("cycles_saved_per_record",
-          JsonValue::Number(s.cycles_saved_per_record));
-  JsonValue relations = JsonValue::Array();
-  for (const SheddingRelationTelemetry& r : s.relations) {
-    JsonValue obj = JsonValue::Object();
-    obj.Set("relation", JsonValue::Str(r.relation));
-    obj.Set("price", JsonValue::Number(r.price));
-    obj.Set("shed_fraction", JsonValue::Number(r.shed_fraction));
-    obj.Set("shed_records", JsonValue::Number(r.shed_records));
-    relations.Append(std::move(obj));
-  }
-  out.Set("relations", std::move(relations));
-  return out;
-}
-
-// FromJsonLine's one rule, applied by Read: a member takes the value at
-// `key` when the key is present and keeps its default otherwise, so a line
-// from an older (or newer) build restores what it carries and nothing else.
-// Every struct reader fills a default-constructed object.
-void ReadValue(const JsonValue& v, uint64_t* out) { *out = v.AsUint64(); }
-void ReadValue(const JsonValue& v, int* out) {
-  *out = static_cast<int>(v.AsInt64());
-}
-void ReadValue(const JsonValue& v, double* out) { *out = v.AsDouble(); }
-void ReadValue(const JsonValue& v, bool* out) { *out = v.AsBool(); }
-void ReadValue(const JsonValue& v, std::string* out) { *out = v.AsString(); }
-void ReadValue(const JsonValue& v, LogHistogram* out);
-void ReadValue(const JsonValue& v, RuntimeCounters* out);
-void ReadValue(const JsonValue& v, TableTelemetry* out);
-void ReadValue(const JsonValue& v, ShardTelemetry* out);
-void ReadValue(const JsonValue& v, ProducerTelemetry* out);
-void ReadValue(const JsonValue& v, ReplanEvent* out);
-void ReadValue(const JsonValue& v, QueryChurnEvent* out);
-void ReadValue(const JsonValue& v, SheddingRelationTelemetry* out);
-void ReadValue(const JsonValue& v, SheddingTelemetry* out);
-
-/// One element per array entry, each read into a default-constructed T.
-template <typename T>
-void ReadValue(const JsonValue& v, std::vector<T>* out) {
-  out->assign(v.size(), T{});
-  for (size_t i = 0; i < v.size(); ++i) ReadValue(v.at(i), &(*out)[i]);
-}
+template <typename Entries, typename S>
+void WriteFields(const Entries& entries, const S& s, JsonValue* out);
+template <typename Entries, typename S>
+void ReadFields(const Entries& entries, const JsonValue& v, S* s);
+template <typename S>
+void MergeFields(S* into, const S& from);
 
 template <typename T>
-void Read(const JsonValue& object, const char* key, T* out) {
-  if (object.Has(key)) ReadValue(object.Get(key), out);
-}
-
-void ReadValue(const JsonValue& v, LogHistogram* out) {
-  std::array<uint64_t, LogHistogram::kNumBuckets> counts{};
-  const JsonValue& buckets = v.Get("buckets");
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    const JsonValue& pair = buckets.at(i);
-    if (pair.size() != 2) continue;
-    const uint64_t b = pair.at(0).AsUint64();
-    if (b < static_cast<uint64_t>(LogHistogram::kNumBuckets)) {
-      counts[static_cast<size_t>(b)] = pair.at(1).AsUint64();
+JsonValue ToJson(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return JsonValue::Bool(v);
+  } else if constexpr (std::is_same_v<T, int>) {
+    return JsonValue::Number(static_cast<int64_t>(v));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return JsonValue::Str(v);
+  } else if constexpr (std::is_same_v<T, LogHistogram>) {
+    JsonValue out = JsonValue::Object();
+    const uint64_t totals[] = {v.count(), v.sum(), v.min(), v.max()};
+    for (size_t i = 0; i < std::size(totals); ++i) {
+      out.Set(kHistogramTotals[i], JsonValue::Number(totals[i]));
     }
+    std::vector<std::vector<uint64_t>> buckets;
+    for (int b = 0; b < LogHistogram::kNumBuckets; ++b) {
+      if (v.bucket_count(b) == 0) continue;
+      buckets.push_back({static_cast<uint64_t>(b), v.bucket_count(b)});
+    }
+    out.Set(kHistogramBuckets, ToJson(buckets));
+    return out;
+  } else if constexpr (tf::kIsList<T>) {
+    JsonValue out = JsonValue::Array();
+    for (const auto& element : v) out.Append(ToJson(element));
+    return out;
+  } else if constexpr (tf::HasFields<T>) {
+    JsonValue out = JsonValue::Object();
+    WriteFields(tf::Schema<T>::kFields, v, &out);
+    return out;
+  } else {
+    return JsonValue::Number(v);  // uint64_t and double.
   }
-  *out = LogHistogram::FromRaw(counts, v.Get("count").AsUint64(),
-                               v.Get("sum").AsUint64(),
-                               v.Get("min").AsUint64(),
-                               v.Get("max").AsUint64());
 }
 
-void ReadValue(const JsonValue& v, RuntimeCounters* c) {
-  Read(v, "records", &c->records);
-  Read(v, "intra_probes", &c->intra_probes);
-  Read(v, "intra_transfers", &c->intra_transfers);
-  Read(v, "flush_probes", &c->flush_probes);
-  Read(v, "flush_transfers", &c->flush_transfers);
-  Read(v, "epochs_flushed", &c->epochs_flushed);
-  Read(v, "shed_probes", &c->shed_probes);
+template <typename Entries, typename S>
+void WriteFields(const Entries& entries, const S& s, JsonValue* out) {
+  tf::ForEachEntry(entries, [&](const auto& e) {
+    if constexpr (tf::IsGroup<decltype(e)>) {
+      JsonValue group = JsonValue::Object();
+      WriteFields(e.fields, s, &group);
+      out->Set(e.key, std::move(group));
+    } else {
+      using T = typename std::decay_t<decltype(e)>::Type;
+      const T& v = s.*e.member;
+      if constexpr (tf::kIsList<T>) {
+        if (e.omit_empty && v.empty()) return;
+      } else if constexpr (tf::HasFields<T>) {
+        if (!tf::GateOpen(v)) return;
+      } else if constexpr (std::is_same_v<T, bool>) {
+        if (e.words[0] != nullptr) {
+          out->Set(e.key, JsonValue::Str(e.words[v ? 1 : 0]));
+          return;
+        }
+      }
+      out->Set(e.key, ToJson(v));
+    }
+  });
 }
 
-void ReadValue(const JsonValue& v, TableTelemetry* t) {
-  Read(v, "relation", &t->relation);
-  Read(v, "is_query", &t->is_query);
-  Read(v, "query_index", &t->query_index);
-  Read(v, "parent", &t->parent);
-  Read(v, "buckets", &t->num_buckets);
-  Read(v, "occupied", &t->occupied);
-  Read(v, "occupied_hwm", &t->occupied_hwm);
-  Read(v, "probes", &t->probes);
-  Read(v, "inserts", &t->inserts);
-  Read(v, "updates", &t->updates);
-  Read(v, "collisions", &t->collisions);
-  Read(v, "intra_evictions", &t->intra_evictions);
-  Read(v, "flush_evictions", &t->flush_evictions);
-  Read(v, "hfta_transfers", &t->hfta_transfers);
-  Read(v, "flushed_entries", &t->flushed_entries);
-  Read(v, "x_observed", &t->observed_collision_rate);
-  Read(v, "x_predicted", &t->predicted_collision_rate);
-  Read(v, "flush_occupancy", &t->flush_occupancy);
+template <typename T>
+void ReadValue(const JsonValue& v, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    *out = v.AsBool();
+  } else if constexpr (std::is_same_v<T, int>) {
+    *out = static_cast<int>(v.AsInt64());
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    *out = v.AsUint64();
+  } else if constexpr (std::is_same_v<T, double>) {
+    *out = v.AsDouble();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    *out = v.AsString();
+  } else if constexpr (std::is_same_v<T, LogHistogram>) {
+    std::array<uint64_t, LogHistogram::kNumBuckets> counts{};
+    const JsonValue& buckets = v.Get(kHistogramBuckets);
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      const JsonValue& pair = buckets.at(i);
+      if (pair.size() != 2) continue;
+      const uint64_t b = pair.at(0).AsUint64();
+      if (b < static_cast<uint64_t>(LogHistogram::kNumBuckets)) {
+        counts[static_cast<size_t>(b)] = pair.at(1).AsUint64();
+      }
+    }
+    uint64_t totals[std::size(kHistogramTotals)];
+    for (size_t i = 0; i < std::size(totals); ++i) {
+      totals[i] = v.Get(kHistogramTotals[i]).AsUint64();
+    }
+    *out = LogHistogram::FromRaw(counts, totals[0], totals[1], totals[2],
+                                 totals[3]);
+  } else if constexpr (tf::kIsList<T>) {
+    // One element per array entry, each read into a default element.
+    out->assign(v.size(), typename T::value_type{});
+    for (size_t i = 0; i < v.size(); ++i) ReadValue(v.at(i), &(*out)[i]);
+  } else {
+    ReadFields(tf::Schema<T>::kFields, v, out);
+  }
 }
 
-void ReadValue(const JsonValue& v, ShardTelemetry* shard) {
-  Read(v, "records", &shard->records);
-  Read(v, "queue_depth_hwm", &shard->queue_depth_hwm);
-  Read(v, "blocked_pushes", &shard->blocked_pushes);
-  Read(v, "cpu", &shard->cpu);
-  Read(v, "node", &shard->node);
+// FromJsonLine's one rule: a member takes the value at its key when the key
+// is present and keeps its default otherwise, so a line from an older (or
+// newer) build restores what it carries and nothing else. Every struct is
+// read into a default-constructed object.
+template <typename Entries, typename S>
+void ReadFields(const Entries& entries, const JsonValue& v, S* s) {
+  tf::ForEachEntry(entries, [&](const auto& e) {
+    if constexpr (tf::IsGroup<decltype(e)>) {
+      ReadFields(e.fields, v.Get(e.key), s);
+    } else if (v.Has(e.key)) {
+      using T = typename std::decay_t<decltype(e)>::Type;
+      if constexpr (std::is_same_v<T, bool>) {
+        if (e.words[0] != nullptr) {
+          s->*e.member = v.Get(e.key).AsString() == e.words[1];
+          return;
+        }
+      }
+      ReadValue(v.Get(e.key), &(s->*e.member));
+    }
+  });
 }
 
-void ReadValue(const JsonValue& v, ProducerTelemetry* producer) {
-  Read(v, "records", &producer->records);
-  Read(v, "queue_depth_hwm", &producer->queue_depth_hwm);
-  Read(v, "blocked_pushes", &producer->blocked_pushes);
-  Read(v, "cpu", &producer->cpu);
-  Read(v, "node", &producer->node);
+/// MergeRule::kSum of one value.
+template <typename T>
+void MergeValue(T* into, const T& from) {
+  if constexpr (std::is_same_v<T, LogHistogram>) {
+    into->Merge(from);
+  } else if constexpr (tf::HasFields<T>) {
+    MergeFields(into, from);
+  } else {
+    *into += from;
+  }
 }
 
-void ReadValue(const JsonValue& v, ReplanEvent* e) {
-  Read(v, "epoch", &e->epoch);
-  Read(v, "trigger_relation", &e->trigger_relation);
-  Read(v, "drift", &e->drift);
-  Read(v, "replanned_nodes", &e->replanned_nodes);
-  Read(v, "pinned_nodes", &e->pinned_nodes);
-  Read(v, "optimize_millis", &e->optimize_millis);
-  Read(v, "merge_millis", &e->merge_millis);
-}
-
-void ReadValue(const JsonValue& v, QueryChurnEvent* e) {
-  Read(v, "epoch", &e->epoch);
-  std::string action = e->add ? "add" : "drop";
-  Read(v, "action", &action);
-  e->add = action == "add";
-  Read(v, "query_id", &e->query_id);
-  Read(v, "relation", &e->relation);
-  Read(v, "grafted", &e->grafted);
-  Read(v, "aliased", &e->aliased);
-  Read(v, "replanned_nodes", &e->replanned_nodes);
-  Read(v, "pinned_nodes", &e->pinned_nodes);
-  Read(v, "optimize_millis", &e->optimize_millis);
-  Read(v, "merge_millis", &e->merge_millis);
-}
-
-void ReadValue(const JsonValue& v, SheddingRelationTelemetry* r) {
-  Read(v, "relation", &r->relation);
-  Read(v, "price", &r->price);
-  Read(v, "shed_fraction", &r->shed_fraction);
-  Read(v, "shed_records", &r->shed_records);
-}
-
-void ReadValue(const JsonValue& v, SheddingTelemetry* s) {
-  Read(v, "enabled", &s->enabled);
-  Read(v, "target_fraction", &s->target_fraction);
-  Read(v, "offered_records", &s->offered_records);
-  Read(v, "shed_probes", &s->shed_probes);
-  Read(v, "shed_fraction", &s->shed_fraction);
-  Read(v, "accuracy_loss", &s->accuracy_loss);
-  Read(v, "cycles_saved_per_record", &s->cycles_saved_per_record);
-  Read(v, "relations", &s->relations);
+template <typename S>
+void MergeFields(S* into, const S& from) {
+  tf::ForEachField(tf::Schema<S>::kFields, [&](const auto& f) {
+    using T = typename std::decay_t<decltype(f)>::Type;
+    T& a = into->*f.member;
+    const T& b = from.*f.member;
+    if constexpr (tf::kIsList<T>) {
+      const size_t shared =
+          f.merge == tf::kByIndex ? std::min(a.size(), b.size())
+                                              : 0;
+      for (size_t i = 0; i < shared; ++i) MergeValue(&a[i], b[i]);
+      if (f.merge == tf::kConcat ||
+          f.merge == tf::kByIndex) {
+        a.insert(a.end(), b.begin() + static_cast<ptrdiff_t>(shared),
+                 b.end());
+      }
+    } else if constexpr (std::is_same_v<T, bool>) {
+      if (f.merge == tf::kOr) a = a || b;
+    } else if (f.merge == tf::kSum) {
+      MergeValue(&a, b);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      if (f.merge == tf::kMax) a = std::max(a, b);
+    }
+  });
+  // Rates over the merged counts, once every other field is in.
+  tf::ForEachField(tf::Schema<S>::kFields, [&](const auto& f) {
+    if (f.merge == tf::kRecompute) {
+      into->*f.member = f.recompute(*into);
+    }
+  });
 }
 
 std::string FormatHistogramLine(const char* name, const LogHistogram& h) {
@@ -277,153 +207,19 @@ std::string FormatHistogramLine(const char* name, const LogHistogram& h) {
 }  // namespace
 
 void TableTelemetry::MergeFrom(const TableTelemetry& other) {
-  num_buckets += other.num_buckets;
-  occupied += other.occupied;
-  // Summed per-replica peaks: an upper bound on simultaneous occupancy
-  // across replicas (shards peak at different moments).
-  occupied_hwm += other.occupied_hwm;
-  probes += other.probes;
-  inserts += other.inserts;
-  updates += other.updates;
-  collisions += other.collisions;
-  intra_evictions += other.intra_evictions;
-  flush_evictions += other.flush_evictions;
-  hfta_transfers += other.hfta_transfers;
-  flushed_entries += other.flushed_entries;
-  flush_occupancy.Merge(other.flush_occupancy);
-  observed_collision_rate =
-      probes == 0 ? 0.0
-                  : static_cast<double>(collisions) /
-                        static_cast<double>(probes);
+  MergeFields(this, other);
 }
 
 void SheddingTelemetry::MergeFrom(const SheddingTelemetry& other) {
-  enabled = enabled || other.enabled;
-  target_fraction = std::max(target_fraction, other.target_fraction);
-  offered_records += other.offered_records;
-  shed_probes += other.shed_probes;
-  accuracy_loss = std::max(accuracy_loss, other.accuracy_loss);
-  cycles_saved_per_record =
-      std::max(cycles_saved_per_record, other.cycles_saved_per_record);
-  if (relations.size() < other.relations.size()) {
-    relations.resize(other.relations.size());
-  }
-  const size_t num_relations = relations.size();
-  for (size_t i = 0; i < other.relations.size(); ++i) {
-    if (relations[i].relation.empty()) {
-      relations[i] = other.relations[i];
-    } else {
-      relations[i].shed_records += other.relations[i].shed_records;
-    }
-  }
-  // Realized overall fraction over the summed counts.
-  shed_fraction =
-      offered_records == 0 || num_relations == 0
-          ? 0.0
-          : static_cast<double>(shed_probes) /
-                (static_cast<double>(offered_records) *
-                 static_cast<double>(num_relations));
+  MergeFields(this, other);
 }
 
 void TelemetrySnapshot::MergeFrom(const TelemetrySnapshot& other) {
-  epoch = std::max(epoch, other.epoch);
-  num_shards += other.num_shards;
-  // Shard replicas share one ingest front end: producers do not add up the
-  // way shard replicas do.
-  num_producers = std::max(num_producers, other.num_producers);
-  reoptimizations = std::max(reoptimizations, other.reoptimizations);
-  counters.Add(other.counters);
-  if (tables.size() < other.tables.size()) tables.resize(other.tables.size());
-  for (size_t i = 0; i < other.tables.size(); ++i) {
-    if (tables[i].relation.empty()) {
-      tables[i] = other.tables[i];
-    } else {
-      tables[i].MergeFrom(other.tables[i]);
-    }
-  }
-  shards.insert(shards.end(), other.shards.begin(), other.shards.end());
-  producers.insert(producers.end(), other.producers.begin(),
-                   other.producers.end());
-  // Re-plan history is engine-level: shard replicas never carry any, so
-  // concatenation is the identity there and a plain union otherwise.
-  replans.insert(replans.end(), other.replans.begin(), other.replans.end());
-  // Churn history is engine-level like the re-plan history.
-  query_churn.insert(query_churn.end(), other.query_churn.begin(),
-                     other.query_churn.end());
-  // Shedding is engine-level too: replicas carry a disabled (empty) view,
-  // which merges as the identity.
-  shedding.MergeFrom(other.shedding);
-  if (hfta_groups.size() < other.hfta_groups.size()) {
-    hfta_groups.resize(other.hfta_groups.size());
-  }
-  for (size_t q = 0; q < other.hfta_groups.size(); ++q) {
-    hfta_groups[q] += other.hfta_groups[q];
-  }
-  batch_records.Merge(other.batch_records);
-  batch_ns.Merge(other.batch_ns);
-  flush_ns.Merge(other.flush_ns);
-  epoch_gap_ns.Merge(other.epoch_gap_ns);
+  MergeFields(this, other);
 }
 
 std::string TelemetrySnapshot::ToJsonLine() const {
-  JsonValue root = JsonValue::Object();
-  root.Set("epoch", JsonValue::Number(epoch));
-  root.Set("num_shards", JsonValue::Number(static_cast<int64_t>(num_shards)));
-  root.Set("num_producers",
-           JsonValue::Number(static_cast<int64_t>(num_producers)));
-  root.Set("reoptimizations",
-           JsonValue::Number(static_cast<int64_t>(reoptimizations)));
-  root.Set("counters", CountersToJson(counters));
-  JsonValue table_array = JsonValue::Array();
-  for (const TableTelemetry& t : tables) table_array.Append(TableToJson(t));
-  root.Set("tables", std::move(table_array));
-  JsonValue shard_array = JsonValue::Array();
-  for (const ShardTelemetry& s : shards) {
-    JsonValue obj = JsonValue::Object();
-    obj.Set("records", JsonValue::Number(s.records));
-    obj.Set("queue_depth_hwm", JsonValue::Number(s.queue_depth_hwm));
-    obj.Set("blocked_pushes", JsonValue::Number(s.blocked_pushes));
-    obj.Set("cpu", JsonValue::Number(static_cast<int64_t>(s.cpu)));
-    obj.Set("node", JsonValue::Number(static_cast<int64_t>(s.node)));
-    shard_array.Append(std::move(obj));
-  }
-  root.Set("shards", std::move(shard_array));
-  JsonValue producer_array = JsonValue::Array();
-  for (const ProducerTelemetry& p : producers) {
-    JsonValue obj = JsonValue::Object();
-    obj.Set("records", JsonValue::Number(p.records));
-    obj.Set("queue_depth_hwm", JsonValue::Number(p.queue_depth_hwm));
-    obj.Set("blocked_pushes", JsonValue::Number(p.blocked_pushes));
-    obj.Set("cpu", JsonValue::Number(static_cast<int64_t>(p.cpu)));
-    obj.Set("node", JsonValue::Number(static_cast<int64_t>(p.node)));
-    producer_array.Append(std::move(obj));
-  }
-  root.Set("producers", std::move(producer_array));
-  JsonValue groups = JsonValue::Array();
-  for (uint64_t g : hfta_groups) groups.Append(JsonValue::Number(g));
-  root.Set("hfta_groups", std::move(groups));
-  JsonValue replan_array = JsonValue::Array();
-  for (const ReplanEvent& e : replans) replan_array.Append(ReplanToJson(e));
-  root.Set("replans", std::move(replan_array));
-  // The churn section exists only once a query was added or dropped.
-  if (!query_churn.empty()) {
-    JsonValue churn_array = JsonValue::Array();
-    for (const QueryChurnEvent& e : query_churn) {
-      churn_array.Append(ChurnToJson(e));
-    }
-    root.Set("query_churn", std::move(churn_array));
-  }
-  // The shedding section exists only when the overload controller does:
-  // disabled engines (and telemetry_level kOff, which refuses the
-  // controller) serialize no trace of it.
-  if (shedding.enabled) root.Set("shedding", SheddingToJson(shedding));
-  JsonValue histograms = JsonValue::Object();
-  histograms.Set("batch_records", HistogramToJson(batch_records));
-  histograms.Set("batch_ns", HistogramToJson(batch_ns));
-  histograms.Set("flush_ns", HistogramToJson(flush_ns));
-  histograms.Set("epoch_gap_ns", HistogramToJson(epoch_gap_ns));
-  root.Set("histograms", std::move(histograms));
-  return root.Dump();
+  return ToJson(*this).Dump();
 }
 
 Result<TelemetrySnapshot> TelemetrySnapshot::FromJsonLine(
@@ -433,23 +229,7 @@ Result<TelemetrySnapshot> TelemetrySnapshot::FromJsonLine(
     return Status::InvalidArgument("telemetry snapshot must be a JSON object");
   }
   TelemetrySnapshot s;
-  Read(root, "epoch", &s.epoch);
-  Read(root, "num_shards", &s.num_shards);
-  Read(root, "num_producers", &s.num_producers);
-  Read(root, "reoptimizations", &s.reoptimizations);
-  Read(root, "counters", &s.counters);
-  Read(root, "tables", &s.tables);
-  Read(root, "shards", &s.shards);
-  Read(root, "producers", &s.producers);
-  Read(root, "hfta_groups", &s.hfta_groups);
-  Read(root, "replans", &s.replans);
-  Read(root, "query_churn", &s.query_churn);
-  Read(root, "shedding", &s.shedding);
-  const JsonValue& histograms = root.Get("histograms");
-  Read(histograms, "batch_records", &s.batch_records);
-  Read(histograms, "batch_ns", &s.batch_ns);
-  Read(histograms, "flush_ns", &s.flush_ns);
-  Read(histograms, "epoch_gap_ns", &s.epoch_gap_ns);
+  ReadValue(root, &s);
   return s;
 }
 
@@ -563,41 +343,27 @@ std::string TelemetrySnapshot::ToTable() const {
       out += buffer;
     }
   }
-  if (!shards.empty()) {
-    out += "shard ingest:";
-    for (size_t i = 0; i < shards.size(); ++i) {
+  // Shard and producer rows share one layout, tagged s<i> and p<i>.
+  auto ingest_line = [&](const char* title, char tag, const auto& rows) {
+    if (rows.empty()) return;
+    out += title;
+    for (size_t i = 0; i < rows.size(); ++i) {
       std::snprintf(buffer, sizeof(buffer),
-                    " s%zu records=%llu queue_hwm=%llu blocked=%llu", i,
-                    static_cast<unsigned long long>(shards[i].records),
-                    static_cast<unsigned long long>(shards[i].queue_depth_hwm),
-                    static_cast<unsigned long long>(shards[i].blocked_pushes));
+                    " %c%zu records=%llu queue_hwm=%llu blocked=%llu", tag, i,
+                    static_cast<unsigned long long>(rows[i].records),
+                    static_cast<unsigned long long>(rows[i].queue_depth_hwm),
+                    static_cast<unsigned long long>(rows[i].blocked_pushes));
       out += buffer;
-      if (shards[i].cpu >= 0) {
-        std::snprintf(buffer, sizeof(buffer), " cpu=%d/node%d", shards[i].cpu,
-                      shards[i].node);
+      if (rows[i].cpu >= 0) {
+        std::snprintf(buffer, sizeof(buffer), " cpu=%d/node%d", rows[i].cpu,
+                      rows[i].node);
         out += buffer;
       }
     }
     out += '\n';
-  }
-  if (!producers.empty()) {
-    out += "producer ingest:";
-    for (size_t i = 0; i < producers.size(); ++i) {
-      std::snprintf(
-          buffer, sizeof(buffer),
-          " p%zu records=%llu queue_hwm=%llu blocked=%llu", i,
-          static_cast<unsigned long long>(producers[i].records),
-          static_cast<unsigned long long>(producers[i].queue_depth_hwm),
-          static_cast<unsigned long long>(producers[i].blocked_pushes));
-      out += buffer;
-      if (producers[i].cpu >= 0) {
-        std::snprintf(buffer, sizeof(buffer), " cpu=%d/node%d",
-                      producers[i].cpu, producers[i].node);
-        out += buffer;
-      }
-    }
-    out += '\n';
-  }
+  };
+  ingest_line("shard ingest:", 's', shards);
+  ingest_line("producer ingest:", 'p', producers);
   out += FormatHistogramLine("batch_records", batch_records);
   out += FormatHistogramLine("batch_ns", batch_ns);
   out += FormatHistogramLine("flush_ns", flush_ns);

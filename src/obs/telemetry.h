@@ -25,7 +25,10 @@ struct TableTelemetry {
 
   std::string relation;  ///< Schema-formatted attribute set, e.g. "ABD".
   bool is_query = false;
-  int query_index = -1;  ///< -1 for phantoms.
+  /// The query's dense slot (-1 for phantoms), not the stable id that
+  /// StreamAggEngine::EpochResult takes: later slots shift down after a
+  /// non-alias DropQuery, and aliased ids share one slot.
+  int query_index = -1;
   int parent = -1;       ///< Feeding parent table index; -1 for raw.
   uint64_t num_buckets = 0;
   uint64_t occupied = 0;      ///< Occupied buckets right now.
@@ -201,7 +204,8 @@ struct TelemetrySnapshot {
   std::vector<ShardTelemetry> shards;        ///< Empty for serial runtimes.
   std::vector<ProducerTelemetry> producers;  ///< Empty for serial runtimes.
   /// Result rows held in the HFTA per live query (Hfta::TotalGroups); for
-  /// an engine, every row since the query was added, across swaps.
+  /// an engine, every row since the query was added, across swaps. Indexed
+  /// by dense slot like TableTelemetry::query_index, not by query id.
   std::vector<uint64_t> hfta_groups;
   /// Adaptive re-plans up to this snapshot, oldest first (engine-level;
   /// empty for raw runtime snapshots and non-adaptive engines).

@@ -18,67 +18,10 @@
 #include <vector>
 
 #include "obs/telemetry.h"
+#include "telemetry_snapshots.h"
 
 namespace streamagg {
 namespace {
-
-TelemetrySnapshot MakeSnapshot() {
-  TelemetrySnapshot snap;
-  snap.epoch = 41;
-  snap.num_shards = 2;
-  snap.num_producers = 1;
-  snap.reoptimizations = 2;
-  snap.counters.records = (uint64_t{1} << 63) + 12345;  // Exceeds double.
-  snap.counters.intra_probes = 100000;
-  snap.counters.intra_transfers = 7;
-  snap.counters.flush_probes = 1024;
-  snap.counters.flush_transfers = 99;
-  snap.counters.epochs_flushed = 41;
-  snap.counters.shed_probes = 4500;
-
-  TableTelemetry table;
-  table.relation = "AB";
-  table.is_query = true;
-  table.query_index = 0;
-  table.num_buckets = 512;
-  table.occupied = 100;
-  table.occupied_hwm = 300;
-  table.probes = 100000;
-  table.inserts = 60000;
-  table.updates = 30000;
-  table.collisions = 10000;
-  table.observed_collision_rate = 0.1;
-  table.predicted_collision_rate = 0.0875;
-  snap.tables.push_back(table);
-  table.relation = "BC";
-  table.is_query = false;
-  table.query_index = -1;
-  table.predicted_collision_rate = TableTelemetry::kNoPrediction;
-  snap.tables.push_back(table);
-
-  snap.shards.push_back(ShardTelemetry{1000, 12, 7, 4, 0});
-  snap.shards.push_back(ShardTelemetry{997, 3, 0, -1, -1});
-  snap.producers.push_back(ProducerTelemetry{1997, 9, 3, -1, -1});
-  snap.hfta_groups = {123, 456789};
-
-  snap.shedding.enabled = true;
-  snap.shedding.target_fraction = 0.5;
-  snap.shedding.offered_records = 60000;
-  snap.shedding.shed_probes = 4500;
-  snap.shedding.shed_fraction = 0.375;
-  snap.shedding.accuracy_loss = 0.25;
-  snap.shedding.cycles_saved_per_record = 1.5;
-  snap.shedding.relations.push_back(
-      SheddingRelationTelemetry{"ABCD", 12.5, 0.5, 30000});
-  snap.shedding.relations.push_back(
-      SheddingRelationTelemetry{"C\"D\\E", 3.25, 0.25, 15000});
-
-  snap.batch_records.Record(64);
-  snap.batch_records.Record(3);
-  snap.batch_ns.Record(123456);
-  snap.epoch_gap_ns.Record(0);
-  return snap;
-}
 
 // The subset of the OpenMetrics line grammar a scraper enforces. Walks the
 // exposition text once and fails the test at the first violation.
