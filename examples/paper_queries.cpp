@@ -92,11 +92,15 @@ int main() {
   for (size_t qi = 0; qi < parsed->size(); ++qi) {
     const ParsedQuery& q = (*parsed)[qi];
     const EpochAggregate& result = hfta.Result(static_cast<int>(qi), 0);
-    std::vector<std::pair<const GroupKey*, const AggregateState*>> rows;
+    // The table yields each key by value: keep the key, not its address.
+    std::vector<std::pair<GroupKey, const AggregateState*>> rows;
     rows.reserve(result.size());
-    for (const auto& [key, state] : result) rows.emplace_back(&key, &state);
+    for (const auto& [key, state] : result) rows.emplace_back(key, &state);
     std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      return a.second->count > b.second->count;
+      if (a.second->count != b.second->count) {
+        return a.second->count > b.second->count;
+      }
+      return a.first < b.first;
     });
     std::printf("\nQ%zu, interval 0 (%zu groups), busiest three:\n", qi + 1,
                 result.size());
@@ -109,7 +113,7 @@ int main() {
       std::printf("  ");
       for (size_t col = 0; col < q.outputs.size(); ++col) {
         std::printf("%-14.1f",
-                    q.OutputValue(col, *rows[row].first, *rows[row].second));
+                    q.OutputValue(col, rows[row].first, *rows[row].second));
       }
       std::printf("\n");
     }

@@ -19,8 +19,8 @@
 //   --stats             print the final telemetry snapshot as a table
 //                       (per-table occupancy, observed vs predicted
 //                       collision rates, latency histograms)
-//   --stats-json FILE   write the snapshot as one JSON line ("-" = stdout);
-//                       schema in docs/observability.md
+//   --stats-json FILE   write the snapshot as one JSON line ("-" = stdout,
+//                       as its last line); schema in docs/observability.md
 //   --trace-json FILE   enable the flight recorder and write the run's
 //                       events as a Chrome trace ("-" = stdout);
 //                       format in docs/tracing.md
@@ -175,26 +175,19 @@ uint64_t QueryChecksum(const StreamAggEngine& engine, int query_id) {
   for (uint64_t epoch : engine.Epochs(query_id)) {
     mix64(epoch);
     const EpochAggregate& result = engine.EpochResult(query_id, epoch);
-    std::vector<const GroupKey*> keys;
-    keys.reserve(result.size());
-    for (const auto& [key, state] : result) keys.push_back(&key);
-    std::sort(keys.begin(), keys.end(),
-              [](const GroupKey* a, const GroupKey* b) {
-                if (a->size != b->size) return a->size < b->size;
-                for (uint8_t i = 0; i < a->size; ++i) {
-                  if (a->values[i] != b->values[i]) {
-                    return a->values[i] < b->values[i];
-                  }
-                }
-                return false;
-              });
-    for (const GroupKey* key : keys) {
-      mix64(key->size);
-      for (uint8_t i = 0; i < key->size; ++i) mix64(key->values[i]);
-      const AggregateState& state = result.at(*key);
-      mix64(state.count);
-      for (uint8_t i = 0; i < state.num_metrics; ++i) {
-        mix64(state.metrics[i]);
+    // The table yields each key by value: keep the key, not its address.
+    std::vector<std::pair<GroupKey, const AggregateState*>> rows;
+    rows.reserve(result.size());
+    for (const auto& [key, state] : result) rows.emplace_back(key, &state);
+    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    for (const auto& [key, state] : rows) {
+      mix64(key.size);
+      for (uint8_t i = 0; i < key.size; ++i) mix64(key.values[i]);
+      mix64(state->count);
+      for (uint8_t i = 0; i < state->num_metrics; ++i) {
+        mix64(state->metrics[i]);
       }
     }
   }
@@ -352,23 +345,19 @@ int main(int argc, char** argv) {
   if (print_stats) {
     std::printf("\n%s\n", (*engine)->telemetry().ToTable().c_str());
   }
-  if (!stats_json_path.empty()) {
+  // "-" prints the line last, after the result rows (see the end of main).
+  if (!stats_json_path.empty() && stats_json_path != "-") {
     const std::string line = (*engine)->telemetry().ToJsonLine();
-    if (stats_json_path == "-") {
-      std::printf("%s\n", line.c_str());
-    } else {
-      std::FILE* f = std::fopen(stats_json_path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "error: could not open %s\n",
-                     stats_json_path.c_str());
-        return 1;
-      }
-      std::fwrite(line.data(), 1, line.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-      std::printf("telemetry snapshot written to %s\n",
-                  stats_json_path.c_str());
+    std::FILE* f = std::fopen(stats_json_path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "error: could not open %s\n",
+                   stats_json_path.c_str());
+      return 1;
     }
+    std::fwrite(line.data(), 1, line.size(), f);
+    std::fputc('\n', f);
+    std::fclose(f);
+    std::printf("telemetry snapshot written to %s\n", stats_json_path.c_str());
   }
   if (!trace_json_path.empty()) {
     const std::string json = TraceToChromeJson();
@@ -412,14 +401,19 @@ int main(int argc, char** argv) {
     for (uint64_t epoch : (*engine)->Epochs(static_cast<int>(qi))) {
       const EpochAggregate& result =
           (*engine)->EpochResult(static_cast<int>(qi), epoch);
-      std::vector<std::pair<const GroupKey*, const AggregateState*>> rows;
+      std::vector<std::pair<GroupKey, const AggregateState*>> rows;
       rows.reserve(result.size());
       for (const auto& [key, state] : result) {
         if (!q.HavingSatisfied(key, state)) continue;  // having clause.
-        rows.emplace_back(&key, &state);
+        rows.emplace_back(key, &state);
       }
+      // Busiest first; ties by key, so the rows shown do not depend on
+      // the table's order.
       std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-        return a.second->count > b.second->count;
+        if (a.second->count != b.second->count) {
+          return a.second->count > b.second->count;
+        }
+        return a.first < b.first;
       });
       std::printf("  epoch %" PRIu64 " (%zu groups%s):", epoch, rows.size(),
                   q.having.has_value() ? " after having" : "");
@@ -432,11 +426,15 @@ int main(int argc, char** argv) {
         std::printf("    ");
         for (size_t col = 0; col < q.outputs.size(); ++col) {
           std::printf("%.1f ",
-                      q.OutputValue(col, *rows[row].first, *rows[row].second));
+                      q.OutputValue(col, rows[row].first, *rows[row].second));
         }
         std::printf("\n");
       }
     }
+  }
+  // The JSON line is stdout's last line, so `tail -n 1` takes it.
+  if (stats_json_path == "-") {
+    std::printf("%s\n", (*engine)->telemetry().ToJsonLine().c_str());
   }
   return 0;
 }

@@ -3,26 +3,29 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "stream/aggregate.h"
+#include "stream/group_table.h"
 #include "stream/record.h"
 
 namespace streamagg {
 
 /// Per-epoch aggregation result of one query: group -> partial-free final
-/// state (count plus the query's declared metrics).
-using EpochAggregate =
-    std::unordered_map<GroupKey, AggregateState, GroupKeyHash>;
+/// state (count plus the query's declared metrics), in a flat GroupTable
+/// that iterates in insertion order. An insert invalidates references into
+/// the table (stream/group_table.h).
+using EpochAggregate = GroupTable;
 
 /// Every epoch's aggregate of one query, in increasing epoch order.
 using EpochResults = std::map<uint64_t, EpochAggregate>;
 
 /// The high-level query node (paper Section 2.1): receives partial
 /// {group, state} entries evicted from the LFTA and combines entries for the
-/// same group and epoch into the final query answers. The HFTA runs in
-/// abundant host memory, so a hash map per (query, epoch) suffices.
+/// same group and epoch into the final query answers. Each (query, epoch)
+/// result is one GroupTable: keys and states in flat vectors behind an
+/// open-addressing index, so a transfer that creates a group appends to
+/// memory the table already holds instead of allocating a node.
 class Hfta {
  public:
   /// Count-only queries (the paper's setting).
@@ -35,6 +38,7 @@ class Hfta {
       : metrics_(std::move(per_query_metrics)),
         per_query_(metrics_.size()),
         rows_(metrics_.size(), 0),
+        bytes_(metrics_.size(), 0),
         targets_(metrics_.size()) {}
 
   /// Accepts one evicted entry for `query_index` in `epoch`, merging it
@@ -50,15 +54,10 @@ class Hfta {
            const AggregateState& state) {
     AddTarget& target = targets_.slots[static_cast<size_t>(query_index)];
     if (target.aggregate == nullptr || target.epoch != epoch) {
-      target.aggregate = &per_query_[query_index][epoch];
+      target.aggregate = &EpochTable(query_index, epoch);
       target.epoch = epoch;
     }
-    auto [it, inserted] = target.aggregate->try_emplace(key, state);
-    if (inserted) {
-      ++rows_[query_index];
-    } else {
-      it->second.Merge(state, metrics_[query_index]);
-    }
+    Fold(query_index, target.aggregate, key, state);
     ++transfers_;
   }
 
@@ -79,6 +78,13 @@ class Hfta {
   /// every operation that inserts, moves or drops rows keeps the count.
   uint64_t TotalGroups(int query_index) const {
     return rows_[query_index];
+  }
+
+  /// Telemetry gauge: bytes the epoch tables of `query_index` hold (keys,
+  /// states and index, by capacity; GroupTable::bytes). O(1) like
+  /// TotalGroups: every insert that grows a table adds its growth.
+  uint64_t TotalBytes(int query_index) const {
+    return bytes_[query_index];
   }
 
   /// Epochs for which `query_index` received any data, in increasing order.
@@ -116,6 +122,25 @@ class Hfta {
              const std::vector<int>& source);
 
  private:
+  /// The table of `query_index` for `epoch`. A new one is sized for as
+  /// many rows as the query's previous epoch holds, so the flush appends
+  /// into memory already allocated instead of growing row by row.
+  EpochAggregate& EpochTable(int query_index, uint64_t epoch);
+
+  /// Folds {key, state} into `table`, one of `query_index`'s epoch
+  /// tables, keeping its row and byte counts.
+  void Fold(int query_index, EpochAggregate* table, const GroupKey& key,
+            const AggregateState& state) {
+    const uint64_t bytes = table->bytes();
+    auto [it, inserted] = table->try_emplace(key, state);
+    if (inserted) {
+      ++rows_[query_index];
+      bytes_[query_index] += table->bytes() - bytes;
+    } else {
+      it->second.Merge(state, metrics_[query_index]);
+    }
+  }
+
   /// One query's cached Add target; see Add.
   struct AddTarget {
     EpochAggregate* aggregate = nullptr;
@@ -138,6 +163,8 @@ class Hfta {
   std::vector<EpochResults> per_query_;
   /// Rows held per query: the sum of its epochs' sizes (TotalGroups).
   std::vector<uint64_t> rows_;
+  /// Bytes held per query: the sum of its epochs' bytes() (TotalBytes).
+  std::vector<uint64_t> bytes_;
   uint64_t transfers_ = 0;
   AddTargets targets_;
   EpochAggregate empty_;

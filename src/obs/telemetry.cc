@@ -290,15 +290,19 @@ std::string TelemetrySnapshot::ToTable() const {
       out += buffer;
     }
   }
-  if (!hfta_groups.empty()) {
-    out += "hfta rows:";
-    for (size_t q = 0; q < hfta_groups.size(); ++q) {
+  const auto per_query = [&](const char* label,
+                             const std::vector<uint64_t>& values) {
+    if (values.empty()) return;
+    out += label;
+    for (size_t q = 0; q < values.size(); ++q) {
       std::snprintf(buffer, sizeof(buffer), " q%zu=%llu", q,
-                    static_cast<unsigned long long>(hfta_groups[q]));
+                    static_cast<unsigned long long>(values[q]));
       out += buffer;
     }
     out += '\n';
-  }
+  };
+  per_query("hfta rows:", hfta_groups);
+  per_query("hfta bytes:", hfta_bytes);
   if (!replans.empty()) {
     out += "re-plans:";
     for (const ReplanEvent& e : replans) {
@@ -410,8 +414,10 @@ TelemetrySnapshot BuildTelemetrySnapshot(const ConfigurationRuntime& runtime,
   }
   const Hfta& hfta = runtime.hfta();
   s.hfta_groups.reserve(static_cast<size_t>(hfta.num_queries()));
+  s.hfta_bytes.reserve(static_cast<size_t>(hfta.num_queries()));
   for (int q = 0; q < hfta.num_queries(); ++q) {
     s.hfta_groups.push_back(hfta.TotalGroups(q));
+    s.hfta_bytes.push_back(hfta.TotalBytes(q));
   }
   return s;
 }
@@ -447,11 +453,13 @@ TelemetrySnapshot BuildTelemetrySnapshot(const ShardedRuntime& runtime,
     s.producers.push_back(producer);
   }
   // Every barrier drains the replica HFTAs into the results HFTA, which
-  // holds the deduplicated per-query row counts.
+  // holds the deduplicated per-query row and byte counts.
   const Hfta& results = runtime.hfta();
   s.hfta_groups.assign(static_cast<size_t>(results.num_queries()), 0);
+  s.hfta_bytes.assign(static_cast<size_t>(results.num_queries()), 0);
   for (int q = 0; q < results.num_queries(); ++q) {
     s.hfta_groups[static_cast<size_t>(q)] = results.TotalGroups(q);
+    s.hfta_bytes[static_cast<size_t>(q)] = results.TotalBytes(q);
   }
   return s;
 }

@@ -207,6 +207,9 @@ struct TelemetrySnapshot {
   /// an engine, every row since the query was added, across swaps. Indexed
   /// by dense slot like TableTelemetry::query_index, not by query id.
   std::vector<uint64_t> hfta_groups;
+  /// Bytes those rows' epoch tables hold per live query (Hfta::TotalBytes:
+  /// keys, states and index, by capacity), indexed like hfta_groups.
+  std::vector<uint64_t> hfta_bytes;
   /// Adaptive re-plans up to this snapshot, oldest first (engine-level;
   /// empty for raw runtime snapshots and non-adaptive engines).
   std::vector<ReplanEvent> replans;

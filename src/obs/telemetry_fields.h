@@ -346,6 +346,10 @@ struct Schema<TelemetrySnapshot> {
       Field{.member = &T::hfta_groups, .key = "hfta_groups", .merge = kByIndex,
             .metric = kGauge, .help = "Result rows held in the HFTA per query.",
             .label = "query"},
+      Field{.member = &T::hfta_bytes, .key = "hfta_bytes", .merge = kByIndex,
+            .metric = kGauge,
+            .help = "Bytes the HFTA's result tables hold per query.",
+            .label = "query"},
       Field{&T::replans, "replans", kConcat},
       Field{.member = &T::query_churn, .key = "query_churn", .merge = kConcat,
             .omit_empty = true},

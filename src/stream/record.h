@@ -51,6 +51,16 @@ struct GroupKey {
     return true;
   }
 
+  /// Orders keys by width, then word by word: a sort order for printing
+  /// and checksums that does not depend on any table's order.
+  bool operator<(const GroupKey& o) const {
+    if (size != o.size) return size < o.size;
+    for (uint8_t i = 0; i < size; ++i) {
+      if (values[i] != o.values[i]) return values[i] < o.values[i];
+    }
+    return false;
+  }
+
   /// Debug rendering, e.g. "(3,17)".
   std::string ToString() const;
 };
@@ -102,11 +112,12 @@ struct ProjectionPlan {
   GroupKey Apply(const GroupKey& key) const { return Apply(key.values.data()); }
 };
 
-/// Hash functor for GroupKey, for use with std::unordered_map.
+/// Hash functor for GroupKey. GroupTable indexes its rows by the same hash
+/// of the key words.
 struct GroupKeyHash {
+  static constexpr uint64_t kSeed = 0x5151bead5151beadULL;
   size_t operator()(const GroupKey& k) const {
-    return static_cast<size_t>(HashWords(k.values.data(), k.size,
-                                         /*seed=*/0x5151bead5151beadULL));
+    return static_cast<size_t>(HashWords(k.values.data(), k.size, kSeed));
   }
 };
 

@@ -1,10 +1,10 @@
 #include "stream/trace_stats.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <vector>
 
 #include "stream/distinct_counter.h"
+#include "stream/group_table.h"
 #include "util/hash.h"
 #include "util/math.h"
 
@@ -17,10 +17,10 @@ uint64_t TraceStats::GroupCount(AttributeSet set) {
   if (set.empty()) {
     count = 1;
   } else {
-    std::unordered_set<GroupKey, GroupKeyHash> seen;
+    GroupTable seen;
     seen.reserve(trace_->size() / 4 + 16);
     for (const Record& r : trace_->records()) {
-      seen.insert(GroupKey::Project(r, set));
+      seen.try_emplace(GroupKey::Project(r, set));
     }
     count = seen.size();
   }
@@ -41,19 +41,24 @@ double TraceStats::AvgFlowLength(AttributeSet set) {
   auto it = flow_length_cache_.find(set.mask());
   if (it != flow_length_cache_.end()) return it->second;
 
-  const uint64_t g = GroupCount(set);
   const size_t n = trace_->size();
   double result = 1.0;
   if (trace_->has_flow_ids() && n > 0) {
     // Exact: records per flow, from the flow boundaries recorded in the
     // trace (the paper derives flow length "temporally" from its tcpdump
-    // data; our generator records the ground truth directly).
-    std::unordered_set<uint32_t> flows(trace_->flow_ids().begin(),
-                                       trace_->flow_ids().end());
-    result = static_cast<double>(n) / static_cast<double>(flows.size());
+    // data; our generator records the ground truth directly). The flows
+    // are the trace's, whatever the attribute set, so count them once.
+    if (num_flows_ == 0) {
+      std::vector<uint32_t> ids = trace_->flow_ids();
+      std::sort(ids.begin(), ids.end());
+      num_flows_ = static_cast<uint64_t>(
+          std::unique(ids.begin(), ids.end()) - ids.begin());
+    }
+    result = static_cast<double>(n) / static_cast<double>(num_flows_);
     flow_length_cache_.emplace(set.mask(), result);
     return result;
   }
+  const uint64_t g = GroupCount(set);
   if (g >= 2 && n > 0) {
     // Probe a single-slot table with b = g buckets and measure the empirical
     // collision rate; under the clustered model x_emp = x_random(g, b) / l_a

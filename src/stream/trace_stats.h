@@ -48,6 +48,8 @@ class TraceStats {
   const Trace* trace_;
   std::unordered_map<uint32_t, uint64_t> group_count_cache_;
   std::unordered_map<uint32_t, double> flow_length_cache_;
+  /// Distinct flow ids of a trace that carries them; 0 until first needed.
+  uint64_t num_flows_ = 0;
 };
 
 }  // namespace streamagg

@@ -5,6 +5,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace streamagg {
@@ -260,33 +261,36 @@ TEST(HftaTest, DrainFromMovesEveryRowAndEmptiesTheSource) {
   EXPECT_EQ(results.Result(1, 2).at(Key1(5)).count, 6u);
 }
 
-/// Rows `hfta` holds for `query`, summed over its epochs: what TotalGroups
-/// must report without walking them.
-uint64_t SummedEpochSizes(const Hfta& hfta, int query) {
+/// Rows and bytes `hfta` holds for `query`, summed over its epochs: what
+/// TotalGroups and TotalBytes must report without walking them.
+std::pair<uint64_t, uint64_t> SummedEpochs(const Hfta& hfta, int query) {
   uint64_t rows = 0;
+  uint64_t bytes = 0;
   for (uint64_t epoch : hfta.Epochs(query)) {
     rows += hfta.Result(query, epoch).size();
+    bytes += hfta.Result(query, epoch).bytes();
   }
-  return rows;
+  return {rows, bytes};
 }
 
-void ExpectTotalGroupsMatch(const Hfta& hfta, const std::string& label) {
+void ExpectTotalsMatch(const Hfta& hfta, const std::string& label) {
   for (int q = 0; q < hfta.num_queries(); ++q) {
-    EXPECT_EQ(hfta.TotalGroups(q), SummedEpochSizes(hfta, q))
-        << label << " query " << q;
+    const auto [rows, bytes] = SummedEpochs(hfta, q);
+    EXPECT_EQ(hfta.TotalGroups(q), rows) << label << " query " << q;
+    EXPECT_EQ(hfta.TotalBytes(q), bytes) << label << " query " << q;
   }
 }
 
 TEST(HftaTest, TotalGroupsTracksEveryRowOperation) {
   Hfta hfta(2);
-  ExpectTotalGroupsMatch(hfta, "empty");
+  ExpectTotalsMatch(hfta, "empty");
   hfta.Add(0, 1, Key1(1), AggregateState::FromCount(1));
   hfta.Add(0, 1, Key1(1), AggregateState::FromCount(1));  // Merge: no row.
   hfta.Add(0, 1, Key1(2), AggregateState::FromCount(1));
   hfta.Add(0, 2, Key1(1), AggregateState::FromCount(1));
   hfta.Add(1, 2, Key1(9), AggregateState::FromCount(1));
   EXPECT_EQ(hfta.TotalGroups(0), 3u);
-  ExpectTotalGroupsMatch(hfta, "Add");
+  ExpectTotalsMatch(hfta, "Add");
 
   // MergeFrom: one shared row, one new row in a shared epoch, one new epoch.
   Hfta other(2);
@@ -295,8 +299,8 @@ TEST(HftaTest, TotalGroupsTracksEveryRowOperation) {
   other.Add(0, 4, Key1(1), AggregateState::FromCount(1));
   hfta.MergeFrom(other);
   EXPECT_EQ(hfta.TotalGroups(0), 5u);
-  ExpectTotalGroupsMatch(hfta, "MergeFrom");
-  ExpectTotalGroupsMatch(other, "MergeFrom source");
+  ExpectTotalsMatch(hfta, "MergeFrom");
+  ExpectTotalsMatch(other, "MergeFrom source");
 
   // DrainFrom with overlapping epochs: 1 and 2 are held on both sides (the
   // replica's epoch 2 row for key 5 is new, its key 1 row is not), and
@@ -309,8 +313,8 @@ TEST(HftaTest, TotalGroupsTracksEveryRowOperation) {
   overlapping.Add(1, 2, Key1(9), AggregateState::FromCount(1));
   hfta.DrainFrom(&overlapping);
   EXPECT_EQ(hfta.TotalGroups(0), 7u);
-  ExpectTotalGroupsMatch(hfta, "DrainFrom overlapping");
-  ExpectTotalGroupsMatch(overlapping, "drained overlapping");
+  ExpectTotalsMatch(hfta, "DrainFrom overlapping");
+  ExpectTotalsMatch(overlapping, "drained overlapping");
 
   // DrainFrom with disjoint epochs: every epoch splices over whole.
   Hfta disjoint(2);
@@ -320,8 +324,8 @@ TEST(HftaTest, TotalGroupsTracksEveryRowOperation) {
   hfta.DrainFrom(&disjoint);
   EXPECT_EQ(hfta.TotalGroups(0), 9u);
   EXPECT_EQ(hfta.TotalGroups(1), 2u);
-  ExpectTotalGroupsMatch(hfta, "DrainFrom disjoint");
-  ExpectTotalGroupsMatch(disjoint, "drained disjoint");
+  ExpectTotalsMatch(hfta, "DrainFrom disjoint");
+  ExpectTotalsMatch(disjoint, "drained disjoint");
 
   // Remap: slot 1 moves to 0, slot 0 is dropped, a fresh slot 1 starts
   // empty and counts its own rows.
@@ -329,7 +333,7 @@ TEST(HftaTest, TotalGroupsTracksEveryRowOperation) {
   EXPECT_EQ(hfta.TotalGroups(0), 2u);
   EXPECT_EQ(hfta.TotalGroups(1), 0u);
   hfta.Add(1, 9, Key1(4), AggregateState::FromCount(1));
-  ExpectTotalGroupsMatch(hfta, "Remap");
+  ExpectTotalsMatch(hfta, "Remap");
 
   // TakeQuery empties the slot; later Adds count from zero.
   const EpochResults taken = hfta.TakeQuery(0);
@@ -337,11 +341,47 @@ TEST(HftaTest, TotalGroupsTracksEveryRowOperation) {
   EXPECT_EQ(hfta.TotalGroups(0), 0u);
   hfta.Add(0, 9, Key1(4), AggregateState::FromCount(1));
   EXPECT_EQ(hfta.TotalGroups(0), 1u);
-  ExpectTotalGroupsMatch(hfta, "TakeQuery");
+  ExpectTotalsMatch(hfta, "TakeQuery");
 
   // Copies carry the counts with the rows.
   const Hfta copy = hfta;
-  ExpectTotalGroupsMatch(copy, "copy");
+  ExpectTotalsMatch(copy, "copy");
+}
+
+TEST(HftaTest, EpochSizedFromPredecessorHoldsSameRowsWithoutGrowing) {
+  // Epoch 7's table is sized from epoch 6's 3000 rows; the same rows
+  // grown from empty in a fresh HFTA must read back identically.
+  const auto add_epoch = [](Hfta* hfta, uint64_t epoch, uint32_t salt) {
+    for (uint32_t i = 0; i < 6000; ++i) {
+      hfta->Add(0, epoch, Key1((i * 7919u + salt) % 3000),
+                AggregateState::FromCount(i + 1));
+    }
+  };
+  Hfta sized(1);
+  add_epoch(&sized, 6, 0);
+  sized.Add(0, 7, Key1(5), AggregateState::FromCount(1));
+  const uint64_t bytes = sized.TotalBytes(0);
+  add_epoch(&sized, 7, 11);
+  EXPECT_EQ(sized.TotalBytes(0), bytes)
+      << "3000 rows after a 3000-row epoch fit without growing";
+  ExpectTotalsMatch(sized, "sized");
+
+  Hfta grown(1);
+  grown.Add(0, 7, Key1(5), AggregateState::FromCount(1));
+  add_epoch(&grown, 7, 11);
+  ExpectTotalsMatch(grown, "grown");
+  EXPECT_TRUE(sized.Result(0, 7) == grown.Result(0, 7));
+  // Same insertion order too: both tables saw the same Adds.
+  std::vector<uint32_t> sized_order;
+  std::vector<uint32_t> grown_order;
+  for (const auto& [key, state] : sized.Result(0, 7)) {
+    sized_order.push_back(key.values[0]);
+  }
+  for (const auto& [key, state] : grown.Result(0, 7)) {
+    grown_order.push_back(key.values[0]);
+  }
+  EXPECT_EQ(sized_order, grown_order);
+  EXPECT_EQ(sized.Result(0, 7).size(), 3000u);
 }
 
 }  // namespace

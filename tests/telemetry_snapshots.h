@@ -60,6 +60,7 @@ inline TelemetrySnapshot HandCraftedSnapshot() {
   snap.producers.push_back(ProducerTelemetry{1200, 9, 3, -1, -1});
   snap.producers.push_back(ProducerTelemetry{797, 12, 0, 5, 1});
   snap.hfta_groups = {123, 0, 456789};
+  snap.hfta_bytes = {8448, 0, 37748736};
   snap.replans.push_back(ReplanEvent{40, "AB", 0.3125, 3, 2, 1.5, 0.75});
   snap.replans.push_back(ReplanEvent{41, "CD", 0.125, 1, 4, 0.25, 0.0});
   QueryChurnEvent add;
