@@ -192,7 +192,7 @@ void BM_EngineShardScaling(benchmark::State& state) {
   options.epoch_seconds = 1.0;
   options.clustered = false;
   options.num_shards = num_shards;
-  // A modest queue bounds the producer/consumer skew, so the measured rate
+  // A modest queue bounds the driver/worker skew, so the measured rate
   // is end-to-end processing, not enqueue speed (residual skew <= 1024
   // records per shard out of each 256k batch).
   options.shard_queue_capacity = 1024;
@@ -245,85 +245,6 @@ BENCHMARK(BM_EngineShardScaling)
     ->Arg(4)
     ->Arg(8)
     ->ArgNames({"shards"})
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-// Producers x shards sweep: the multi-producer ingest front end
-// (dsms/sharded_runtime.h) with a P x S queue matrix, fed through the
-// batched engine path so striping actually engages (per-record Process
-// stages everything on the driver). Reports records/sec plus scaling vs
-// the (1 producer, 1 shard) run; meaningful scaling needs >= P + S cores.
-void BM_EngineMultiProducer(benchmark::State& state) {
-  const int num_producers = static_cast<int>(state.range(0));
-  const int num_shards = static_cast<int>(state.range(1));
-  const Schema schema = *Schema::Default(4);
-  auto gen = std::move(UniformGenerator::Make(schema, 2837, 13)).value();
-  std::vector<QueryDef> queries = {
-      QueryDef(*schema.ParseAttributeSet("AB")),
-      QueryDef(*schema.ParseAttributeSet("BC")),
-      QueryDef(*schema.ParseAttributeSet("BD")),
-      QueryDef(*schema.ParseAttributeSet("CD"))};
-  StreamAggEngine::Options options;
-  options.memory_words = 40000;
-  options.sample_size = 20000;
-  options.epoch_seconds = 1.0;
-  options.clustered = false;
-  options.num_shards = num_shards;
-  options.num_producers = num_producers;
-  options.shard_queue_capacity = 1024;
-  auto engine =
-      std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
-          .value();
-  // Drive past the sampling phase so the loop measures steady state.
-  double t = 0.0;
-  for (size_t i = 0; i <= options.sample_size; ++i) {
-    Record r = gen->Next();
-    r.timestamp = t;
-    (void)engine->Process(r);
-  }
-  // Pre-drawn, pre-timestamped replay buffer inside one epoch: the timed
-  // region is pure striped ingest, with no epoch barriers mid-batch.
-  std::vector<Record> replay(1 << 18);
-  for (Record& r : replay) {
-    r = gen->Next();
-    t += 1e-7;
-    r.timestamp = t;
-  }
-  double total_millis = 0.0;
-  for (auto _ : state) {
-    Restamp(&replay, &t);
-    double millis = 0.0;
-    {
-      ScopedTimer timer(&millis);
-      for (size_t base = 0; base < replay.size(); base += 4096) {
-        const size_t n = std::min<size_t>(4096, replay.size() - base);
-        (void)engine->ProcessBatch(
-            std::span<const Record>(replay.data() + base, n));
-      }
-    }
-    state.SetIterationTime(millis / 1000.0);
-    total_millis += millis;
-  }
-  const double processed = static_cast<double>(state.iterations()) *
-                           static_cast<double>(replay.size());
-  state.SetItemsProcessed(static_cast<int64_t>(processed));
-  const double rate = processed / (total_millis / 1000.0);
-  // Sweep runs in registration order; (1, 1) seeds the scaling baseline.
-  static double base_rate = 0.0;
-  if (num_producers == 1 && num_shards == 1) base_rate = rate;
-  state.counters["records_per_sec"] = rate;
-  if (base_rate > 0.0) {
-    state.counters["scaling_x"] = rate / base_rate;
-  }
-}
-BENCHMARK(BM_EngineMultiProducer)
-    ->Args({1, 1})
-    ->Args({1, 4})
-    ->Args({2, 1})
-    ->Args({2, 2})
-    ->Args({4, 1})
-    ->Args({4, 4})
-    ->ArgNames({"producers", "shards"})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

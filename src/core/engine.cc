@@ -54,11 +54,6 @@ Status StreamAggEngine::ValidateOptions(const Options& options) {
         "Options::num_shards must be >= 1 (got " +
         std::to_string(options.num_shards) + ")");
   }
-  if (options.num_producers < 1) {
-    return Status::InvalidArgument(
-        "Options::num_producers must be >= 1 (got " +
-        std::to_string(options.num_producers) + ")");
-  }
   if (options.shard_queue_capacity < 2) {
     return Status::InvalidArgument(
         "Options::shard_queue_capacity must be >= 2 (got " +
@@ -92,7 +87,7 @@ Status StreamAggEngine::ValidateOptions(const Options& options) {
         "Options::churn_reserve_fraction must be in [0, 0.9] (got " +
         std::string(value) + ")");
   }
-  // adaptive composes with num_shards/num_producers: the drift check runs
+  // adaptive composes with num_shards: the drift check runs
   // at the runtime's quiescence barrier and the swap at its epoch flush.
   // Query churn composes with all of the above — AddQuery/DropQuery swap
   // at the same flush — so no combination involving it is rejected here.
@@ -254,13 +249,8 @@ Status StreamAggEngine::PlanFromSample() {
   plan_ = std::make_unique<OptimizedPlan>(std::move(plan));
   STREAMAGG_RETURN_NOT_OK(InstallRuntime());
   // Replay the buffered sample — its records were never processed — as one
-  // batch; with several producers one record at a time, since a striped
-  // replay would make the counters depend on thread interleaving.
-  if (options_.num_producers > 1) {
-    for (const Record& r : sample_->records()) runtime_->ProcessRecord(r);
-  } else {
-    runtime_->ProcessBatch(sample_->records());
-  }
+  // batch.
+  runtime_->ProcessBatch(sample_->records());
   return Status::OK();
 }
 
@@ -300,7 +290,6 @@ Status StreamAggEngine::InstallRuntime() {
   }
   ShardedRuntime::Options runtime_options;
   runtime_options.num_shards = options_.num_shards;
-  runtime_options.num_producers = options_.num_producers;
   runtime_options.queue_capacity = options_.shard_queue_capacity;
   runtime_options.pin_threads = options_.pin_threads;
   STREAMAGG_ASSIGN_OR_RETURN(
@@ -321,6 +310,7 @@ Status StreamAggEngine::InstallRuntime() {
 double StreamAggEngine::RetireRuntime() {
   Timer timer;
   runtime_->FlushEpoch();
+  flushed_epoch_ = current_epoch_;
   // Fold in only the counter growth since the baseline: a retire repeated
   // on the same runtime (e.g. after a failed re-plan mid-swap) can never
   // double-count. InstallRuntime zeroes the baseline alongside the fresh
@@ -585,9 +575,6 @@ Status StreamAggEngine::Process(const Record& record) {
   // also excluded from statistics.
   if (!PassesFilters(shared_filters_, record)) return Status::OK();
   if (!planned()) return Sample(record);
-  // Several producers take each record at once, as the sample replay does:
-  // a drained buffer would be striped across them.
-  if (options_.num_producers > 1) return Ingest(one);
   // The engine's first record and a record of a new epoch go to Ingest with
   // the buffer. Ingest sets current_epoch_ and, for a new epoch, runs the
   // boundary step between the buffered records and this one. So the buffer
@@ -832,7 +819,7 @@ Status StreamAggEngine::DropQuery(int query_id) {
     // plan is untouched. Flush the epoch in flight into results_, then copy
     // the slot into the archive.
     Timer timer;
-    if (planned()) runtime_->FlushEpoch();
+    if (planned()) RetireRuntime();
     EpochResults& archive = retired_[query_id];
     for (uint64_t e : results_.Epochs(dense)) {
       archive[e] = results_.Result(dense, e);
@@ -936,14 +923,20 @@ const EpochAggregate& StreamAggEngine::EpochResult(int query_index,
     auto it = rid->second.find(epoch);
     return it == rid->second.end() ? empty_aggregate_ : it->second;
   }
-  return results_.Result(dense, epoch);
+  return Unsealed(epoch) ? empty_aggregate_ : results_.Result(dense, epoch);
 }
 
 std::vector<uint64_t> StreamAggEngine::Epochs(int query_index) const {
   DrainPending();
   if (query_index < 0 || query_index >= num_query_ids()) return {};
   const int dense = handles_[static_cast<size_t>(query_index)];
-  if (dense >= 0) return results_.Epochs(dense);
+  if (dense >= 0) {
+    std::vector<uint64_t> epochs = results_.Epochs(dense);
+    epochs.erase(std::find_if(epochs.begin(), epochs.end(),
+                              [&](uint64_t e) { return Unsealed(e); }),
+                 epochs.end());
+    return epochs;
+  }
   std::vector<uint64_t> epochs;
   auto rid = retired_.find(query_index);
   if (rid != retired_.end()) {
@@ -955,7 +948,7 @@ std::vector<uint64_t> StreamAggEngine::Epochs(int query_index) const {
 RuntimeCounters StreamAggEngine::counters() const {
   DrainPending();
   // total_counters_ may already include part of the live runtime's history
-  // (a retire whose swap then failed); add only the remainder. A P x S
+  // (a retire whose swap then failed); add only the remainder. A sharded
   // runtime's counters are its last barrier's snapshot.
   RuntimeCounters total = total_counters_;
   if (runtime_ != nullptr) {
@@ -1035,15 +1028,16 @@ void StreamAggEngine::CaptureEpochSnapshot(uint64_t completed_epoch) {
       !options_.overload.enabled) {
     return;
   }
-  // A P x S snapshot mid-stream would race the workers, so quiesce first:
-  // the barrier drains every queue of the matrix and leaves the workers
-  // parked — reading their tables (and the merged HFTA/counters) is then
-  // race-free; inline it is a no-op. Quiesce, not FlushEpoch: the snapshot
-  // shows the completed epoch's tables as the stream left them (occupancy
-  // is the adaptive path's group-count signal). The epoch flush itself
-  // happens as usual — each replica flushes when it sees the next epoch's
-  // timestamps, and the multi-producer driver inserts its boundary barrier
-  // on the next dispatch.
+  // A sharded snapshot mid-stream would race the workers, so quiesce first:
+  // the barrier drains every shard's queue and leaves the workers parked —
+  // reading their tables (and the merged HFTA/counters) is then race-free;
+  // inline it is a no-op. Quiesce, not FlushEpoch: the snapshot shows the
+  // completed epoch's tables as the stream left them (occupancy is the
+  // adaptive path's group-count signal). The epoch flush itself happens as
+  // usual: each replica flushes when it sees the next epoch's timestamps.
+  // The barrier also drains that epoch's rows transferred so far, which is
+  // why a sharded engine serves it only after a flushing barrier
+  // (Unsealed).
   runtime_->Quiesce();
   // Without the event lists, which telemetry() carries, a capture costs the
   // same at every epoch of an unbounded run.

@@ -53,9 +53,9 @@ class StreamAggEngine {
     /// colliding beyond plan. On a trigger it re-estimates statistics from
     /// table occupancy and re-plans only the drifted feeding trees
     /// (Optimizer::ReplanSubtrees), swapping the runtime at the epoch
-    /// boundary. Works for any num_producers x num_shards split: sharded
-    /// engines run the check at a Quiesce barrier, where the matrix is
-    /// drained but the tables still hold the epoch's groups.
+    /// boundary. Works for any num_shards: sharded engines run the check at
+    /// a Quiesce barrier, where the queues are drained but the tables still
+    /// hold the epoch's groups.
     bool adaptive = false;
     AdaptiveController::Options adaptive_options;
     OptimizerOptions optimizer;
@@ -63,23 +63,15 @@ class StreamAggEngine {
     /// sampling pass.
     bool clustered = true;
     /// LFTA shards of the engine's runtime (dsms/sharded_runtime.h). With
-    /// 1 (default) and one producer the runtime runs inline on the caller's
-    /// thread, with no threads or queues. N > 1 partitions records across N
-    /// runtime replicas driven by worker threads and merges their HFTA
-    /// outputs at epoch barriers; the LFTA memory budget is split N ways so
-    /// the total footprint (and the cost model's per-table sizing) stays
-    /// honest. Composes with `adaptive`: drift checks and plan swaps happen
-    /// at the quiescence barrier.
+    /// 1 (default) the runtime runs inline on the caller's thread, with no
+    /// threads or queues. N > 1 partitions records on the caller's thread
+    /// across N runtime replicas driven by worker threads, one queue each,
+    /// and merges their HFTA outputs at barriers; the LFTA memory budget is
+    /// split N ways so the total footprint (and the cost model's per-table
+    /// sizing) stays honest. Composes with `adaptive`: drift checks and plan
+    /// swaps happen at the quiescence barrier.
     int num_shards = 1;
-    /// Ingest producers feeding the shards. 1 (default) routes records on
-    /// the caller's thread. P > 1 turns the runtime's ingest front end into
-    /// a P x S matrix of SPSC queues: each batch is striped across P
-    /// producer threads that hash/route in parallel, with an epoch barrier
-    /// quiescing the matrix at every epoch boundary so results stay
-    /// bit-identical to the 1 x 1 engine. Composes with `adaptive` the same
-    /// way num_shards does.
-    int num_producers = 1;
-    /// Per-(producer, shard) record queue capacity; unused at 1 x 1.
+    /// Per-shard record queue capacity, in envelopes; unused at one shard.
     size_t shard_queue_capacity = 4096;
     /// Fraction of the LFTA budget held back from the initial plan (and
     /// from adaptive re-plans and full-Optimize churn fallbacks) so that
@@ -87,10 +79,9 @@ class StreamAggEngine {
     /// forcing a from-scratch rebuild (docs/query_frontend.md §4). Grafts
     /// plan against the full budget. 0 (default) reserves nothing.
     double churn_reserve_fraction = 0.0;
-    /// Pin shard workers and producer threads to CPUs chosen by the
-    /// affinity planner (util/cpu_topology.h): producers spread across
-    /// NUMA nodes, each shard consumer co-located with its dominant
-    /// producer. Best-effort; ignored at 1 x 1, which starts no threads.
+    /// Pin shard workers to CPUs chosen by the affinity planner
+    /// (util/cpu_topology.h), which fills the caller's NUMA node first.
+    /// Best-effort; ignored at one shard, which starts no threads.
     bool pin_threads = false;
     /// Runtime telemetry tier (obs/metrics.h), within whatever the binary
     /// compiled in via STREAMAGG_TELEMETRY_LEVEL. kFull adds per-batch and
@@ -104,9 +95,9 @@ class StreamAggEngine {
     /// zero-allocation path — except under `adaptive`, which needs the
     /// history for its trend check and forces capture on. Capture runs at a
     /// Quiesce barrier, before the epoch flush: the tables still hold the
-    /// completed epoch's groups. For P x S engines the barrier drains the
+    /// completed epoch's groups. For sharded engines the barrier drains the
     /// queues and parks the workers, so the capture is race-free and merged
-    /// across shards; at 1 x 1 it costs nothing.
+    /// across shards; at one shard it costs nothing.
     bool telemetry_epoch_snapshots = false;
     /// Bound on telemetry_history(): oldest snapshots are dropped first.
     /// Adaptive engines keep at least trend_epochs + 1 snapshots.
@@ -116,7 +107,7 @@ class StreamAggEngine {
     /// epoch boundaries from the telemetry history (epoch snapshots are
     /// forced on, like `adaptive`). Requires telemetry_level above kOff —
     /// the controller reads the blocked-push counters that tier maintains.
-    /// Composes with `adaptive` and any num_producers x num_shards split.
+    /// Composes with `adaptive` and any num_shards.
     OverloadController::Options overload;
   };
 
@@ -147,10 +138,8 @@ class StreamAggEngine {
   /// current epoch; the buffer goes to the batched path when it is full or
   /// when a record opens a new epoch, so the boundary step runs in the call
   /// that carries the new epoch's first record and the closed epoch is
-  /// served when it returns. Every other call drains the buffer first, so
-  /// no caller sees it. With num_producers > 1 each record goes to the
-  /// runtime at once: a drained buffer would be striped across producers,
-  /// and the counters would depend on how the threads interleave.
+  /// served when it returns (docs/runtime.md §4). Every other call drains
+  /// the buffer first, so no caller sees it.
   Status Process(const Record& record);
 
   /// Feeds a batch of records. Timestamps must be finite, non-negative and
@@ -158,10 +147,9 @@ class StreamAggEngine {
   /// with InvalidArgument before any state changes. Once planned, the batch
   /// is cut at epoch boundaries, the boundary step (snapshot capture,
   /// adaptive re-plan, overload controller) runs between the runs, and each
-  /// run goes to the live runtime's batched path. With num_producers 1 any
-  /// split of the stream into Process and ProcessBatch calls gives the
-  /// results, counters and events of per-record feeding; with more
-  /// producers only the results. Other errors are internal planning
+  /// run goes to the live runtime's batched path. Any split of the stream
+  /// into Process and ProcessBatch calls gives the results, counters and
+  /// events of per-record feeding. Other errors are internal planning
   /// failures (e.g. the budget cannot host the tables).
   Status ProcessBatch(std::span<const Record> records);
 
@@ -233,13 +221,15 @@ class StreamAggEngine {
   /// Final aggregate of query `query_index` for `epoch` (empty if none).
   /// Results survive adaptive runtime swaps and query churn: the index is
   /// a stable query id (initial queries are 0..n-1), and dropped queries
-  /// keep serving their archived results. Drains Process's buffer first. A
-  /// P x S engine serves what its last barrier drained. The reference stays
-  /// valid until the next call that feeds records, changes queries or
-  /// finishes.
+  /// keep serving their archived results. Drains Process's buffer first.
+  /// Which epochs are served follows the read contract of docs/runtime.md
+  /// §4: one shard serves each closed epoch once the call that crossed its
+  /// end returns; more shards serve an epoch complete or not at all. The
+  /// reference stays valid until the next call that feeds records, changes
+  /// queries or finishes.
   const EpochAggregate& EpochResult(int query_index, uint64_t epoch) const;
-  /// Epochs with results for `query_index`, ascending. Drains Process's
-  /// buffer first.
+  /// Epochs with results for `query_index`, ascending, under the same read
+  /// contract. Drains Process's buffer first.
   std::vector<uint64_t> Epochs(int query_index) const;
 
   /// Aggregated operation counters across all runtimes so far. Drains
@@ -251,8 +241,9 @@ class StreamAggEngine {
   /// (the paper's model-vs-actual comparison), engine-total counters, and
   /// latency histograms. Drains Process's buffer first, so tables and
   /// counters agree. While sampling, returns an empty snapshot; after
-  /// Finish(), returns the final pre-teardown snapshot. A P x S engine
-  /// must be quiescent (after Finish()); a 1 x 1 engine answers any time.
+  /// Finish(), returns the final pre-teardown snapshot. A sharded engine
+  /// must be quiescent (after Finish()); a one-shard engine answers any
+  /// time.
   TelemetrySnapshot telemetry() const;
   /// Per-epoch snapshots captured when Options::telemetry_epoch_snapshots
   /// is set; each is labeled with the epoch it completed. Their `replans`
@@ -298,7 +289,7 @@ class StreamAggEngine {
   Status InstallRuntime();
 
   /// Rejects option combinations the engine cannot honor (memory_words not
-  /// > 0, epoch_seconds not >= 0, num_shards or num_producers < 1, queue
+  /// > 0, epoch_seconds not >= 0, num_shards < 1, queue
   /// capacity < 2, adaptive trend_epochs < 1 or widening_slack outside
   /// [0, 1], ...; NaN fails too). Messages name the offending field and the
   /// value it held.
@@ -309,11 +300,20 @@ class StreamAggEngine {
   /// overloads; `parsed` must carry `def`.
   Result<int> AddParsedQuery(ParsedQuery parsed);
 
-  /// The retire step of adaptive swaps, churn swaps and Finish: one
-  /// FlushEpoch, which leaves every result in results_, then the runtime's
-  /// counters fold into total_counters_. Returns its wall-clock (the swap
-  /// events' merge_millis).
+  /// The flushing barrier of adaptive swaps, churn swaps, alias drops and
+  /// Finish: one FlushEpoch, which leaves every result in results_ and
+  /// moves flushed_epoch_ to current_epoch_, then the runtime's counters
+  /// fold into total_counters_. Returns its wall-clock (the swap events'
+  /// merge_millis).
   double RetireRuntime();
+
+  /// True when a sharded engine's results_ may still lack rows of `epoch`
+  /// for a live query: the workers flush an epoch only when they see the
+  /// next one, and only a flushing barrier drains what they flushed. Every
+  /// epoch below flushed_epoch_ is complete; Finish completes them all.
+  bool Unsealed(uint64_t epoch) const {
+    return options_.num_shards > 1 && !finished_ && epoch >= flushed_epoch_;
+  }
 
   /// FailedPrecondition once Finish() has run.
   Status CheckNotFinished() const;
@@ -414,6 +414,8 @@ class StreamAggEngine {
   mutable size_t num_pending_ = 0;
   bool finished_ = false;
   uint64_t current_epoch_ = 0;
+  /// current_epoch_ at the last flushing barrier (RetireRuntime).
+  uint64_t flushed_epoch_ = 0;
   bool saw_record_ = false;
   /// Largest timestamp accepted so far (0 before the first record).
   double latest_timestamp_ = 0.0;

@@ -226,7 +226,7 @@ class ConfigurationRuntime {
 
   /// Runtime telemetry tier within what the binary compiled in (see
   /// obs/metrics.h). The setter is an atomic store, safe to call from the
-  /// producer thread while a sharded worker owns this runtime.
+  /// driver thread while a sharded worker owns this runtime.
   void set_telemetry_level(TelemetryLevel level) {
     telemetry_level_.store(level, std::memory_order_relaxed);
   }

@@ -10,9 +10,9 @@ namespace streamagg {
 
 namespace {
 
-uint64_t SumBlockedPushes(const std::vector<ProducerTelemetry>& producers) {
+uint64_t SumBlockedPushes(const std::vector<ShardTelemetry>& shards) {
   uint64_t total = 0;
-  for (const ProducerTelemetry& p : producers) total += p.blocked_pushes;
+  for (const ShardTelemetry& s : shards) total += s.blocked_pushes;
   return total;
 }
 
@@ -142,12 +142,12 @@ double OverloadController::EpochPressure(const TelemetrySnapshot* prev,
                                          const TelemetrySnapshot& cur) const {
   double pressure = 0.0;
   if (options_.queue_blocked_fraction > 0.0) {
-    const uint64_t blocked = SumBlockedPushes(cur.producers);
+    const uint64_t blocked = SumBlockedPushes(cur.shards);
     const uint64_t prev_blocked =
-        prev != nullptr ? SumBlockedPushes(prev->producers) : 0;
+        prev != nullptr ? SumBlockedPushes(prev->shards) : 0;
     const uint64_t records = cur.counters.records;
     const uint64_t prev_records = prev != nullptr ? prev->counters.records : 0;
-    // A runtime swap resets the producer tallies (counters are engine
+    // A runtime swap resets the shard tallies (counters are engine
     // totals and stay monotone); a shrinking delta reads as no signal.
     if (blocked >= prev_blocked && records > prev_records) {
       const double fraction = static_cast<double>(blocked - prev_blocked) /

@@ -19,7 +19,7 @@ namespace streamagg {
 /// The controller runs on the engine's driver thread at epoch boundaries,
 /// after the epoch snapshot was captured (sharded runtimes are quiescent
 /// there). It reads the snapshot history for two overload signals —
-/// producer pushes that found a queue full, and the epoch-boundary gap
+/// driver pushes that found a shard's queue full, and the epoch-boundary gap
 /// latency — and compares each against a configurable watermark. When the
 /// combined pressure stays above the watermarks for `trend_epochs`
 /// consecutive epochs (the AdaptiveController's SustainedTrend rule, so a

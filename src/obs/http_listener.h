@@ -11,8 +11,8 @@
 
 namespace streamagg {
 
-/// A deliberately tiny HTTP/1.1 scrape endpoint — the repo's first
-/// network-facing surface (ROADMAP item #5's seed). One background thread
+/// A deliberately tiny HTTP/1.1 scrape endpoint — the repo's only
+/// network-facing surface. One background thread
 /// accepts one connection at a time, answers exactly two routes, and closes:
 ///
 ///   GET /metrics  -> 200, the handler's OpenMetrics text

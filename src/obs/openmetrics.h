@@ -10,7 +10,7 @@ namespace streamagg {
 /// Renders a TelemetrySnapshot as OpenMetrics text exposition (the
 /// Prometheus scrape format, version 1.0.0): every counter, gauge, and
 /// LogHistogram of the snapshot becomes a `streamagg_*` metric family,
-/// with per-table / per-shard / per-producer / per-query breakdowns as
+/// with per-table / per-shard / per-query breakdowns as
 /// labels ({relation="AB"}, {shard="0"}, ...). Histograms are exposed with
 /// cumulative `_bucket{le="..."}` samples at the log2 bucket upper bounds.
 /// The output ends with the mandatory `# EOF` terminator and is accepted

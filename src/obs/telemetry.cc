@@ -237,10 +237,10 @@ std::string TelemetrySnapshot::ToTable() const {
   std::string out;
   char buffer[256];
   std::snprintf(buffer, sizeof(buffer),
-                "epoch %llu | shards %d | producers %d | re-plans %d | "
-                "records %llu | epochs flushed %llu\n",
+                "epoch %llu | shards %d | re-plans %d | records %llu | "
+                "epochs flushed %llu\n",
                 static_cast<unsigned long long>(epoch), num_shards,
-                num_producers, reoptimizations,
+                reoptimizations,
                 static_cast<unsigned long long>(counters.records),
                 static_cast<unsigned long long>(counters.epochs_flushed));
   out += buffer;
@@ -347,27 +347,23 @@ std::string TelemetrySnapshot::ToTable() const {
       out += buffer;
     }
   }
-  // Shard and producer rows share one layout, tagged s<i> and p<i>.
-  auto ingest_line = [&](const char* title, char tag, const auto& rows) {
-    if (rows.empty()) return;
-    out += title;
-    for (size_t i = 0; i < rows.size(); ++i) {
+  if (!shards.empty()) {
+    out += "shard ingest:";
+    for (size_t i = 0; i < shards.size(); ++i) {
       std::snprintf(buffer, sizeof(buffer),
-                    " %c%zu records=%llu queue_hwm=%llu blocked=%llu", tag, i,
-                    static_cast<unsigned long long>(rows[i].records),
-                    static_cast<unsigned long long>(rows[i].queue_depth_hwm),
-                    static_cast<unsigned long long>(rows[i].blocked_pushes));
+                    " s%zu records=%llu queue_hwm=%llu blocked=%llu", i,
+                    static_cast<unsigned long long>(shards[i].records),
+                    static_cast<unsigned long long>(shards[i].queue_depth_hwm),
+                    static_cast<unsigned long long>(shards[i].blocked_pushes));
       out += buffer;
-      if (rows[i].cpu >= 0) {
-        std::snprintf(buffer, sizeof(buffer), " cpu=%d/node%d", rows[i].cpu,
-                      rows[i].node);
+      if (shards[i].cpu >= 0) {
+        std::snprintf(buffer, sizeof(buffer), " cpu=%d/node%d",
+                      shards[i].cpu, shards[i].node);
         out += buffer;
       }
     }
     out += '\n';
-  };
-  ingest_line("shard ingest:", 's', shards);
-  ingest_line("producer ingest:", 'p', producers);
+  }
   out += FormatHistogramLine("batch_records", batch_records);
   out += FormatHistogramLine("batch_ns", batch_ns);
   out += FormatHistogramLine("flush_ns", flush_ns);
@@ -432,7 +428,7 @@ TelemetrySnapshot BuildTelemetrySnapshot(const ShardedRuntime& runtime,
   const AffinityLayout& layout = runtime.layout();
   for (int i = 0; i < runtime.num_shards(); ++i) {
     s.MergeFrom(BuildTelemetrySnapshot(runtime.shard(i), schema));
-    const ShardIngestStats stats = runtime.shard_stats(i);
+    const ShardIngestStats& stats = runtime.shard_stats(i);
     ShardTelemetry shard;
     shard.records = stats.records;
     shard.queue_depth_hwm = stats.queue_depth_hwm;
@@ -440,17 +436,6 @@ TelemetrySnapshot BuildTelemetrySnapshot(const ShardedRuntime& runtime,
     shard.cpu = layout.shard_cpu[static_cast<size_t>(i)];
     shard.node = layout.shard_node[static_cast<size_t>(i)];
     s.shards.push_back(shard);
-  }
-  s.num_producers = runtime.num_producers();
-  for (int p = 0; p < runtime.num_producers(); ++p) {
-    const ShardIngestStats stats = runtime.producer_stats(p);
-    ProducerTelemetry producer;
-    producer.records = stats.records;
-    producer.queue_depth_hwm = stats.queue_depth_hwm;
-    producer.blocked_pushes = stats.blocked_pushes;
-    producer.cpu = layout.producer_cpu[static_cast<size_t>(p)];
-    producer.node = layout.producer_node[static_cast<size_t>(p)];
-    s.producers.push_back(producer);
   }
   // Every barrier drains the replica HFTAs into the results HFTA, which
   // holds the deduplicated per-query row and byte counts.

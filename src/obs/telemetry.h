@@ -69,34 +69,18 @@ struct TableTelemetry {
   bool operator==(const TableTelemetry&) const = default;
 };
 
-/// Producer-side ingest stats of one shard (mirrors ShardIngestStats, in
-/// serializable form), plus where the affinity planner put its consumer.
+/// Driver-side ingest stats of one shard (mirrors ShardIngestStats, in
+/// serializable form), plus where the affinity planner put its worker.
 struct ShardTelemetry {
   uint64_t records = 0;          ///< Records routed to this shard.
   uint64_t queue_depth_hwm = 0;  ///< Deepest queue backlog, in envelopes.
-  /// Envelope pushes into this shard's queues that found them full — the
+  /// Envelope pushes into this shard's queue that found it full — the
   /// overload controller's backpressure signal (docs/overload.md).
   uint64_t blocked_pushes = 0;
   int cpu = -1;   ///< CPU the shard worker is pinned to; -1 = unpinned.
   int node = -1;  ///< Its NUMA node; -1 = unknown.
 
   bool operator==(const ShardTelemetry&) const = default;
-};
-
-/// One ingest producer's view: records it routed (summed over its queue
-/// row), the deepest backlog it ever pushed into, and its pinned placement.
-/// Producer 0 is the driver thread and is never pinned.
-struct ProducerTelemetry {
-  uint64_t records = 0;          ///< Records this producer routed anywhere.
-  uint64_t queue_depth_hwm = 0;  ///< Deepest backlog across its queue row.
-  /// Pushes across this producer's queue row that found a queue full; the
-  /// per-epoch delta over records is the blocked fraction the overload
-  /// controller compares against its watermark (docs/overload.md).
-  uint64_t blocked_pushes = 0;
-  int cpu = -1;   ///< CPU the producer is pinned to; -1 = unpinned.
-  int node = -1;  ///< Its NUMA node; -1 = unknown.
-
-  bool operator==(const ProducerTelemetry&) const = default;
 };
 
 /// One adaptive re-plan, as recorded by the engine at the epoch barrier
@@ -111,7 +95,7 @@ struct ReplanEvent {
   int pinned_nodes = 0;         ///< Relations kept from the old plan.
   double optimize_millis = 0.0;
   /// Wall-clock of the barrier work around the swap: the retiring runtime's
-  /// final flush (on P x S, with the replica HFTA drain). No HFTA merge.
+  /// final flush (sharded, with the replica HFTA drain). No HFTA merge.
   double merge_millis = 0.0;
 
   bool operator==(const ReplanEvent&) const = default;
@@ -134,7 +118,8 @@ struct QueryChurnEvent {
   int pinned_nodes = 0;     ///< Relations carried over untouched.
   double optimize_millis = 0.0;  ///< Planning wall-clock (0 for aliases).
   /// Wall-clock of the barrier work: the retiring runtime's final flush (on
-  /// P x S, with the replica HFTA drain), plus an alias drop's result copy.
+  /// sharded, with the replica HFTA drain), plus an alias drop's result
+  /// copy.
   double merge_millis = 0.0;
 
   bool operator==(const QueryChurnEvent&) const = default;
@@ -197,12 +182,10 @@ struct SheddingTelemetry {
 struct TelemetrySnapshot {
   uint64_t epoch = 0;  ///< Epoch the source was accumulating into.
   int num_shards = 1;
-  int num_producers = 1;    ///< Ingest producers (1 for serial runtimes).
   int reoptimizations = 0;  ///< Adaptive re-plans so far (engine-level).
   RuntimeCounters counters;
   std::vector<TableTelemetry> tables;
   std::vector<ShardTelemetry> shards;        ///< Empty for serial runtimes.
-  std::vector<ProducerTelemetry> producers;  ///< Empty for serial runtimes.
   /// Result rows held in the HFTA per live query (Hfta::TotalGroups); for
   /// an engine, every row since the query was added, across swaps. Indexed
   /// by dense slot like TableTelemetry::query_index, not by query id.
@@ -226,8 +209,8 @@ struct TelemetrySnapshot {
   LogHistogram epoch_gap_ns;
 
   /// Folds another snapshot into this one: counters/tallies sum, per-index
-  /// tables merge (TableTelemetry::MergeFrom), histograms merge, shard and
-  /// producer lists concatenate, epoch and num_producers take the max. Used
+  /// tables merge (TableTelemetry::MergeFrom), histograms merge, shard
+  /// lists concatenate, the epoch takes the max. Used
   /// to aggregate shard replicas; associative and commutative in every
   /// integer field.
   void MergeFrom(const TelemetrySnapshot& other);
@@ -237,7 +220,8 @@ struct TelemetrySnapshot {
   /// Parses a ToJsonLine object. A missing key keeps the member's default,
   /// and keys it does not know are ignored, so lines from older builds
   /// still parse — including the per-table fields and the histogram of the
-  /// retired sort-drain probe mode, and the retired shedding `rebalances`.
+  /// retired sort-drain probe mode, the retired shedding `rebalances`, and
+  /// the retired ingest-producer count and `producers` rows.
   static Result<TelemetrySnapshot> FromJsonLine(const std::string& line);
 
   /// Multi-line human-readable rendering (streamagg_cli --stats).
@@ -252,11 +236,11 @@ TelemetrySnapshot BuildTelemetrySnapshot(const ConfigurationRuntime& runtime,
                                          const Schema& schema);
 
 /// Snapshots a sharded runtime by merging every replica's snapshot plus the
-/// producer-side ingest stats. Caller must hold the quiescence contract
+/// driver-side ingest stats. Caller must hold the quiescence contract
 /// (between FlushEpoch barriers). The merged counters are bit-identical to
 /// the serial run's totals: each is an exact uint64 sum over the same
 /// probe/transfer events, just partitioned by shard. An inline (1 x 1)
-/// runtime returns its replica's own snapshot, with no shards or producers.
+/// runtime returns its replica's own snapshot, with no shard rows.
 TelemetrySnapshot BuildTelemetrySnapshot(const ShardedRuntime& runtime,
                                          const Schema& schema);
 

@@ -211,8 +211,8 @@ struct Schema<TableTelemetry> {
   };
 };
 
-/// Shard and producer rows, like the event records below, are only ever
-/// concatenated, so their fields keep. Rows are labeled by list index.
+/// Shard rows, like the event records below, are only ever concatenated,
+/// so their fields keep. Rows are labeled by list index.
 template <>
 struct Schema<ShardTelemetry> {
   using T = ShardTelemetry;
@@ -222,22 +222,7 @@ struct Schema<ShardTelemetry> {
       Field{&T::queue_depth_hwm, "queue_depth_hwm", kKeep, kGauge,
             "Deepest queue backlog seen by the shard."},
       Field{&T::blocked_pushes, "blocked_pushes", kKeep, kCounter,
-            "Envelope pushes that found the shard's queues full."},
-      Field{&T::cpu, "cpu"},
-      Field{&T::node, "node"},
-  };
-};
-
-template <>
-struct Schema<ProducerTelemetry> {
-  using T = ProducerTelemetry;
-  static constexpr auto kFields = std::tuple{
-      Field{&T::records, "records", kKeep, kCounter,
-            "Records the producer routed anywhere."},
-      Field{&T::queue_depth_hwm, "queue_depth_hwm", kKeep, kGauge,
-            "Deepest backlog across the producer's queue row."},
-      Field{&T::blocked_pushes, "blocked_pushes", kKeep, kCounter,
-            "Pushes across the producer's row that found a queue full."},
+            "Envelope pushes that found the shard's queue full."},
       Field{&T::cpu, "cpu"},
       Field{&T::node, "node"},
   };
@@ -317,9 +302,8 @@ struct Schema<SheddingTelemetry> {
   };
 };
 
-/// Folding shard replicas: counts and histograms sum, shard and producer
-/// lists concatenate, and the epoch and producer count take the max
-/// (replicas share one ingest front end). Re-plan, churn and shedding
+/// Folding shard replicas: counts and histograms sum, shard lists
+/// concatenate, and the epoch takes the max. Re-plan, churn and shedding
 /// history is engine-level, so replicas carry none of it.
 template <>
 struct Schema<TelemetrySnapshot> {
@@ -330,9 +314,6 @@ struct Schema<TelemetrySnapshot> {
       Field{.member = &T::num_shards, .key = "num_shards", .merge = kSum,
             .metric = kGauge, .help = "Shard replicas of the runtime.",
             .name = "shards"},
-      Field{.member = &T::num_producers, .key = "num_producers", .merge = kMax,
-            .metric = kGauge, .help = "Ingest producer threads.",
-            .name = "producers"},
       Field{&T::reoptimizations, "reoptimizations", kMax, kCounter,
             "Adaptive re-plans applied so far."},
       Field{.member = &T::counters, .key = "counters", .merge = kSum,
@@ -341,8 +322,6 @@ struct Schema<TelemetrySnapshot> {
             .metric = kFamilies, .name = "table_"},
       Field{.member = &T::shards, .key = "shards", .merge = kConcat,
             .metric = kFamilies, .name = "shard_", .label = "shard"},
-      Field{.member = &T::producers, .key = "producers", .merge = kConcat,
-            .metric = kFamilies, .name = "producer_", .label = "producer"},
       Field{.member = &T::hfta_groups, .key = "hfta_groups", .merge = kByIndex,
             .metric = kGauge, .help = "Result rows held in the HFTA per query.",
             .label = "query"},

@@ -243,6 +243,7 @@ JsonValue EventArgs(const TraceEvent& e) {
       args.Set("next_epoch", JsonValue::Number(uint64_t{e.arg0}));
       break;
     case TraceEventType::kEpochFlush:
+    case TraceEventType::kBlockedPush:
       args.Set("shard", JsonValue::Number(uint64_t{e.arg0}));
       break;
     case TraceEventType::kBarrier:
@@ -251,10 +252,6 @@ JsonValue EventArgs(const TraceEvent& e) {
     case TraceEventType::kBarrierAck:
       args.Set("shard", JsonValue::Number(uint64_t{e.arg0}));
       args.Set("kind", JsonValue::Str(e.arg1 == 0 ? "flush" : "quiesce"));
-      break;
-    case TraceEventType::kBlockedPush:
-      args.Set("producer", JsonValue::Number(uint64_t{e.arg0}));
-      args.Set("shard", JsonValue::Number(uint64_t{e.arg1}));
       break;
     case TraceEventType::kTrendAssess:
       args.Set("should_replan", JsonValue::Bool(e.arg0 != 0));

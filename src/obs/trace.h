@@ -47,7 +47,7 @@ enum class TraceEventType : uint8_t {
   kEpochFlush = 1,     ///< span: ConfigurationRuntime::FlushEpoch (arg0 = shard).
   kBarrier = 2,        ///< span: ShardedRuntime::RunBarrier (arg0 = kind: 0 flush, 1 quiesce).
   kBarrierAck = 3,     ///< instant: a worker acknowledged the barrier (arg0 = shard, arg1 = kind).
-  kBlockedPush = 4,    ///< span: SPSC PushBlocking stall (arg0 = producer, arg1 = shard).
+  kBlockedPush = 4,    ///< span: SPSC PushBlocking stall (arg0 = shard).
   kTrendAssess = 5,    ///< instant: AdaptiveController verdict (arg0 = should_replan, arg1 = max table, arg2 = drift permille).
   kReplanSwap = 6,     ///< span: re-plan + runtime swap (arg0 = replanned nodes, arg1 = pinned nodes).
   kShedPlanInstall = 8,  ///< instant: shed plan installed (arg0 = target permille, arg1 = shedding relations).

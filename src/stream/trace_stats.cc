@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "stream/distinct_counter.h"
 #include "stream/group_table.h"
 #include "util/hash.h"
 #include "util/math.h"
@@ -26,15 +25,6 @@ uint64_t TraceStats::GroupCount(AttributeSet set) {
   }
   group_count_cache_.emplace(set.mask(), count);
   return count;
-}
-
-uint64_t TraceStats::GroupCountEstimate(AttributeSet set, uint64_t bits) {
-  if (set.empty()) return 1;
-  DistinctCounter counter(bits);
-  for (const Record& r : trace_->records()) {
-    counter.Add(GroupKey::Project(r, set));
-  }
-  return counter.Estimate();
 }
 
 double TraceStats::AvgFlowLength(AttributeSet set) {

@@ -24,13 +24,6 @@ class TraceStats {
   /// the trace, cached). The empty set has one group.
   uint64_t GroupCount(AttributeSet set);
 
-  /// Bounded-memory estimate of GroupCount by linear counting (see
-  /// stream/distinct_counter.h): O(bits) memory instead of a hash set over
-  /// all groups, accurate to a few percent while the true count is below
-  /// ~bits. For long-running deployments where exact sets are too large.
-  /// Not cached.
-  uint64_t GroupCountEstimate(AttributeSet set, uint64_t bits = 1 << 15);
-
   /// Estimate of the average flow length l_a for the projection onto `set`
   /// (paper Section 4.3). When the trace carries flow ids the value is
   /// exact (records / flows). Otherwise it is measured the way the paper

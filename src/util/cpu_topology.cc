@@ -100,70 +100,20 @@ CpuTopology CpuTopology::Detect() {
 }
 
 AffinityLayout AffinityLayout::Plan(const CpuTopology& topology,
-                                    int num_producers, int num_shards) {
+                                    int num_shards) {
   AffinityLayout layout;
-  layout.producer_cpu.assign(static_cast<size_t>(num_producers), -1);
-  layout.producer_node.assign(static_cast<size_t>(num_producers), -1);
   layout.shard_cpu.assign(static_cast<size_t>(num_shards), -1);
   layout.shard_node.assign(static_cast<size_t>(num_shards), -1);
-  const int num_nodes = topology.num_nodes();
-  if (num_nodes == 0) return layout;  // Empty topology: everything unpinned.
-
-  // CPUs grouped per node; next_cpu tracks the round-robin cursor so each
-  // thread placed on a node takes the node's next free CPU.
-  std::vector<std::vector<int>> node_cpus(static_cast<size_t>(num_nodes));
-  for (const CpuInfo& cpu : topology.cpus) {
-    node_cpus[static_cast<size_t>(cpu.node)].push_back(cpu.cpu);
-  }
-  std::vector<size_t> next_cpu(static_cast<size_t>(num_nodes), 0);
-  int placed = 0;
-  const int total_cpus = topology.num_cpus();
-  auto take = [&](int node) {
-    // Overflow threads stay unpinned: stacking every extra thread onto one
-    // CPU would serialize them behind each other, worse than the scheduler.
-    if (placed >= total_cpus) return -1;
-    std::vector<int>& cpus = node_cpus[static_cast<size_t>(node)];
-    if (cpus.empty()) return -1;
-    size_t& cursor = next_cpu[static_cast<size_t>(node)];
-    if (cursor >= cpus.size()) return -1;  // Node full; caller picks another.
-    ++placed;
-    return cpus[cursor++];
-  };
-  auto node_with_room = [&](int preferred) {
-    for (int probe = 0; probe < num_nodes; ++probe) {
-      const int node = (preferred + probe) % num_nodes;
-      if (next_cpu[static_cast<size_t>(node)] <
-          node_cpus[static_cast<size_t>(node)].size()) {
-        return node;
-      }
-    }
-    return -1;
-  };
-
-  // Producers spread round-robin across nodes so the ingest bandwidth (and
-  // the queue memory each producer allocates) is balanced per node.
-  for (int p = 0; p < num_producers; ++p) {
-    const int node = node_with_room(p % num_nodes);
-    if (node < 0) break;
-    const int cpu = take(node);
-    if (cpu < 0) break;
-    layout.producer_cpu[static_cast<size_t>(p)] = cpu;
-    layout.producer_node[static_cast<size_t>(p)] = node;
-  }
-  // Shard s follows producer (s mod P): that producer owns s's busiest queue
-  // row, so the consumer, its ring, and its hash tables stay node-local to
-  // it. When the preferred node is out of CPUs the shard spills to the next
-  // node with room rather than staying unpinned.
-  for (int s = 0; s < num_shards; ++s) {
-    const int producer = num_producers > 0 ? s % num_producers : 0;
-    int preferred = layout.producer_node[static_cast<size_t>(producer)];
-    if (preferred < 0) preferred = s % num_nodes;
-    const int node = node_with_room(preferred);
-    if (node < 0) break;
-    const int cpu = take(node);
-    if (cpu < 0) break;
-    layout.shard_cpu[static_cast<size_t>(s)] = cpu;
-    layout.shard_node[static_cast<size_t>(s)] = node;
+  std::vector<CpuInfo> order = topology.cpus;
+  std::stable_sort(order.begin(), order.end(),
+                   [](const CpuInfo& a, const CpuInfo& b) {
+                     return a.node < b.node;
+                   });
+  // order[0] is the driver's; shard s takes the next CPU in node order.
+  for (size_t s = 0; s < layout.shard_cpu.size() && s + 1 < order.size();
+       ++s) {
+    layout.shard_cpu[s] = order[s + 1].cpu;
+    layout.shard_node[s] = order[s + 1].node;
   }
   return layout;
 }

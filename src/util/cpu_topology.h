@@ -34,27 +34,20 @@ struct CpuTopology {
   static std::vector<int> ParseCpuList(const std::string& text);
 };
 
-/// Placement of a P-producer x S-shard ingest front end onto a topology
-/// (dsms/sharded_runtime.h). The goal is producer-locality: shard s is fed
-/// mostly through queues owned by producer (s mod P), so the planner puts
-/// each shard consumer on the same NUMA node as that producer — the queue
-/// ring and the shard's hash tables then stay in node-local memory. A CPU id
-/// of -1 means "leave the thread unpinned" (more threads than CPUs, or an
-/// empty topology).
+/// Placement of the shard workers of a threaded runtime
+/// (dsms/sharded_runtime.h) onto a topology. The driver thread feeds every
+/// shard and is never pinned; the planner leaves it the first CPU of the
+/// first node and hands the shards the CPUs after it in node order, so the
+/// workers fill the driver's node — where the queues they read are written
+/// — before they spill to the next one. A CPU id of -1 means "leave the
+/// thread unpinned" (more threads than CPUs, or an empty topology).
 struct AffinityLayout {
-  std::vector<int> producer_cpu;   ///< CPU per producer, -1 = unpinned.
-  std::vector<int> producer_node;  ///< Node per producer, -1 = unknown.
-  std::vector<int> shard_cpu;      ///< CPU per shard consumer, -1 = unpinned.
-  std::vector<int> shard_node;     ///< Node per shard consumer, -1 = unknown.
+  std::vector<int> shard_cpu;   ///< CPU per shard worker, -1 = unpinned.
+  std::vector<int> shard_node;  ///< Node per shard worker, -1 = unknown.
 
-  /// Plans a layout for `num_producers` x `num_shards` over `topology`:
-  /// producers are spread round-robin across nodes, each shard follows its
-  /// dominant producer's node, and within a node distinct CPUs are handed
-  /// out round-robin (threads double up only once a node's CPUs are
-  /// exhausted; with more threads than total CPUs, the overflow threads stay
-  /// unpinned rather than stacking onto CPU 0).
-  static AffinityLayout Plan(const CpuTopology& topology, int num_producers,
-                             int num_shards);
+  /// Plans a layout for `num_shards` workers over `topology`. Overflow
+  /// threads stay unpinned rather than stacking onto an assigned CPU.
+  static AffinityLayout Plan(const CpuTopology& topology, int num_shards);
 };
 
 /// Pins the calling thread to `cpu`. Returns true on success; on non-Linux

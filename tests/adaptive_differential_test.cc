@@ -1,13 +1,13 @@
 // Randomized differential harness for drift-driven adaptive re-planning: a
 // seeded workload generator drives distribution shifts (group-count growth
-// and shrink, clusteredness flips) through serial, sharded and
-// multi-producer adaptive engines, and every epoch's aggregates must stay
+// and shrink, clusteredness flips) through serial and sharded adaptive
+// engines, and every epoch's aggregates must stay
 // bit-identical to the reference aggregator across re-plan boundaries —
 // configurations (and re-configurations) change cost, never answers.
 //
 // Every schedule also runs at several batch sizes so epoch boundaries land
-// mid-batch: answers stay exact on every split, and with one producer the
-// counters, re-plan events and epoch snapshots equal per-record feeding.
+// mid-batch: answers stay exact on every split, and the counters, re-plan
+// events and epoch snapshots equal per-record feeding.
 //
 // Seeds are fixed and logged on failure; CI re-runs the binary under
 // several seeds via STREAMAGG_DIFF_SEED (see .github/workflows/ci.yml).
@@ -77,24 +77,19 @@ Trace ShiftTrace(const Schema& schema, std::span<const Phase> phases,
   return trace;
 }
 
-StreamAggEngine::Options AdaptiveOptions(int producers, int shards) {
+StreamAggEngine::Options AdaptiveOptions(int shards) {
   StreamAggEngine::Options options;
   options.memory_words = 30000.0;
   options.sample_size = 10000;
   options.epoch_seconds = 2.0;
   options.clustered = false;
   options.adaptive = true;
-  options.num_producers = producers;
   options.num_shards = shards;
   return options;
 }
 
-/// The engine splits the acceptance matrix runs over: P x S in {1,2}x{1,4}.
-struct Split {
-  int producers;
-  int shards;
-};
-constexpr Split kSplits[] = {{1, 1}, {1, 4}, {2, 1}, {2, 4}};
+/// The shard counts the acceptance matrix runs over.
+constexpr int kShardCounts[] = {1, 4};
 
 /// Runs `trace` through an adaptive engine with the given split, fed in
 /// calls of `batch` records, and asserts every epoch of every query is
@@ -141,8 +136,8 @@ std::unique_ptr<StreamAggEngine> RunAndCheck(
 }
 
 /// RunAndCheck at every batch size. Returns the per-record engine for the
-/// scenario's own assertions; with one producer, every batched engine must
-/// also keep its exact record (counters, re-plans, epoch snapshots).
+/// scenario's own assertions; every batched engine must also keep its exact
+/// record (counters, re-plans, epoch snapshots).
 std::unique_ptr<StreamAggEngine> RunAllBatches(
     const Trace& trace, const std::vector<QueryDef>& queries,
     const StreamAggEngine::Options& options) {
@@ -154,9 +149,7 @@ std::unique_ptr<StreamAggEngine> RunAllBatches(
     SCOPED_TRACE("batch=" + std::to_string(batch));
     auto batched = RunAndCheck(trace, queries, options, batch);
     if (batched == nullptr) return nullptr;
-    if (options.num_producers == 1) {
-      ExpectSameEngineRecord(*batched, *per_record, "vs per-record");
-    }
+    ExpectSameEngineRecord(*batched, *per_record, "vs per-record");
   }
   return per_record;
 }
@@ -190,13 +183,10 @@ TEST(AdaptiveDifferentialTest, RandomizedShiftsMatchReferenceOnAllSplits) {
 
   for (const Workload& workload : workloads) {
     const Trace trace = ShiftTrace(schema, workload.phases, seed);
-    for (const Split& split : kSplits) {
+    for (int shards : kShardCounts) {
       SCOPED_TRACE("seed=" + std::to_string(seed) + " workload=" +
-                   workload.name + " producers=" +
-                   std::to_string(split.producers) + " shards=" +
-                   std::to_string(split.shards));
-      auto engine = RunAllBatches(
-          trace, queries, AdaptiveOptions(split.producers, split.shards));
+                   workload.name + " shards=" + std::to_string(shards));
+      auto engine = RunAllBatches(trace, queries, AdaptiveOptions(shards));
       ASSERT_NE(engine, nullptr);
       // Re-plans (however many fired) are all on the record.
       EXPECT_EQ(static_cast<int>(engine->telemetry().replans.size()),
@@ -211,7 +201,7 @@ TEST(AdaptiveDifferentialTest, UniformToClusteredTriggersExactlyOneReplan) {
   // Epochs 3 and 4 both drift beyond plan, so the K=2 trend fires once at
   // the epoch-4 barrier; the re-planned configuration matches the new
   // distribution and never fires again. Exactly one re-plan, on every
-  // producer x shard split, with exact results throughout.
+  // shard count, with exact results throughout.
   const uint64_t seed = 515;
   const Schema schema = *Schema::Default(4);
   const std::vector<QueryDef> queries = TwoQueries(schema);
@@ -221,12 +211,10 @@ TEST(AdaptiveDifferentialTest, UniformToClusteredTriggersExactlyOneReplan) {
   };
   const Trace trace = ShiftTrace(schema, phases, seed);
 
-  for (const Split& split : kSplits) {
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " producers=" +
-                 std::to_string(split.producers) + " shards=" +
-                 std::to_string(split.shards));
-    auto engine = RunAllBatches(
-        trace, queries, AdaptiveOptions(split.producers, split.shards));
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " shards=" + std::to_string(shards));
+    auto engine = RunAllBatches(trace, queries, AdaptiveOptions(shards));
     ASSERT_NE(engine, nullptr);
     EXPECT_EQ(engine->reoptimizations(), 1);
 
@@ -261,12 +249,10 @@ TEST(AdaptiveDifferentialTest, SingleEpochSpikeTriggersNoReplan) {
   };
   const Trace trace = ShiftTrace(schema, phases, seed);
 
-  for (const Split& split : kSplits) {
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " producers=" +
-                 std::to_string(split.producers) + " shards=" +
-                 std::to_string(split.shards));
-    auto engine = RunAllBatches(
-        trace, queries, AdaptiveOptions(split.producers, split.shards));
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " shards=" + std::to_string(shards));
+    auto engine = RunAllBatches(trace, queries, AdaptiveOptions(shards));
     ASSERT_NE(engine, nullptr);
     EXPECT_EQ(engine->reoptimizations(), 0);
     EXPECT_TRUE(engine->telemetry().replans.empty());

@@ -50,70 +50,37 @@ TEST(CpuTopologyTest, DetectReturnsAtLeastOneCpu) {
 }
 
 TEST(CpuTopologyTest, EmptyTopologyLeavesEverythingUnpinned) {
-  const AffinityLayout layout = AffinityLayout::Plan(CpuTopology{}, 3, 5);
-  ASSERT_EQ(layout.producer_cpu.size(), 3u);
+  const AffinityLayout layout = AffinityLayout::Plan(CpuTopology{}, 5);
   ASSERT_EQ(layout.shard_cpu.size(), 5u);
-  for (int cpu : layout.producer_cpu) EXPECT_EQ(cpu, -1);
-  for (int node : layout.producer_node) EXPECT_EQ(node, -1);
   for (int cpu : layout.shard_cpu) EXPECT_EQ(cpu, -1);
   for (int node : layout.shard_node) EXPECT_EQ(node, -1);
 }
 
-TEST(CpuTopologyTest, PlanSpreadsProducersAcrossNodes) {
+TEST(CpuTopologyTest, ShardsFillTheDriversNodeFirst) {
   const CpuTopology topology = SyntheticTopology(2, 4);  // 8 CPUs, 2 nodes.
-  const AffinityLayout layout = AffinityLayout::Plan(topology, 4, 4);
-  // Producers round-robin over the nodes: 0,1,0,1.
-  EXPECT_EQ(layout.producer_node, (std::vector<int>{0, 1, 0, 1}));
-  // All distinct CPUs.
-  std::set<int> cpus(layout.producer_cpu.begin(), layout.producer_cpu.end());
-  EXPECT_EQ(cpus.size(), 4u);
-  for (int cpu : layout.producer_cpu) EXPECT_GE(cpu, 0);
-}
-
-TEST(CpuTopologyTest, ShardsFollowTheirDominantProducersNode) {
-  const CpuTopology topology = SyntheticTopology(2, 4);
-  const AffinityLayout layout = AffinityLayout::Plan(topology, 2, 4);
-  // Producer 0 -> node 0, producer 1 -> node 1. Shard s is fed mostly by
-  // producer (s mod 2), so shards 0,2 belong on node 0 and shards 1,3 on
-  // node 1 — and there is room (4 CPUs per node, 1 producer + 2 shards).
-  EXPECT_EQ(layout.shard_node, (std::vector<int>{0, 1, 0, 1}));
-  // No CPU is handed out twice across producers and shards.
-  std::set<int> cpus;
-  for (int cpu : layout.producer_cpu) EXPECT_TRUE(cpus.insert(cpu).second);
-  for (int cpu : layout.shard_cpu) EXPECT_TRUE(cpus.insert(cpu).second);
+  const AffinityLayout layout = AffinityLayout::Plan(topology, 4);
+  // CPU 0 is left to the unpinned driver; the shards take node 0's other
+  // three CPUs, then the first of node 1.
+  EXPECT_EQ(layout.shard_cpu, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(layout.shard_node, (std::vector<int>{0, 0, 0, 1}));
 }
 
 TEST(CpuTopologyTest, ShardsSpillToNextNodeWhenPreferredIsFull) {
-  // 2 nodes x 2 CPUs. One producer (node 0, 1 CPU used) and 3 shards, all
-  // preferring node 0: only one fits next to the producer; the rest spill.
+  // 2 nodes x 2 CPUs and 3 shards: only one fits beside the driver on node
+  // 0; the rest spill.
   const CpuTopology topology = SyntheticTopology(2, 2);
-  const AffinityLayout layout = AffinityLayout::Plan(topology, 1, 3);
-  EXPECT_EQ(layout.producer_node[0], 0);
-  EXPECT_EQ(layout.shard_node[0], 0);  // Fits beside the producer.
+  const AffinityLayout layout = AffinityLayout::Plan(topology, 3);
+  EXPECT_EQ(layout.shard_node[0], 0);  // Fits beside the driver.
   EXPECT_EQ(layout.shard_node[1], 1);  // Node 0 full: spills.
   EXPECT_EQ(layout.shard_node[2], 1);
 }
 
 TEST(CpuTopologyTest, OverflowThreadsStayUnpinned) {
   // More threads than CPUs: the overflow must stay unpinned (-1), never
-  // stacked onto an already-assigned CPU.
-  const CpuTopology topology = SyntheticTopology(1, 2);
-  const AffinityLayout layout = AffinityLayout::Plan(topology, 2, 4);
-  int pinned = 0;
-  std::set<int> cpus;
-  for (int cpu : layout.producer_cpu) {
-    if (cpu >= 0) {
-      ++pinned;
-      EXPECT_TRUE(cpus.insert(cpu).second);
-    }
-  }
-  for (int cpu : layout.shard_cpu) {
-    if (cpu >= 0) {
-      ++pinned;
-      EXPECT_TRUE(cpus.insert(cpu).second);
-    }
-  }
-  EXPECT_EQ(pinned, 2);  // Exactly the machine's CPU count.
+  // stacked onto an already-assigned CPU or the driver's.
+  const CpuTopology topology = SyntheticTopology(1, 3);
+  const AffinityLayout layout = AffinityLayout::Plan(topology, 4);
+  EXPECT_EQ(layout.shard_cpu, (std::vector<int>{1, 2, -1, -1}));
 }
 
 TEST(CpuTopologyTest, PinCurrentThreadRejectsNegativeCpu) {

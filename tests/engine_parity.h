@@ -1,7 +1,7 @@
 // Batch-split helpers shared by the engine differential suites: feeding an
 // engine in calls of a given size, and asserting that a batch-fed engine
 // kept the exact record of one fed one Process call per record (the
-// num_producers == 1 contract of StreamAggEngine::ProcessBatch).
+// contract of StreamAggEngine::ProcessBatch).
 
 #ifndef STREAMAGG_TESTS_ENGINE_PARITY_H_
 #define STREAMAGG_TESTS_ENGINE_PARITY_H_

@@ -1109,7 +1109,7 @@ TEST(StreamAggEngineChurnTest, UnsortedMetricListsMatchSortedOnes) {
   // A QueryDef may list its metrics in any order and repeat one. The engine
   // keeps each list sorted and deduplicated, the layout the runtimes' states
   // follow, so its HFTA merges every metric under its own op: repeated
-  // evictions at 1x1 and the replica drain at 2x2 alike.
+  // evictions at 1x1 and the replica drain at 1x2 alike.
   const Trace trace = UniformTrace(2000, 60000, 89);
   const Schema& schema = trace.schema();
   const MetricSpec sum_d{AggregateOp::kSum, 3};
@@ -1120,7 +1120,6 @@ TEST(StreamAggEngineChurnTest, UnsortedMetricListsMatchSortedOnes) {
     options.memory_words = 3000.0;  // Small tables: many repeated evictions.
     options.sample_size = 5000;
     options.num_shards = shards;
-    options.num_producers = shards;
     const auto run = [&](std::vector<MetricSpec> ab_metrics,
                          std::vector<MetricSpec> cd_metrics) {
       auto engine = StreamAggEngine::FromQueryDefs(
@@ -1174,18 +1173,6 @@ TEST(EngineValidation, RejectsNonPositiveNumShards) {
   ASSERT_FALSE(engine.ok());
   EXPECT_NE(engine.status().ToString().find(
                 "Options::num_shards must be >= 1 (got 0)"),
-            std::string::npos)
-      << engine.status().ToString();
-}
-
-TEST(EngineValidation, RejectsNonPositiveNumProducers) {
-  StreamAggEngine::Options options = BaseOptions();
-  options.num_producers = -2;
-  auto engine = StreamAggEngine::FromQueryDefs(
-      *Schema::Default(2), {QueryDef(AttributeSet::Single(0))}, options);
-  ASSERT_FALSE(engine.ok());
-  EXPECT_NE(engine.status().ToString().find(
-                "Options::num_producers must be >= 1 (got -2)"),
             std::string::npos)
       << engine.status().ToString();
 }

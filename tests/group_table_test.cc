@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <random>
 #include <stdexcept>
 #include <unordered_map>
@@ -56,6 +57,13 @@ struct DifferentialCase {
   int width;
   std::vector<MetricSpec> specs;
 };
+
+// Names each case after its layout. Without it gtest prints the raw bytes
+// of the struct, padding and vector pointers included, so the test names
+// would change from run to run.
+void PrintTo(const DifferentialCase& c, std::ostream* os) {
+  *os << "width" << c.width << "_metrics" << c.specs.size();
+}
 
 class GroupTableDifferentialTest
     : public ::testing::TestWithParam<DifferentialCase> {};

@@ -32,15 +32,16 @@ Trace ZipfTrace(uint64_t seed) {
   return Trace::Generate(*gen, 60000, 12.0);
 }
 
-/// A one-producer snapshot with cumulative record/blocked-push tallies —
-/// the two numbers EpochPressure differentiates.
+/// A two-shard snapshot with cumulative record/blocked-push tallies — the
+/// two numbers EpochPressure differentiates. The blocked pushes are split
+/// over the shard rows, which the controller sums.
 TelemetrySnapshot Snap(uint64_t records, uint64_t blocked) {
   TelemetrySnapshot s;
+  s.num_shards = 2;
   s.counters.records = records;
-  ProducerTelemetry p;
-  p.records = records;
-  p.blocked_pushes = blocked;
-  s.producers.push_back(p);
+  s.shards.resize(2);
+  s.shards[0].blocked_pushes = blocked / 2;
+  s.shards[1].blocked_pushes = blocked - blocked / 2;
   return s;
 }
 

@@ -1,11 +1,11 @@
 // Overload differential harness (docs/overload.md): an enabled-but-idle
 // overload controller must be invisible — epoch-for-epoch bit-identical
 // results AND counters against the same engine without the controller, on
-// every producer x shard split of the acceptance matrix. With a forced shed
-// floor the drop counts must be exact (error diffusion, no RNG), the
-// reported shed fraction must equal the actual dropped-record count. Engine
-// scenarios run at several batch sizes; with one producer a batched engine
-// keeps the per-record engine's exact record.
+// every shard count of the acceptance matrix. With a forced shed floor the
+// drop counts must be exact (error diffusion, no RNG), the reported shed
+// fraction must equal the actual dropped-record count. Engine scenarios run
+// at several batch sizes; a batched engine keeps the per-record engine's
+// exact record.
 
 #include <gtest/gtest.h>
 
@@ -47,23 +47,18 @@ std::vector<QueryDef> TwoQueries(const Schema& schema) {
           QueryDef(*schema.ParseAttributeSet("CD"))};
 }
 
-StreamAggEngine::Options BaseOptions(int producers, int shards) {
+StreamAggEngine::Options BaseOptions(int shards) {
   StreamAggEngine::Options options;
   options.memory_words = 30000.0;
   options.sample_size = 10000;
   options.epoch_seconds = 2.0;
   options.clustered = false;
-  options.num_producers = producers;
   options.num_shards = shards;
   return options;
 }
 
-/// The acceptance matrix: P x S in {1,2} x {1,4}.
-struct Split {
-  int producers;
-  int shards;
-};
-constexpr Split kSplits[] = {{1, 1}, {1, 4}, {2, 1}, {2, 4}};
+/// The acceptance matrix's shard counts.
+constexpr int kShardCounts[] = {1, 4};
 
 /// Feeds `trace` through a fresh engine in calls of `batch` records and
 /// returns it finished.
@@ -116,11 +111,9 @@ TEST(OverloadDifferentialTest, IdleControllerIsBitIdenticalOnAllSplits) {
   const Trace trace = ZipfTrace(HarnessSeed() + 0x0d1);
   const std::vector<QueryDef> queries = TwoQueries(trace.schema());
 
-  for (const Split& split : kSplits) {
-    SCOPED_TRACE("producers=" + std::to_string(split.producers) +
-                 " shards=" + std::to_string(split.shards));
-    const StreamAggEngine::Options baseline =
-        BaseOptions(split.producers, split.shards);
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const StreamAggEngine::Options baseline = BaseOptions(shards);
     StreamAggEngine::Options overload = baseline;
     overload.overload.enabled = true;
     overload.overload.queue_blocked_fraction = 1e9;  // Never reachable.
@@ -138,11 +131,7 @@ TEST(OverloadDifferentialTest, IdleControllerIsBitIdenticalOnAllSplits) {
       ExpectMatchesReference(*a, trace, queries, 2.0);
       ExpectMatchesReference(*b, trace, queries, 2.0);
       EXPECT_EQ(b->counters().shed_probes, 0u);
-      // Striped multi-producer batches reorder records within an epoch, so
-      // only per-record feeding pins counters there.
-      if (split.producers == 1 || batch == 1) {
-        EXPECT_TRUE(a->counters() == b->counters());
-      }
+      EXPECT_TRUE(a->counters() == b->counters());
       if (batch == 1) {
         per_record = std::move(b);
         // The controller is on the record even when idle: the telemetry
@@ -152,7 +141,7 @@ TEST(OverloadDifferentialTest, IdleControllerIsBitIdenticalOnAllSplits) {
         EXPECT_EQ(snapshot.shedding.shed_probes, 0u);
         EXPECT_DOUBLE_EQ(snapshot.shedding.shed_fraction, 0.0);
         EXPECT_FALSE(a->telemetry().shedding.enabled);
-      } else if (split.producers == 1) {
+      } else {
         ExpectSameEngineRecord(*b, *per_record, "idle controller");
       }
     }
@@ -174,7 +163,7 @@ TEST(OverloadDifferentialTest, ShedFloorDropsExactlyOnSerialEngine) {
     for (size_t batch : kBatchSizes) {
       SCOPED_TRACE("level=" + std::to_string(static_cast<int>(level)) +
                    " batch=" + std::to_string(batch));
-      StreamAggEngine::Options options = BaseOptions(1, 1);
+      StreamAggEngine::Options options = BaseOptions(1);
       options.telemetry_level = level;
       options.overload.enabled = true;
       options.overload.min_shed_fraction = 0.5;
@@ -227,14 +216,14 @@ TEST(OverloadDifferentialTest, ShedFloorDropsExactlyOnSerialEngine) {
 
 TEST(OverloadDifferentialTest, SustainedOverloadShedsAndAccountsExactly) {
   // The 2x-overload degradation scenario: small bounded queues, a 2x shed
-  // floor, the full P x S matrix engaged. The engine must run to completion
-  // (producers shed at the probe, they are never wedged), and the reported
+  // floor, four threaded shards engaged. The engine must run to completion
+  // (records shed at the probe; the driver is never wedged), and the reported
   // shed fraction must match the actual dropped-record count exactly, with
   // the per-relation drops summing to the engine counter across shards.
   const Trace trace = ZipfTrace(HarnessSeed() + 0x0d3);
   const std::vector<QueryDef> queries = TwoQueries(trace.schema());
 
-  StreamAggEngine::Options options = BaseOptions(2, 4);
+  StreamAggEngine::Options options = BaseOptions(4);
   options.shard_queue_capacity = 64;
   options.telemetry_level = TelemetryLevel::kCounters;
   options.overload.enabled = true;

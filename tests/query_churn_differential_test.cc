@@ -3,8 +3,8 @@
 // record positions) must stay epoch-for-epoch bit-identical to the serial
 // reference aggregation computed over each query's own lifetime window —
 // the sub-trace from the record where it was added to the record where it
-// was dropped. Runs seeded random add/drop schedules over every producer x
-// shard split of the acceptance matrix, including schedules interleaved
+// was dropped. Runs seeded random add/drop schedules over every shard count
+// of the acceptance matrix, including schedules interleaved
 // with adaptive re-plans and an engaged overload controller, at several
 // batch sizes. Serial engines are also read at every epoch boundary, so a
 // closed epoch that a churn swap split must already serve both parts.
@@ -45,29 +45,18 @@ Trace ZipfTrace(uint64_t seed) {
   return Trace::Generate(*gen, 60000, 12.0);
 }
 
-StreamAggEngine::Options BaseOptions(int producers, int shards) {
+StreamAggEngine::Options BaseOptions(int shards) {
   StreamAggEngine::Options options;
   options.memory_words = 30000.0;
   options.sample_size = 10000;
   options.epoch_seconds = 2.0;
   options.clustered = false;
-  options.num_producers = producers;
   options.num_shards = shards;
   return options;
 }
 
-/// The acceptance matrix: P x S in {1,2} x {1,4}.
-struct Split {
-  int producers;
-  int shards;
-};
-constexpr Split kSplits[] = {{1, 1}, {1, 4}, {2, 1}, {2, 4}};
-
-/// Sharded engines serve results at barriers only; a serial engine's are
-/// live, so its closed epochs can be read mid-stream.
-bool Serial(const Split& split) {
-  return split.producers == 1 && split.shards == 1;
-}
+/// The acceptance matrix's shard counts.
+constexpr int kShardCounts[] = {1, 4};
 
 /// The records of `trace` in [begin, end), as a replayable trace (epoch
 /// boundaries stay aligned: references use absolute timestamps).
@@ -242,21 +231,20 @@ TEST(QueryChurnDifferentialTest, RandomScheduleBitIdenticalOnAllSplits) {
       QueryDef(*schema.ParseAttributeSet("AB")),
       QueryDef(*schema.ParseAttributeSet("CD"))};
 
-  for (const Split& split : kSplits) {
+  for (int shards : kShardCounts) {
     std::unique_ptr<StreamAggEngine> per_record;
     for (size_t batch : kBatchSizes) {
-      SCOPED_TRACE("producers=" + std::to_string(split.producers) +
-                   " shards=" + std::to_string(split.shards) +
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " batch=" + std::to_string(batch));
-      auto engine = StreamAggEngine::FromQueryDefs(
-          schema, initial, BaseOptions(split.producers, split.shards));
+      auto engine = StreamAggEngine::FromQueryDefs(schema, initial,
+                                                   BaseOptions(shards));
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
       std::map<int, Window> windows;
       RunChurnSchedule(&**engine, trace, initial,
-                       HarnessSeed() + 31 * split.producers + split.shards,
+                       HarnessSeed() + 31 + shards,
                        /*churn_points=*/8, /*first_churn_index=*/12000,
-                       &windows, batch, Serial(split));
+                       &windows, batch, /*read_closed_epochs=*/shards == 1);
       if (::testing::Test::HasFatalFailure()) return;
 
       for (const auto& [id, window] : windows) {
@@ -271,7 +259,7 @@ TEST(QueryChurnDifferentialTest, RandomScheduleBitIdenticalOnAllSplits) {
                         })));
       if (batch == 1) {
         per_record = std::move(*engine);
-      } else if (split.producers == 1) {
+      } else {
         ExpectSameEngineRecord(**engine, *per_record, "churn schedule");
       }
     }
@@ -288,9 +276,8 @@ TEST(QueryChurnDifferentialTest, ChurnInterleavedWithAdaptiveReplans) {
       QueryDef(*schema.ParseAttributeSet("AB")),
       QueryDef(*schema.ParseAttributeSet("CD"))};
 
-  for (const Split& split : kSplits) {
-    StreamAggEngine::Options options =
-        BaseOptions(split.producers, split.shards);
+  for (int shards : kShardCounts) {
+    StreamAggEngine::Options options = BaseOptions(shards);
     options.adaptive = true;
     options.adaptive_options.trend_epochs = 2;
     options.adaptive_options.deviation_threshold = 0.05;
@@ -298,8 +285,7 @@ TEST(QueryChurnDifferentialTest, ChurnInterleavedWithAdaptiveReplans) {
     options.adaptive_options.min_probes_per_table = 100;
     std::unique_ptr<StreamAggEngine> per_record;
     for (size_t batch : kBatchSizes) {
-      SCOPED_TRACE("producers=" + std::to_string(split.producers) +
-                   " shards=" + std::to_string(split.shards) +
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " batch=" + std::to_string(batch));
       auto engine = StreamAggEngine::FromQueryDefs(schema, initial, options);
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -307,7 +293,7 @@ TEST(QueryChurnDifferentialTest, ChurnInterleavedWithAdaptiveReplans) {
       std::map<int, Window> windows;
       RunChurnSchedule(&**engine, trace, initial, HarnessSeed() + 0x0c2a,
                        /*churn_points=*/6, /*first_churn_index=*/12000,
-                       &windows, batch, Serial(split));
+                       &windows, batch, /*read_closed_epochs=*/shards == 1);
       if (::testing::Test::HasFatalFailure()) return;
 
       for (const auto& [id, window] : windows) {
@@ -315,7 +301,7 @@ TEST(QueryChurnDifferentialTest, ChurnInterleavedWithAdaptiveReplans) {
       }
       if (batch == 1) {
         per_record = std::move(*engine);
-      } else if (split.producers == 1) {
+      } else {
         ExpectSameEngineRecord(**engine, *per_record, "churn with re-plans");
       }
     }
@@ -332,7 +318,7 @@ TEST(QueryChurnDifferentialTest, ChurnWithIdleOverloadControllerIsExact) {
       QueryDef(*schema.ParseAttributeSet("AB")),
       QueryDef(*schema.ParseAttributeSet("CD"))};
 
-  StreamAggEngine::Options options = BaseOptions(2, 4);
+  StreamAggEngine::Options options = BaseOptions(4);
   options.overload.enabled = true;
   options.overload.queue_blocked_fraction = 1e9;  // Never reachable.
   options.overload.epoch_gap_watermark_ns = 0;    // Signal disabled.
@@ -366,7 +352,7 @@ TEST(QueryChurnDifferentialTest, ChurnUnderActiveShedPlanRunsToCompletion) {
       QueryDef(*schema.ParseAttributeSet("AB")),
       QueryDef(*schema.ParseAttributeSet("CD"))};
 
-  StreamAggEngine::Options options = BaseOptions(2, 4);
+  StreamAggEngine::Options options = BaseOptions(4);
   options.telemetry_level = TelemetryLevel::kCounters;
   options.overload.enabled = true;
   options.overload.min_shed_fraction = 0.5;
@@ -416,7 +402,7 @@ TEST(QueryChurnDifferentialTest, AliasAddAndDropKeepSlotExact) {
       QueryDef(*schema.ParseAttributeSet("CD"))};
 
   auto engine =
-      StreamAggEngine::FromQueryDefs(schema, initial, BaseOptions(1, 1));
+      StreamAggEngine::FromQueryDefs(schema, initial, BaseOptions(1));
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   const size_t alias_at = 20000;
@@ -461,7 +447,7 @@ TEST(QueryChurnDifferentialTest, SamplingPhaseChurnJoinsInitialPlan) {
       QueryDef(*schema.ParseAttributeSet("CD"))};
 
   auto engine =
-      StreamAggEngine::FromQueryDefs(schema, initial, BaseOptions(1, 1));
+      StreamAggEngine::FromQueryDefs(schema, initial, BaseOptions(1));
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   const QueryDef added(*schema.ParseAttributeSet("BC"),
@@ -507,7 +493,7 @@ TEST(QueryChurnDifferentialTest, DroppedQueryGroupsStopAccumulating) {
       QueryDef(*schema.ParseAttributeSet("CD"))};
 
   auto engine =
-      StreamAggEngine::FromQueryDefs(schema, initial, BaseOptions(1, 1));
+      StreamAggEngine::FromQueryDefs(schema, initial, BaseOptions(1));
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   const size_t drop_at = 30000;

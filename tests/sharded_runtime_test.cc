@@ -1,15 +1,22 @@
 // Sharded-ingest correctness: any shard count must produce exactly the
 // per-epoch aggregates of the serial runtime (and therefore of a direct
 // group-by). Sharding changes collision patterns and cost, never answers —
-// the same invariant the runtime matrix enforces for configurations.
+// the same invariant the runtime matrix enforces for configurations. An
+// engine reading a sharded runtime mid-stream serves each epoch complete or
+// not at all (docs/runtime.md §4).
 
 #include "dsms/sharded_runtime.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <span>
 #include <string>
+#include <thread>
 
 #include "core/configuration.h"
 #include "core/engine.h"
@@ -51,10 +58,13 @@ std::vector<RuntimeRelationSpec> SpecsFor(const Schema& schema,
 }
 
 /// Runs the sharded runtime over `trace` and checks every query against the
-/// direct reference aggregation.
+/// direct reference aggregation. `batch` 0 feeds the whole trace in one
+/// ProcessTrace call; otherwise it goes in ProcessBatch calls of `batch`
+/// records, followed by the final epoch barrier.
 void ExpectShardedMatchesReference(const Trace& trace,
                                    const std::string& config_text,
-                                   double epoch_seconds, int num_shards) {
+                                   double epoch_seconds, int num_shards,
+                                   size_t batch = 0) {
   const std::vector<RuntimeRelationSpec> specs =
       SpecsFor(trace.schema(), config_text);
   ShardedRuntime::Options options;
@@ -62,7 +72,16 @@ void ExpectShardedMatchesReference(const Trace& trace,
   auto sharded = ShardedRuntime::Make(trace.schema(), specs, epoch_seconds,
                                       options);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  (*sharded)->ProcessTrace(trace);
+  if (batch == 0) {
+    (*sharded)->ProcessTrace(trace);
+  } else {
+    const std::span<const Record> records = trace.records();
+    for (size_t i = 0; i < records.size(); i += batch) {
+      (*sharded)->ProcessBatch(
+          records.subspan(i, std::min(batch, records.size() - i)));
+    }
+    (*sharded)->FlushEpoch();
+  }
 
   auto config = Configuration::Parse(trace.schema(), config_text);
   const std::vector<QueryDef> queries = config->QueryDefs();
@@ -72,9 +91,12 @@ void ExpectShardedMatchesReference(const Trace& trace,
     std::string diagnostic;
     EXPECT_TRUE(AggregatesEqual(expected, (*sharded)->hfta(),
                                 static_cast<int>(qi), &diagnostic))
-        << config_text << " shards=" << num_shards << " query " << qi << ": "
-        << diagnostic;
+        << config_text << " shards=" << num_shards << " batch=" << batch
+        << " query " << qi << ": " << diagnostic;
   }
+  // Record conservation: partitioning loses or duplicates nothing.
+  EXPECT_EQ((*sharded)->counters().records, trace.size())
+      << "shards=" << num_shards << " batch=" << batch;
 }
 
 TEST(ShardedRuntimeTest, ZipfTraceIdenticalAcrossShardCounts) {
@@ -99,6 +121,89 @@ TEST(ShardedRuntimeTest, FlatForestSingleEpoch) {
   for (int shards : {1, 4}) {
     ExpectShardedMatchesReference(trace, "A B C D", 0.0, shards);
   }
+}
+
+// One driver feeds every shard, so how the stream is cut into calls never
+// changes an answer: the whole trace at once, one record per call, or 64.
+TEST(ShardedRuntimeTest, AllCallSplitsMatchReferenceOnZipfTrace) {
+  const Trace trace = ZipfTrace(0xa11);
+  for (int shards : {1, 2, 4}) {
+    for (size_t batch : {size_t{0}, size_t{1}, size_t{64}}) {
+      ExpectShardedMatchesReference(trace, "ABCD(AB BCD(BC BD CD))", 3.0,
+                                    shards, batch);
+    }
+  }
+}
+
+TEST(ShardedRuntimeTest, AllCallSplitsMatchReferenceOnFlowTrace) {
+  const Trace trace = FlowTrace(0xf2);
+  for (int shards : {1, 2, 4}) {
+    for (size_t batch : {size_t{0}, size_t{1}, size_t{64}}) {
+      ExpectShardedMatchesReference(trace, "ABCD(AB BCD(BC BD CD))", 3.0,
+                                    shards, batch);
+    }
+  }
+}
+
+TEST(ShardedRuntimeTest, SingleEpochStreamAcrossCallSplits) {
+  // epoch_seconds == 0: one everlasting epoch, so no worker ever sees a
+  // boundary and only the final barrier flushes.
+  const Trace trace = ZipfTrace(0x5e);
+  for (size_t batch : {size_t{0}, size_t{1}, size_t{64}}) {
+    ExpectShardedMatchesReference(trace, "A B C D", 0.0, 2, batch);
+  }
+}
+
+TEST(ShardedRuntimeTest, ThreadedRuntimeMatchesSerialEpochForEpoch) {
+  // Against the serial runtime directly (not just the reference): same
+  // epochs, same per-epoch results.
+  const Trace trace = ZipfTrace(0x91c);
+  const std::vector<RuntimeRelationSpec> specs =
+      SpecsFor(trace.schema(), "ABCD(AB BCD(BC BD CD))");
+
+  auto serial = ConfigurationRuntime::Make(trace.schema(), specs, 3.0);
+  ASSERT_TRUE(serial.ok());
+  (*serial)->ProcessTrace(trace);
+
+  ShardedRuntime::Options options;
+  options.num_shards = 2;
+  auto sharded = ShardedRuntime::Make(trace.schema(), specs, 3.0, options);
+  ASSERT_TRUE(sharded.ok());
+  ASSERT_FALSE((*sharded)->runs_inline());
+  (*sharded)->ProcessTrace(trace);
+
+  for (int qi = 0; qi < (*serial)->hfta().num_queries(); ++qi) {
+    const std::vector<uint64_t> epochs = (*serial)->hfta().Epochs(qi);
+    EXPECT_EQ(epochs, (*sharded)->hfta().Epochs(qi)) << "query " << qi;
+    for (uint64_t epoch : epochs) {
+      EXPECT_TRUE((*serial)->hfta().Result(qi, epoch) ==
+                  (*sharded)->hfta().Result(qi, epoch))
+          << "query " << qi << " epoch " << epoch;
+    }
+  }
+}
+
+TEST(ShardedRuntimeTest, ShardStatsConserveRecordsAndShareWork) {
+  const Trace trace = ZipfTrace(0x7c0);
+  const std::vector<RuntimeRelationSpec> specs =
+      SpecsFor(trace.schema(), "ABCD(AB BCD(BC BD CD))");
+  ShardedRuntime::Options options;
+  options.num_shards = 4;
+  auto sharded = ShardedRuntime::Make(trace.schema(), specs, 3.0, options);
+  ASSERT_TRUE(sharded.ok());
+  (*sharded)->ProcessTrace(trace);
+
+  uint64_t by_shard = 0;
+  int active_shards = 0;
+  for (int s = 0; s < (*sharded)->num_shards(); ++s) {
+    const ShardIngestStats& stats = (*sharded)->shard_stats(s);
+    by_shard += stats.records;
+    if (stats.records > 0) ++active_shards;
+  }
+  // The shards' ingest tallies account for every record routed, and a
+  // 60k-record trace over 800 groups reaches every shard.
+  EXPECT_EQ(by_shard, trace.size());
+  EXPECT_EQ(active_shards, 4);
 }
 
 TEST(ShardedRuntimeTest, MetricsSurviveShardMerge) {
@@ -134,11 +239,10 @@ TEST(ShardedRuntimeTest, MetricsSurviveShardMerge) {
 }
 
 TEST(ShardedRuntimeTest, SingleShardMatchesSerialRuntimeExactly) {
-  // One shard and one producer run inline: the replica is the serial
-  // runtime, driven on the caller's thread. Its hfta() and counters() are
-  // live, so they match the serial runtime after every batch with no
-  // barrier in between — a threaded runtime would still serve its last
-  // barrier's snapshot.
+  // One shard runs inline: the replica is the serial runtime, driven on the
+  // caller's thread. Its hfta() and counters() are live, so they match the
+  // serial runtime after every batch with no barrier in between — a
+  // threaded runtime would still serve its last barrier's snapshot.
   const Trace trace = ZipfTrace(0x91);
   const std::vector<RuntimeRelationSpec> specs =
       SpecsFor(trace.schema(), "ABCD(AB BCD(BC BD CD))");
@@ -237,9 +341,6 @@ TEST(ShardedRuntimeTest, RejectsInvalidOptions) {
   options.num_shards = 2;
   options.queue_capacity = 1;
   EXPECT_FALSE(ShardedRuntime::Make(schema, specs, 0.0, options).ok());
-  options.queue_capacity = 4096;
-  options.num_producers = 0;
-  EXPECT_FALSE(ShardedRuntime::Make(schema, specs, 0.0, options).ok());
 }
 
 TEST(ShardedRuntimeTest, ValidationMessagesNameFieldAndValue) {
@@ -257,14 +358,6 @@ TEST(ShardedRuntimeTest, ValidationMessagesNameFieldAndValue) {
       << status.ToString();
 
   options.num_shards = 2;
-  options.num_producers = 0;
-  status = ShardedRuntime::Make(schema, specs, 0.0, options).status();
-  EXPECT_NE(status.ToString().find("num_producers"), std::string::npos)
-      << status.ToString();
-  EXPECT_NE(status.ToString().find("(got 0)"), std::string::npos)
-      << status.ToString();
-
-  options.num_producers = 1;
   options.queue_capacity = 1;
   status = ShardedRuntime::Make(schema, specs, 0.0, options).status();
   EXPECT_NE(status.ToString().find("queue_capacity"), std::string::npos)
@@ -273,44 +366,67 @@ TEST(ShardedRuntimeTest, ValidationMessagesNameFieldAndValue) {
       << status.ToString();
 }
 
-TEST(ShardedRuntimeTest, EngineShardedMatchesSerialEngine) {
-  const Schema schema = *Schema::Default(4);
-  const Trace trace = ZipfTrace(0xe7);
+/// An engine over AB, BC and CD with `num_shards` shards, fed `trace` in
+/// calls of `batch` records (1: per record through Process), then finished.
+std::unique_ptr<StreamAggEngine> RunEngine(const Trace& trace, int num_shards,
+                                           size_t batch) {
+  const Schema& schema = trace.schema();
+  std::vector<QueryDef> queries = {
+      QueryDef(*schema.ParseAttributeSet("AB")),
+      QueryDef(*schema.ParseAttributeSet("BC")),
+      QueryDef(*schema.ParseAttributeSet("CD"))};
+  StreamAggEngine::Options options;
+  options.memory_words = 8000;
+  options.sample_size = 10000;
+  options.epoch_seconds = 3.0;
+  options.clustered = false;
+  options.num_shards = num_shards;
+  auto engine =
+      std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
+          .value();
+  const std::span<const Record> records = trace.records();
+  for (size_t i = 0; i < records.size(); i += batch) {
+    EXPECT_TRUE((batch == 1 ? engine->Process(records[i])
+                            : engine->ProcessBatch(records.subspan(
+                                  i, std::min(batch, records.size() - i))))
+                    .ok());
+  }
+  EXPECT_TRUE(engine->Finish().ok());
+  return engine;
+}
 
-  auto run = [&](int num_shards) {
-    std::vector<QueryDef> queries = {
-        QueryDef(*schema.ParseAttributeSet("AB")),
-        QueryDef(*schema.ParseAttributeSet("BC")),
-        QueryDef(*schema.ParseAttributeSet("CD"))};
-    StreamAggEngine::Options options;
-    options.memory_words = 8000;
-    options.sample_size = 10000;
-    options.epoch_seconds = 3.0;
-    options.clustered = false;
-    options.num_shards = num_shards;
-    auto engine =
-        std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
-            .value();
-    for (const Record& r : trace.records()) {
-      EXPECT_TRUE(engine->Process(r).ok());
-    }
-    EXPECT_TRUE(engine->Finish().ok());
-    return engine;
-  };
-
-  auto serial = run(1);
-  auto sharded = run(4);
-  for (int qi = 0; qi < serial->num_queries(); ++qi) {
-    const std::vector<uint64_t> epochs = serial->Epochs(qi);
-    EXPECT_EQ(epochs, sharded->Epochs(qi)) << "query " << qi;
+/// Same epochs, same per-epoch results and the same record count.
+void ExpectSameEngineResults(const StreamAggEngine& serial,
+                             const StreamAggEngine& sharded,
+                             const std::string& label) {
+  for (int qi = 0; qi < serial.num_queries(); ++qi) {
+    const std::vector<uint64_t> epochs = serial.Epochs(qi);
+    EXPECT_EQ(epochs, sharded.Epochs(qi)) << label << " query " << qi;
     for (uint64_t epoch : epochs) {
-      EXPECT_TRUE(serial->EpochResult(qi, epoch) ==
-                  sharded->EpochResult(qi, epoch))
-          << "query " << qi << " epoch " << epoch;
+      EXPECT_TRUE(serial.EpochResult(qi, epoch) ==
+                  sharded.EpochResult(qi, epoch))
+          << label << " query " << qi << " epoch " << epoch;
     }
   }
   // Both pipelines processed every record exactly once.
-  EXPECT_EQ(serial->counters().records, sharded->counters().records);
+  EXPECT_EQ(serial.counters().records, sharded.counters().records) << label;
+}
+
+TEST(ShardedRuntimeTest, EngineShardedMatchesSerialEngine) {
+  const Trace trace = ZipfTrace(0xe7);
+  ExpectSameEngineResults(*RunEngine(trace, 1, 1), *RunEngine(trace, 4, 1),
+                          "shards=4");
+}
+
+TEST(ShardedRuntimeTest, EngineBatchedFeedMatchesSerialEngine) {
+  // 1024-record ProcessBatch calls: the driver stages each call's records
+  // per shard, and the answers match the serial engine fed the same way.
+  const Trace trace = ZipfTrace(0xe9);
+  const auto serial = RunEngine(trace, 1, 1024);
+  for (int shards : {2, 4}) {
+    ExpectSameEngineResults(*serial, *RunEngine(trace, shards, 1024),
+                            "shards=" + std::to_string(shards));
+  }
 }
 
 TEST(ShardedRuntimeTest, EngineAcceptsAdaptiveSharding) {
@@ -328,56 +444,36 @@ TEST(ShardedRuntimeTest, EngineAcceptsAdaptiveSharding) {
   EXPECT_FALSE(StreamAggEngine::FromQueryDefs(schema, queries, options).ok());
 }
 
-TEST(ShardedRuntimeTest, EngineValidationCoversProducerCombinations) {
+TEST(ShardedRuntimeTest, EngineValidationCoversShardCombinations) {
   const Schema schema = *Schema::Default(4);
   std::vector<QueryDef> queries = {QueryDef(*schema.ParseAttributeSet("AB"))};
 
-  auto expect_rejected = [&](StreamAggEngine::Options options,
-                             const std::string& field,
-                             const std::string& value) {
-    auto result = StreamAggEngine::FromQueryDefs(schema, queries, options);
-    ASSERT_FALSE(result.ok()) << field;
-    const std::string message = result.status().ToString();
-    EXPECT_NE(message.find(field), std::string::npos) << message;
-    EXPECT_NE(message.find(value), std::string::npos) << message;
-  };
-
   StreamAggEngine::Options options;
-  options.num_producers = 0;
-  expect_rejected(options, "num_producers", "(got 0)");
-
-  options = {};
-  options.num_producers = -2;
-  expect_rejected(options, "num_producers", "(got -2)");
-
-  options = {};
   options.shard_queue_capacity = 1;
-  expect_rejected(options, "shard_queue_capacity", "(got 1)");
+  auto result = StreamAggEngine::FromQueryDefs(schema, queries, options);
+  ASSERT_FALSE(result.ok());
+  const std::string message = result.status().ToString();
+  EXPECT_NE(message.find("shard_queue_capacity"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("(got 1)"), std::string::npos) << message;
 
-  // Valid combinations still construct.
-  options = {};
-  options.num_producers = 2;
-  options.num_shards = 2;
-  EXPECT_TRUE(StreamAggEngine::FromQueryDefs(schema, queries, options).ok());
-  options = {};
-  options.adaptive = true;  // Serial adaptive stays allowed.
-  EXPECT_TRUE(StreamAggEngine::FromQueryDefs(schema, queries, options).ok());
-
-  // Adaptive composes with sharding and parallel ingest: the drift check
-  // and plan swap happen at the quiescence barrier.
+  // Valid combinations construct: serial adaptive, and adaptive with
+  // sharding, whose drift check and plan swap happen at the quiescence
+  // barrier.
   options = {};
   options.adaptive = true;
-  options.num_shards = 2;
   EXPECT_TRUE(StreamAggEngine::FromQueryDefs(schema, queries, options).ok());
-  options = {};
-  options.adaptive = true;
-  options.num_producers = 4;
-  options.num_shards = 4;
-  EXPECT_TRUE(StreamAggEngine::FromQueryDefs(schema, queries, options).ok());
+  for (int shards : {2, 4}) {
+    options = {};
+    options.adaptive = true;
+    options.num_shards = shards;
+    EXPECT_TRUE(StreamAggEngine::FromQueryDefs(schema, queries, options).ok())
+        << "shards=" << shards;
+  }
 }
 
 TEST(ShardedRuntimeTest, ExternalResultsMatchInlineAtEveryBarrier) {
-  // A 2 x 4 runtime writes into a results HFTA it does not own: every
+  // A four-shard runtime writes into a results HFTA it does not own: every
   // barrier drains the replicas into it, so after each epoch's FlushEpoch
   // it equals the inline runtime epoch for epoch, and the replicas hold no
   // rows.
@@ -390,7 +486,6 @@ TEST(ShardedRuntimeTest, ExternalResultsMatchInlineAtEveryBarrier) {
   const int num_queries = (*inline_runtime)->hfta().num_queries();
   Hfta results(num_queries);
   ShardedRuntime::Options options;
-  options.num_producers = 2;
   options.num_shards = 4;
   auto sharded =
       ShardedRuntime::Make(trace.schema(), specs, 3.0, options, &results);
@@ -476,6 +571,211 @@ TEST(ShardedRuntimeTest, RejectsResultsWithOtherLayout) {
   EXPECT_TRUE(
       ShardedRuntime::Make(trace.schema(), specs, 3.0, options, &matching)
           .ok());
+}
+
+TEST(ShardedRuntimeTest, PinnedThreadsProduceIdenticalResults) {
+  // Affinity is an optimization: pinning (on whatever topology the test
+  // machine has) must not change any answer.
+  const Trace trace = ZipfTrace(0xaff);
+  const std::string config_text = "ABCD(AB BCD(BC BD CD))";
+  const std::vector<RuntimeRelationSpec> specs =
+      SpecsFor(trace.schema(), config_text);
+  ShardedRuntime::Options options;
+  options.num_shards = 2;
+  options.pin_threads = true;
+  auto sharded = ShardedRuntime::Make(trace.schema(), specs, 3.0, options);
+  ASSERT_TRUE(sharded.ok());
+  // The planned layout is exposed for telemetry: one entry per shard.
+  EXPECT_EQ((*sharded)->layout().shard_cpu.size(), 2u);
+  (*sharded)->ProcessTrace(trace);
+
+  auto config = Configuration::Parse(trace.schema(), config_text);
+  const std::vector<QueryDef> queries = config->QueryDefs();
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const auto expected = ComputeReferenceAggregate(
+        trace, queries[qi].group_by, 3.0, queries[qi].metrics);
+    std::string diagnostic;
+    EXPECT_TRUE(AggregatesEqual(expected, (*sharded)->hfta(),
+                                static_cast<int>(qi), &diagnostic))
+        << "query " << qi << ": " << diagnostic;
+  }
+}
+
+TEST(ShardedRuntimeTest, ThreadedRuntimeStartsOneWorkerPerShard) {
+#if defined(__linux__)
+  // The driver feeds every shard itself: a threaded runtime adds exactly
+  // one thread per shard, and an inline one adds none.
+  const auto threads = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return std::distance(begin(tasks), end(tasks));
+  };
+  const Schema schema = *Schema::Default(4);
+  const std::vector<RuntimeRelationSpec> specs = SpecsFor(schema, "AB(A B)");
+  // A sanitizer may start a helper thread at the process's first thread
+  // creation; create one first so the baseline counts it.
+  std::thread([] {}).join();
+  const auto before = threads();
+  for (int shards : {1, 2, 4}) {
+    ShardedRuntime::Options options;
+    options.num_shards = shards;
+    auto sharded = ShardedRuntime::Make(schema, specs, 1.0, options);
+    ASSERT_TRUE(sharded.ok());
+    EXPECT_EQ((*sharded)->runs_inline(), shards == 1);
+    EXPECT_EQ(threads() - before, shards == 1 ? 0 : shards)
+        << "shards=" << shards;
+  }
+#else
+  GTEST_SKIP() << "thread counting reads /proc";
+#endif
+}
+
+TEST(ShardedRuntimeTest, ShardedTelemetryHistoryCapturesEpochBarriers) {
+  // telemetry_epoch_snapshots works for sharded engines: each epoch
+  // crossing quiesces the shards at a barrier and records a merged
+  // snapshot with one row per shard and no producer keys.
+  const Schema schema = *Schema::Default(4);
+  const Trace trace = ZipfTrace(0x8d);
+  std::vector<QueryDef> queries = {
+      QueryDef(*schema.ParseAttributeSet("AB")),
+      QueryDef(*schema.ParseAttributeSet("CD"))};
+  StreamAggEngine::Options options;
+  options.memory_words = 8000;
+  options.sample_size = 5000;
+  options.epoch_seconds = 3.0;
+  options.clustered = false;
+  options.num_shards = 2;
+  options.telemetry_epoch_snapshots = true;
+  auto engine =
+      std::move(StreamAggEngine::FromQueryDefs(schema, queries, options))
+          .value();
+  // Chunked feed: the engine cuts each chunk at its epoch boundaries and
+  // captures between the runs, so every boundary is captured.
+  const std::span<const Record> records = trace.records();
+  for (size_t i = 0; i < records.size(); i += 1024) {
+    EXPECT_TRUE(
+        engine
+            ->ProcessBatch(records.subspan(
+                i, std::min<size_t>(1024, records.size() - i)))
+            .ok());
+  }
+  EXPECT_TRUE(engine->Finish().ok());
+
+  // 12 seconds of trace at 3 s/epoch: boundaries were crossed.
+  const auto& history = engine->telemetry_history();
+  ASSERT_GE(history.size(), 2u);
+  uint64_t last_epoch = 0;
+  bool first = true;
+  for (const TelemetrySnapshot& snapshot : history) {
+    EXPECT_EQ(snapshot.num_shards, 2);
+    EXPECT_EQ(snapshot.shards.size(), 2u);
+    EXPECT_EQ(snapshot.ToJsonLine().find("producer"), std::string::npos);
+    if (!first) {
+      EXPECT_GT(snapshot.epoch, last_epoch);
+    }
+    last_epoch = snapshot.epoch;
+    first = false;
+  }
+  // History snapshots are cumulative: the last one has seen more records
+  // than the first (counters are lifetime totals).
+  EXPECT_GT(history.back().counters.records, history.front().counters.records);
+}
+
+TEST(ShardedRuntimeTest, EngineServesEpochsCompleteOrNotAtAll) {
+  // The read contract of docs/runtime.md §4, checked after every call. A
+  // sharded engine's barriers drain the replicas mid-epoch (snapshot
+  // captures quiesce at every boundary; AddQuery flushes mid-epoch), yet
+  // every epoch Epochs() lists must be complete, and Finish completes them
+  // all. One shard serves each closed epoch once the call that crossed its
+  // end returns.
+  constexpr size_t kEpochRecords = 20000;
+  constexpr size_t kEpochs = 6;
+  constexpr size_t kAddAt = 2 * kEpochRecords + kEpochRecords / 2;
+  const Schema schema = *Schema::Default(4);
+  auto gen = std::move(UniformGenerator::Make(schema, 2000, 0x5ea1)).value();
+  Trace trace(schema);
+  for (size_t i = 0; i < kEpochs * kEpochRecords; ++i) {
+    Record r = gen->Next();
+    r.timestamp = static_cast<double>(i) / kEpochRecords;
+    trace.Append(r);
+  }
+  const QueryDef ab(*schema.ParseAttributeSet("AB"));
+  const QueryDef cd(*schema.ParseAttributeSet("CD"));
+  // Query 0 sees the whole trace, query 1 (added mid-epoch 2) the rest.
+  Trace added(schema);
+  for (size_t i = kAddAt; i < trace.size(); ++i) added.Append(trace.record(i));
+  const std::map<uint64_t, EpochAggregate> reference[] = {
+      ComputeReferenceAggregate(trace, ab.group_by, 1.0),
+      ComputeReferenceAggregate(added, cd.group_by, 1.0)};
+  const EpochAggregate none;
+  const auto want = [&](int q, uint64_t e) -> const EpochAggregate& {
+    auto it = reference[q].find(e);
+    return it == reference[q].end() ? none : it->second;
+  };
+
+  for (int shards : {1, 2, 4}) {
+    for (bool snapshots : {false, true}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " snapshots=" + std::to_string(snapshots));
+      StreamAggEngine::Options options;
+      options.memory_words = 4000;
+      options.sample_size = 10000;
+      options.epoch_seconds = 1.0;
+      options.clustered = false;
+      options.num_shards = shards;
+      options.telemetry_epoch_snapshots = snapshots;
+      auto engine = std::move(StreamAggEngine::FromQueryDefs(schema, {ab},
+                                                             options))
+                        .value();
+      const auto expect_served = [&](size_t fed) {
+        const uint64_t open = static_cast<uint64_t>(
+            trace.record(fed - 1).timestamp);
+        // Epochs that must be listed: at one shard every closed one; with
+        // more, those below the AddQuery's flushing barrier once it ran.
+        const uint64_t served = shards == 1      ? open
+                                : fed > kAddAt ? kAddAt / kEpochRecords
+                                               : 0;
+        const int num_ids = engine->num_query_ids();
+        for (int q = 0; q < num_ids; ++q) {
+          const std::vector<uint64_t> epochs = engine->Epochs(q);
+          for (uint64_t e : epochs) {
+            if (shards == 1 && e >= open) continue;  // Open epoch: partial.
+            EXPECT_TRUE(engine->EpochResult(q, e) == want(q, e))
+                << "query " << q << " epoch " << e << " after " << fed;
+          }
+          for (const auto& [e, groups] : reference[q]) {
+            if (e >= served) break;
+            EXPECT_TRUE(std::binary_search(epochs.begin(), epochs.end(), e))
+                << "query " << q << " closed epoch " << e << " unserved after "
+                << fed;
+          }
+        }
+      };
+      for (size_t i = 0; i < trace.size() && !HasFailure();) {
+        if (i == kAddAt) {
+          ASSERT_TRUE(engine->AddQuery(cd).ok());
+        }
+        const size_t end = std::min({i + 64, trace.size(),
+                                     i < kAddAt ? kAddAt : trace.size()});
+        ASSERT_TRUE(engine
+                        ->ProcessBatch(std::span<const Record>(
+                            trace.records()).subspan(i, end - i))
+                        .ok());
+        i = end;
+        if (engine->planned()) expect_served(i);
+      }
+      if (HasFailure()) return;
+      ASSERT_TRUE(engine->Finish().ok());
+      for (int q = 0; q < 2; ++q) {
+        std::vector<uint64_t> all;
+        for (const auto& [e, groups] : reference[q]) all.push_back(e);
+        EXPECT_EQ(engine->Epochs(q), all) << "query " << q;
+        for (uint64_t e : all) {
+          EXPECT_TRUE(engine->EpochResult(q, e) == want(q, e))
+              << "query " << q << " epoch " << e << " after Finish";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -200,7 +200,7 @@ TEST(TelemetryGoldenTest, GoldensSetEveryFieldOffItsDefault) {
   // arrays and the shedding section, a default element's.
   KeyValues defaults = Keys(TelemetrySnapshot{}.ToJsonLine());
   auto elements = TelemetrySnapshot::FromJsonLine(
-      R"({"tables":[{}],"shards":[{}],"producers":[{}],"replans":[{}],)"
+      R"({"tables":[{}],"shards":[{}],"replans":[{}],)"
       R"("query_churn":[{}],"shedding":{"enabled":true,"relations":[{}]}})");
   ASSERT_TRUE(elements.ok()) << elements.status().ToString();
   for (auto& [key, values] : Keys(elements->ToJsonLine())) {

@@ -13,7 +13,7 @@
 
 namespace streamagg {
 
-/// Every section present: shards, producers, re-plans, churn, shedding,
+/// Every section present: shards, re-plans, churn, shedding,
 /// histograms, and one table with a prediction and one without.
 inline TelemetrySnapshot HandCraftedSnapshot() {
   TelemetrySnapshot snap;
@@ -54,11 +54,8 @@ inline TelemetrySnapshot HandCraftedSnapshot() {
   table.predicted_collision_rate = TableTelemetry::kNoPrediction;
   snap.tables.push_back(table);
 
-  snap.num_producers = 2;
   snap.shards.push_back(ShardTelemetry{1000, 12, 7, 4, 0});
   snap.shards.push_back(ShardTelemetry{997, 3, 0, -1, -1});
-  snap.producers.push_back(ProducerTelemetry{1200, 9, 3, -1, -1});
-  snap.producers.push_back(ProducerTelemetry{797, 12, 0, 5, 1});
   snap.hfta_groups = {123, 0, 456789};
   snap.hfta_bytes = {8448, 0, 37748736};
   snap.replans.push_back(ReplanEvent{40, "AB", 0.3125, 3, 2, 1.5, 0.75});
@@ -105,7 +102,6 @@ inline TelemetrySnapshot MakeSnapshot() {
   TelemetrySnapshot snap;
   snap.epoch = 41;
   snap.num_shards = 2;
-  snap.num_producers = 1;
   snap.reoptimizations = 2;
   snap.counters.records = (uint64_t{1} << 63) + 12345;  // Exceeds double.
   snap.counters.intra_probes = 100000;
@@ -137,7 +133,6 @@ inline TelemetrySnapshot MakeSnapshot() {
 
   snap.shards.push_back(ShardTelemetry{1000, 12, 7, 4, 0});
   snap.shards.push_back(ShardTelemetry{997, 3, 0, -1, -1});
-  snap.producers.push_back(ProducerTelemetry{1997, 9, 3, -1, -1});
   snap.hfta_groups = {123, 456789};
 
   snap.shedding.enabled = true;

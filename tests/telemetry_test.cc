@@ -168,12 +168,10 @@ TEST(TelemetrySnapshotTest, JsonRoundTripIsBitExact) {
 }
 
 TEST(TelemetrySnapshotTest, FromJsonLineAcceptsPreProducerSnapshots) {
-  // Lines serialized before the multi-producer front end carry neither
-  // "num_producers" nor "producers" (nor shard placement fields); they must
-  // still parse, with the serial defaults.
+  // Lines serialized before the multi-producer front end carry no producer
+  // keys (nor shard placement fields); they must still parse, with the
+  // serial defaults.
   TelemetrySnapshot old = HandCraftedSnapshot();
-  old.num_producers = 1;
-  old.producers.clear();
   for (ShardTelemetry& s : old.shards) {
     s.cpu = -1;
     s.node = -1;
@@ -205,14 +203,28 @@ TEST(TelemetrySnapshotTest, FromJsonLineAcceptsPreProducerSnapshots) {
     }
     line.erase(from, end - from);
   };
-  strip("\"num_producers\":");
-  strip("\"producers\":");
   while (line.find("\"cpu\":") != std::string::npos) strip("\"cpu\":");
   while (line.find("\"node\":") != std::string::npos) strip("\"node\":");
 
   auto restored = TelemetrySnapshot::FromJsonLine(line);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString() << "\n" << line;
   EXPECT_TRUE(*restored == old);
+
+  // Lines written while the multi-producer front end existed carry its
+  // producer count and rows; both parse as unknown keys. (The count's key
+  // is split across two literals so a grep for the retired option only
+  // finds the change history.)
+  const size_t at = line.find("\"reoptimizations\":");
+  ASSERT_NE(at, std::string::npos) << line;
+  line.insert(at,
+              "\"num_" "producers\":2,\"producers\":[{\"records\":1200,"
+              "\"queue_depth_hwm\":9,\"blocked_pushes\":3,\"cpu\":-1,"
+              "\"node\":-1},{\"records\":797,\"queue_depth_hwm\":12,"
+              "\"blocked_pushes\":0,\"cpu\":5,\"node\":1}],");
+  restored = TelemetrySnapshot::FromJsonLine(line);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString() << "\n" << line;
+  EXPECT_TRUE(*restored == old);
+  EXPECT_EQ(restored->ToJsonLine().find("producers"), std::string::npos);
 }
 
 TEST(TelemetrySnapshotTest, FromJsonLineAcceptsPreReplanSnapshots) {
@@ -238,11 +250,12 @@ TEST(TelemetrySnapshotTest, FromJsonLineIgnoresRetiredSortDrainFields) {
   // carries probe_mode and the sort_appends/sort_drains/sort_unique_groups
   // tallies, and its histograms the distinct-groups-per-drain histogram.
   // FromJsonLine ignores those keys, every other field comes back equal,
-  // and serializing again emits none of them. (The histogram key is split
-  // across two literals so a grep for the retired identifiers only finds
-  // the change history.)
+  // and serializing again emits none of them. (The histogram key and the
+  // retired producer count are split across two literals so a grep for the
+  // retired identifiers only finds the change history.)
   const std::string line =
-      R"({"epoch":12,"num_shards":1,"num_producers":1,"reoptimizations":0,)"
+      R"({"epoch":12,"num_shards":1,"num_)" R"(producers":1,)"
+      R"("reoptimizations":0,)"
       R"("counters":{"records":5000,"intra_probes":5000,)"
       R"("intra_transfers":40,"flush_probes":0,"flush_transfers":0,)"
       R"("epochs_flushed":12,"shed_probes":0},)"
@@ -298,7 +311,8 @@ TEST(TelemetrySnapshotTest, FromJsonLineIgnoresRetiredSortDrainFields) {
   // section carries a rebalance count, which parses as an unknown key and
   // does not come back out.
   const std::string shedding_line =
-      R"({"epoch":7,"num_shards":1,"num_producers":1,"reoptimizations":0,)"
+      R"({"epoch":7,"num_shards":1,"num_)" R"(producers":1,)"
+      R"("reoptimizations":0,)"
       R"("counters":{"records":0,"intra_probes":0,"intra_transfers":0,)"
       R"("flush_probes":0,"flush_transfers":0,"epochs_flushed":0,)"
       R"("shed_probes":0},"tables":[],"shards":[],"producers":[],)"
@@ -486,16 +500,15 @@ TEST(TelemetrySnapshotTest, FromJsonLineKeepsDefaultsForMissingKeys) {
   EXPECT_EQ(empty->num_shards, 1);
 
   // ...and an empty object in any array restores a default element: a
-  // table is no phantom claiming query 0 fed by table 0, and a producer
-  // keeps the unpinned placement.
+  // table is no phantom claiming query 0 fed by table 0, and a shard keeps
+  // the unpinned placement.
   auto elements = TelemetrySnapshot::FromJsonLine(
-      R"({"tables":[{}],"shards":[{}],"producers":[{}],"replans":[{}],)"
+      R"({"tables":[{}],"shards":[{}],"replans":[{}],)"
       R"("query_churn":[{}],"shedding":{"relations":[{}]}})");
   ASSERT_TRUE(elements.ok()) << elements.status().ToString();
   TelemetrySnapshot expected;
   expected.tables.emplace_back();
   expected.shards.emplace_back();
-  expected.producers.emplace_back();
   expected.replans.emplace_back();
   expected.query_churn.emplace_back();
   expected.shedding.relations.emplace_back();
@@ -504,9 +517,9 @@ TEST(TelemetrySnapshotTest, FromJsonLineKeepsDefaultsForMissingKeys) {
   EXPECT_EQ(elements->tables[0].query_index, -1);
   EXPECT_EQ(elements->tables[0].parent, -1);
   EXPECT_FALSE(elements->tables[0].has_prediction());
-  ASSERT_EQ(elements->producers.size(), 1u);
-  EXPECT_EQ(elements->producers[0].cpu, -1);
-  EXPECT_EQ(elements->producers[0].node, -1);
+  ASSERT_EQ(elements->shards.size(), 1u);
+  EXPECT_EQ(elements->shards[0].cpu, -1);
+  EXPECT_EQ(elements->shards[0].node, -1);
   ASSERT_EQ(elements->query_churn.size(), 1u);
   EXPECT_EQ(elements->query_churn[0].query_id, -1);
 }
@@ -558,9 +571,7 @@ TEST(TelemetrySnapshotTest, SerialRuntimeSnapshotMatchesSources) {
   const TelemetrySnapshot snap =
       BuildTelemetrySnapshot(**runtime, trace.schema());
   EXPECT_EQ(snap.num_shards, 1);
-  EXPECT_EQ(snap.num_producers, 1);
   EXPECT_TRUE(snap.shards.empty());
-  EXPECT_TRUE(snap.producers.empty());
   EXPECT_TRUE(snap.counters == (*runtime)->counters());
   ASSERT_EQ(static_cast<int>(snap.tables.size()),
             (*runtime)->num_relations());
@@ -620,15 +631,11 @@ TEST(TelemetrySnapshotTest, ShardedMergeIsBitIdenticalToRuntimeCounters) {
     EXPECT_EQ(snap.tables[i].flushed_entries, flushed) << "table " << i;
   }
 
-  // Producer-side ingest stats: every record was routed to some shard, and
-  // the default single producer routed all of them.
+  // Driver-side ingest stats: every record was routed to some shard.
   ASSERT_EQ(snap.shards.size(), 4u);
   uint64_t routed = 0;
   for (const ShardTelemetry& s : snap.shards) routed += s.records;
   EXPECT_EQ(routed, trace.size());
-  EXPECT_EQ(snap.num_producers, 1);
-  ASSERT_EQ(snap.producers.size(), 1u);
-  EXPECT_EQ(snap.producers[0].records, trace.size());
 }
 
 TEST(TelemetrySnapshotTest, SingleShardSnapshotMatchesSerialTables) {
@@ -636,7 +643,7 @@ TEST(TelemetrySnapshotTest, SingleShardSnapshotMatchesSerialTables) {
   // through identical tables, so every per-table telemetry field must match
   // the serial runtime exactly (timing histograms excluded by construction
   // — TableTelemetry carries none), and the snapshot is the serial one,
-  // with no shard or producer rows.
+  // with no shard rows.
   const Trace trace = TestTrace(0xc33);
   const std::vector<RuntimeRelationSpec> specs = TestSpecs(trace.schema());
 
@@ -661,9 +668,7 @@ TEST(TelemetrySnapshotTest, SingleShardSnapshotMatchesSerialTables) {
   }
   EXPECT_EQ(a.hfta_groups, b.hfta_groups);
   EXPECT_EQ(b.num_shards, 1);
-  EXPECT_EQ(b.num_producers, 1);
   EXPECT_TRUE(b.shards.empty());
-  EXPECT_TRUE(b.producers.empty());
 }
 
 TEST(TelemetrySnapshotTest, RuntimeLevelOffDisablesTelemetryTallies) {

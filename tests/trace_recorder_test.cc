@@ -416,8 +416,8 @@ TEST(FlightRecorderEngineTest, ShardedRunRecordsBarriersAndAcks) {
 }
 
 TEST(FlightRecorderEngineTest, ChurnSwapRunsOneFlushBarrier) {
-  // A churn swap on a P x S engine retires the runtime with a single
-  // FlushEpoch barrier: the flush already drains the queue matrix, so no
+  // A churn swap on a sharded engine retires the runtime with a single
+  // FlushEpoch barrier: the flush already drains the shard queues, so no
   // Quiesce barrier may precede it.
   ResetRecorder();
   FlightRecorder::Instance().set_enabled(true);

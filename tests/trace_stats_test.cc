@@ -65,22 +65,6 @@ TEST(TraceStatsTest, FlowDataRecoversMeanFlowLength) {
   EXPECT_FALSE(stats.LooksUnclustered());
 }
 
-TEST(TraceStatsTest, GroupCountEstimateTracksExactCount) {
-  auto gen = FlowGenerator::MakePaperTrace({});
-  ASSERT_TRUE(gen.ok());
-  const Trace trace = Trace::Generate(**gen, 200000, 62.0);
-  TraceStats stats(&trace);
-  for (uint32_t mask : {0b0001u, 0b0011u, 0b0111u, 0b1111u}) {
-    const AttributeSet set(mask);
-    const uint64_t exact = stats.GroupCount(set);
-    const uint64_t estimated = stats.GroupCountEstimate(set);
-    EXPECT_NEAR(static_cast<double>(estimated), static_cast<double>(exact),
-                0.05 * static_cast<double>(exact) + 5.0)
-        << set.ToString();
-  }
-  EXPECT_EQ(stats.GroupCountEstimate(AttributeSet()), 1u);
-}
-
 TEST(TraceStatsTest, CachingIsConsistent) {
   auto gen = UniformGenerator::Make(*Schema::Default(3), 100, 29);
   ASSERT_TRUE(gen.ok());
